@@ -2,8 +2,8 @@
 
 The exact pair arithmetic and the float refinement loop exist twice: a
 compiled Cython extension (``_speedup``) and a pure-Python reference
-(``_pure``).  By default the compiled one is used when it importable and the
-pure one otherwise; set ROOT_ENCLOSE_KERNEL=pure or =compiled to force a
+(``_pure``).  By default the compiled one is used when it is importable and
+the pure one otherwise; set ROOT_ENCLOSE_KERNEL=pure or =compiled to force a
 backend (forcing ``compiled`` raises if the extension was not built).
 
 Both backends are exact and agree value-for-value; ``benchmarks/`` holds a

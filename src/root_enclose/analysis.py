@@ -27,18 +27,18 @@ import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
+from math import gcd
 from typing import NamedTuple
 
-from .maps import (
-    DenominatorZeroError,
-    MapCoefficients,
-    MapEvaluator,
-    check_canonical,
-    denominators,
-    evaluator,
-    secant_newton,
-)
-from .numeric import as_rational, geom_sum, pow_int
+from ._kernels import geom_sum_pair
+from .maps import MapCoefficients, MapEvaluator, check_canonical, secant_newton
+from .numeric import as_rational, pow_int
+
+# Not used by the scans, which work on int pairs; kept importable here because
+# perfbench/tracing.py wraps them at these names.
+from .maps import denominators  # noqa: F401
+from .numeric import geom_sum  # noqa: F401
 
 PASSED_ON_SAMPLES = "passed-on-samples"
 FALSIFIED = "falsified"
@@ -176,21 +176,72 @@ _CORNER_PAIRS = (
 )
 
 
+# Inside the scans a sample is the tuple (Ln, Ld, rn, rd, Un, Ud, xn, xd):
+# L, r, U and x = r**n as reduced int pairs with positive denominators, so
+# order is decided by cross-multiplication and equality is structural.
+# Fractions are built only for what leaves the module.
+
+# (Ln, Ld, rn, rd, Un, Ud) of every corner probe, in sample order
+_CORNER_POINTS = tuple(
+    tuple(i for v in point for i in (v.numerator, v.denominator))
+    for L, U in _CORNER_PAIRS
+    for point in ((L, L, U), (L, U, U), (L, L, L), (U, U, U), (L, (L + U) / 2, U))
+)
+
+
+def _corner_samples(n: int):
+    for ln, ld, rn, rd, un, ud in _CORNER_POINTS:
+        yield ln, ld, rn, rd, un, ud, rn ** n, rd ** n
+
+
+def _random_pair(randint, mag: int) -> tuple[int, int]:
+    num = randint(1, mag)
+    den = randint(1, mag)
+    g = gcd(num, den)
+    return num // g, den // g
+
+
+def _draw(n: int, cfg: SampleConfig):
+    """The endless sample sequence: the corner block, then seeded triples."""
+    if cfg.include_corner_probes:
+        yield from _corner_samples(n)
+    randint = random.Random(cfg.seed).randint
+    mag = cfg.max_magnitude
+    while True:
+        an, ad = _random_pair(randint, mag)
+        bn, bd = _random_pair(randint, mag)
+        cn, cd = _random_pair(randint, mag)
+        # sort the three values; equal values are equal pairs, so ties
+        # cannot change the result
+        if bn * ad < an * bd:
+            an, ad, bn, bd = bn, bd, an, ad
+        if cn * bd < bn * cd:
+            bn, bd, cn, cd = cn, cd, bn, bd
+            if bn * ad < an * bd:
+                an, ad, bn, bd = bn, bd, an, ad
+        yield an, ad, bn, bd, cn, cd, bn ** n, bd ** n
+
+
+def _sample_pairs(n: int, cfg: SampleConfig):
+    """The cfg.count samples of sample_triples in int-pair form, drawn
+    lazily: a scan that stops early never draws the rest."""
+    if n < 2:
+        raise ValueError("need n >= 2")
+    return islice(_draw(n, cfg), cfg.count)
+
+
+def _triple(s) -> Triple:
+    ln, ld, rn, rd, un, ud, xn, xd = s
+    return Triple(Fraction(ln, ld), Fraction(rn, rd), Fraction(un, ud), Fraction(xn, xd))
+
+
 def corner_triples(n: int) -> list[Triple]:
     """The fixed head of every corner-enabled sample sequence."""
-    out = []
-    for L, U in _CORNER_PAIRS:
-        out.append(Triple(L, L, U, pow_int(L, n)))
-        out.append(Triple(L, U, U, pow_int(U, n)))
-        out.append(Triple(L, L, L, pow_int(L, n)))
-        out.append(Triple(U, U, U, pow_int(U, n)))
-        mid = (L + U) / 2
-        out.append(Triple(L, mid, U, pow_int(mid, n)))
-    return out
+    return [_triple(s) for s in _corner_samples(n)]
 
 
 def _random_positive(rng: random.Random, mag: int) -> Fraction:
-    return Fraction(rng.randint(1, mag), rng.randint(1, mag))
+    return Fraction(*_random_pair(rng.randint, mag))
 
 
 def sample_triples(n: int, cfg: SampleConfig) -> list[Triple]:
@@ -198,46 +249,100 @@ def sample_triples(n: int, cfg: SampleConfig) -> list[Triple]:
 
     With corner probes enabled the fixed corner block comes first (truncated
     if cfg.count is smaller); pseudo-random triples with numerators and
-    denominators bounded by cfg.max_magnitude fill the rest.
+    denominators bounded by cfg.max_magnitude fill the rest.  The checks
+    below scan this same sequence in int-pair form.
     """
-    if n < 2:
-        raise ValueError("need n >= 2")
-    out = corner_triples(n) if cfg.include_corner_probes else []
-    rng = random.Random(cfg.seed)
-    while len(out) < cfg.count:
-        a = _random_positive(rng, cfg.max_magnitude)
-        b = _random_positive(rng, cfg.max_magnitude)
-        c = _random_positive(rng, cfg.max_magnitude)
-        L, r, U = sorted((a, b, c))
-        out.append(Triple(L, r, U, pow_int(r, n)))
-    return out[: cfg.count]
+    return [_triple(s) for s in _sample_pairs(n, cfg)]
 
 
-def _contraction_witness(ev: MapEvaluator, t: Triple) -> Witness | None:
-    """First failing inequality of L <= L' <= r <= U' <= U at one triple."""
-    try:
-        lo, hi = ev.pair(t.L, t.U, t.x)
-    except DenominatorZeroError:
-        return Witness(t.L, t.r, t.U, t.x, "denominator-zero", _ZERO, _ZERO)
-    if lo < t.L:
-        return Witness(t.L, t.r, t.U, t.x, "L <= L'", t.L, lo)
-    if lo > t.r:
-        return Witness(t.L, t.r, t.U, t.x, "L' <= r", lo, t.r)
-    if hi < t.r:
-        return Witness(t.L, t.r, t.U, t.x, "r <= U'", t.r, hi)
-    if hi > t.U:
-        return Witness(t.L, t.r, t.U, t.x, "U' <= U", hi, t.U)
+_ZERO_PAIR = (0, 1)
+
+
+def _witness(s, violated: str, lhs: tuple[int, int], rhs: tuple[int, int]) -> Witness:
+    """The Witness at int-pair sample s, with both sides given as pairs."""
+    L, r, U, x = _triple(s)
+    return Witness(L, r, U, x, violated, Fraction(*lhs), Fraction(*rhs))
+
+
+def _map_chunks(scan, m: MapCoefficients, samples, jobs: int) -> list:
+    """[scan((m, chunk)) for each chunk of samples], in sample order.
+
+    With jobs > 1 the samples are split into consecutive chunks that run in
+    that many worker processes; otherwise the whole (possibly lazy)
+    sequence is one chunk, read in this process.
+    """
+    if jobs <= 1:
+        return [scan((m, samples))]
+    samples = list(samples)
+    size = max(64, -(-len(samples) // jobs))
+    chunks = [(m, samples[i:i + size]) for i in range(0, len(samples), size)]
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(scan, chunks))
+
+
+def _contraction_witness(raw_pair, s) -> Witness | None:
+    """First failing inequality of L <= L' <= r <= U' <= U at one sample."""
+    ln, ld, rn, rd, un, ud, xn, xd = s
+    status, a, b, c, d = raw_pair(ln, ld, un, ud, xn, xd)
+    if status:
+        return _witness(s, "denominator-zero", _ZERO_PAIR, _ZERO_PAIR)
+    if a * ld < ln * b:
+        return _witness(s, "L <= L'", (ln, ld), (a, b))
+    if a * rd > rn * b:
+        return _witness(s, "L' <= r", (a, b), (rn, rd))
+    if c * rd < rn * d:
+        return _witness(s, "r <= U'", (rn, rd), (c, d))
+    if c * ud > un * d:
+        return _witness(s, "U' <= U", (c, d), (un, ud))
     return None
 
 
-def _scan_contraction_chunk(args) -> tuple[int, Witness] | None:
-    m, triples = args
-    ev = evaluator(m)
-    for idx, t in enumerate(triples):
-        w = _contraction_witness(ev, t)
+def _scan_contraction_chunk(args) -> tuple[int, Witness | None]:
+    """(points evaluated, first witness or None) over one chunk."""
+    m, samples = args
+    raw_pair = MapEvaluator(m).raw_pair
+    scanned = 0
+    for s in samples:
+        scanned += 1
+        w = _contraction_witness(raw_pair, s)
         if w is not None:
-            return idx, w
-    return None
+            return scanned, w
+    return scanned, None
+
+
+def _contraction_verdict(m: MapCoefficients, samples, jobs: int) -> Verdict:
+    checked = 0
+    report = check_canonical(m)
+    if not report.is_canonical:
+        n = m.n
+        raw_pair = MapEvaluator(m).raw_pair
+        p_violated = any(name.startswith("p") for name, _, _ in report.violations)
+        q_violated = any(name.startswith("q") for name, _, _ in report.violations)
+        drawn = []
+        seen = set()
+        for s in samples:
+            drawn.append(s)
+            ln, ld, _, _, un, ud, _, _ = s
+            if (ln, ld, un, ud) in seen:
+                continue
+            seen.add((ln, ld, un, ud))
+            probes = []
+            if p_violated:
+                probes.append((ln, ld, ln, ld, un, ud, ln ** n, ld ** n))
+            if q_violated:
+                probes.append((ln, ld, un, ud, un, ud, un ** n, ud ** n))
+            for probe in probes:
+                checked += 1
+                w = _contraction_witness(raw_pair, probe)
+                if w is not None:
+                    return Verdict(FALSIFIED, w, checked)
+        samples = drawn
+
+    for scanned, w in _map_chunks(_scan_contraction_chunk, m, samples, jobs):
+        checked += scanned
+        if w is not None:
+            return Verdict(FALSIFIED, w, checked)
+    return Verdict(PASSED_ON_SAMPLES, None, checked)
 
 
 def falsify_contraction(m: MapCoefficients, cfg: SampleConfig, jobs: int = 1) -> Verdict:
@@ -248,54 +353,33 @@ def falsify_contraction(m: MapCoefficients, cfg: SampleConfig, jobs: int = 1) ->
     the canonical-form check are short-circuited: for a p-side violation the
     corner x = L**n forces the lower numerator away from zero at generic
     (L, U), so probing the sampled pairs there yields a witness immediately,
-    and likewise x = U**n for q-side violations.
+    and likewise x = U**n for q-side violations.  The probes read the
+    samples lazily, so the rest are drawn only if no probe fails.
 
     samples_checked counts evaluated points (probes included); with
     jobs > 1 the scan is partitioned but merged in sample order, so the
     verdict is identical to the sequential one.
     """
-    ev = evaluator(m)
-    triples = sample_triples(m.n, cfg)
+    return _contraction_verdict(m, _sample_pairs(m.n, cfg), jobs)
+
+
+def _bounds_verdict(m: MapCoefficients, samples) -> Verdict:
+    n = m.n
+    denominator_pairs = MapEvaluator(m).denominator_pairs
     checked = 0
-
-    report = check_canonical(m)
-    if not report.is_canonical:
-        p_violated = any(name.startswith("p") for name, _, _ in report.violations)
-        q_violated = any(name.startswith("q") for name, _, _ in report.violations)
-        seen = set()
-        for t in triples:
-            if (t.L, t.U) in seen:
-                continue
-            seen.add((t.L, t.U))
-            probes = []
-            if p_violated:
-                probes.append(Triple(t.L, t.L, t.U, pow_int(t.L, m.n)))
-            if q_violated:
-                probes.append(Triple(t.L, t.U, t.U, pow_int(t.U, m.n)))
-            for probe in probes:
-                checked += 1
-                w = _contraction_witness(ev, probe)
-                if w is not None:
-                    return Verdict(FALSIFIED, w, checked)
-
-    if jobs > 1:
-        chunk = max(64, (len(triples) + jobs - 1) // jobs)
-        chunks = [triples[i:i + chunk] for i in range(0, len(triples), chunk)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = pool.map(_scan_contraction_chunk, [(m, c) for c in chunks])
-            base = 0
-            for part, found in zip(chunks, results):
-                if found is not None:
-                    idx, w = found
-                    return Verdict(FALSIFIED, w, checked + base + idx + 1)
-                base += len(part)
-        return Verdict(PASSED_ON_SAMPLES, None, checked + len(triples))
-
-    for t in triples:
+    for ln, ld, _, _, un, ud, _, _ in samples:
         checked += 1
-        w = _contraction_witness(ev, t)
-        if w is not None:
-            return Verdict(FALSIFIED, w, checked)
+        (pn, pd), (qn, qd) = denominator_pairs(ln, ld, un, ud)
+        sn, sd = geom_sum_pair(ln, ld, un, ud, n)
+        if pn * sd < sn * pd:
+            return Verdict(FALSIFIED, _witness(
+                (ln, ld, ln, ld, un, ud, ln ** n, ld ** n),
+                "p-denominator >= secant form", (pn, pd), (sn, sd)), checked)
+        nn, nd = n * un ** (n - 1), ud ** (n - 1)
+        if qn * nd < nn * qd:
+            return Verdict(FALSIFIED, _witness(
+                (ln, ld, ln, ld, un, ud, ln ** n, ld ** n),
+                "q-denominator >= n*U^(n-1)", (qn, qd), (nn, nd)), checked)
     return Verdict(PASSED_ON_SAMPLES, None, checked)
 
 
@@ -310,49 +394,44 @@ def check_denominator_bounds(m: MapCoefficients, cfg: SampleConfig) -> Verdict:
     """
     if not check_canonical(m).is_canonical:
         raise ValueError("denominator bounds apply to canonical maps only")
-    n = m.n
-    checked = 0
-    for t in sample_triples(n, cfg):
-        L, U = t.L, t.U
-        checked += 1
-        dp, dq = denominators(m, L, U)
-        secant = geom_sum(L, U, n)
-        if dp < secant:
-            w = Witness(L, L, U, pow_int(L, n),
-                        "p-denominator >= secant form", dp, secant)
-            return Verdict(FALSIFIED, w, checked)
-        newton = n * pow_int(U, n - 1)
-        if dq < newton:
-            w = Witness(L, L, U, pow_int(L, n),
-                        "q-denominator >= n*U^(n-1)", dq, newton)
-            return Verdict(FALSIFIED, w, checked)
-    return Verdict(PASSED_ON_SAMPLES, None, checked)
+    return _bounds_verdict(m, _sample_pairs(m.n, cfg))
+
+
+def check_map(m: MapCoefficients, cfg: SampleConfig,
+              jobs: int = 1) -> tuple[Verdict | None, Verdict]:
+    """(check_denominator_bounds(m, cfg), falsify_contraction(m, cfg, jobs))
+    from one draw of the samples; the bounds verdict is None for
+    non-canonical maps, which the bounds do not apply to."""
+    samples = _sample_pairs(m.n, cfg)
+    if not check_canonical(m).is_canonical:
+        return None, _contraction_verdict(m, samples, jobs)
+    samples = list(samples)
+    return _bounds_verdict(m, samples), _contraction_verdict(m, samples, jobs)
 
 
 def _scan_dominance_chunk(args):
-    m, triples = args
-    m_ev = evaluator(m)
-    sn_ev = evaluator(secant_newton(m.n))
+    m, samples = args
+    m_pair = MapEvaluator(m).raw_pair
+    sn_pair = MapEvaluator(secant_newton(m.n)).raw_pair
     subset = 0
     proper = 0
     equality = []
     violations = []
-    for t in triples:
-        try:
-            mlo, mhi = m_ev.pair(t.L, t.U, t.x)
-        except DenominatorZeroError:
-            violations.append(
-                Witness(t.L, t.r, t.U, t.x, "denominator-zero", _ZERO, _ZERO))
+    for s in samples:
+        ln, ld, rn, rd, un, ud, xn, xd = s
+        status, a, b, c, d = m_pair(ln, ld, un, ud, xn, xd)
+        if status:
+            violations.append(_witness(s, "denominator-zero", _ZERO_PAIR, _ZERO_PAIR))
             continue
-        slo, shi = sn_ev.pair(t.L, t.U, t.x)
-        if mlo > slo:
-            violations.append(Witness(t.L, t.r, t.U, t.x, "L' <= L*", mlo, slo))
-        elif shi > mhi:
-            violations.append(Witness(t.L, t.r, t.U, t.x, "U* <= U'", shi, mhi))
+        _, sa, sb, sc, sd = sn_pair(ln, ld, un, ud, xn, xd)
+        if a * sb > sa * b:
+            violations.append(_witness(s, "L' <= L*", (a, b), (sa, sb)))
+        elif sc * d > c * sd:
+            violations.append(_witness(s, "U* <= U'", (sc, sd), (c, d)))
         else:
             subset += 1
-            if mlo == slo and mhi == shi:
-                equality.append((t.L, t.r, t.U))
+            if a == sa and b == sb and c == sc and d == sd:
+                equality.append((Fraction(ln, ld), Fraction(rn, rd), Fraction(un, ud)))
             else:
                 proper += 1
     return subset, proper, equality, violations
@@ -363,19 +442,12 @@ def check_dominance(m: MapCoefficients, cfg: SampleConfig, jobs: int = 1) -> Dom
     every sampled triple: count exact subsets ([L*, U*] inside [L', U']),
     proper subsets, and equality points.  Zero denominators in the checked
     map count as violations.  Results are merged in sample order."""
-    triples = sample_triples(m.n, cfg)
-    if jobs > 1:
-        chunk = max(64, (len(triples) + jobs - 1) // jobs)
-        chunks = [triples[i:i + chunk] for i in range(0, len(triples), chunk)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(_scan_dominance_chunk, [(m, c) for c in chunks]))
-    else:
-        parts = [_scan_dominance_chunk((m, triples))]
+    parts = _map_chunks(_scan_dominance_chunk, m, _sample_pairs(m.n, cfg), jobs)
     subset = sum(p[0] for p in parts)
     proper = sum(p[1] for p in parts)
     equality = tuple(pt for p in parts for pt in p[2])
     violations = tuple(w for p in parts for w in p[3])
-    return DominanceStats(len(triples), subset, proper, equality, violations)
+    return DominanceStats(cfg.count, subset, proper, equality, violations)
 
 
 class TrivariatePoly:

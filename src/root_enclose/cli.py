@@ -179,10 +179,7 @@ def cmd_check(args) -> int:
     m = load_map(args.map_file)
     cfg = _sample_config(args)
     report = check_canonical(m)
-    bounds = None
-    if report.is_canonical:
-        bounds = analysis.check_denominator_bounds(m, cfg)
-    verdict = analysis.falsify_contraction(m, cfg, jobs=args.jobs)
+    bounds, verdict = analysis.check_map(m, cfg, jobs=args.jobs)
 
     failed = verdict.falsified or (bounds is not None and bounds.falsified)
     if args.json:

@@ -182,40 +182,34 @@ class MapEvaluator:
             raise ValueError(f"need 0 < lo <= hi, got [{lo}, {hi}]")
         if x <= 0:
             raise ValueError(f"need x > 0, got {x}")
+        status, a, b, c, d = self.raw_pair(
+            lo.numerator, lo.denominator,
+            hi.numerator, hi.denominator,
+            x.numerator, x.denominator,
+        )
+        if status == 1:
+            raise DenominatorZeroError("lower")
+        if status == 2:
+            raise DenominatorZeroError("upper")
+        return Fraction(a, b), Fraction(c, d)
+
+    def raw_pair(self, ln, ld, un, ud, xn, xd) -> tuple[int, int, int, int, int]:
+        """pair() on reduced int pairs, unchecked: the kernel's
+        (status, lo_num, lo_den, hi_num, hi_den), status 1 or 2 for a zero
+        lower or upper denominator.  The endpoints come back reduced with
+        positive denominators."""
         kernel = apply_reduced_pairs if self._canonical else apply_pairs
-        status, a, b, c, d = kernel(
-            self._n, self._pn, self._pd, self._qn, self._qd,
-            lo.numerator, lo.denominator,
-            hi.numerator, hi.denominator,
-            x.numerator, x.denominator,
-        )
-        if status == 1:
-            raise DenominatorZeroError("lower")
-        if status == 2:
-            raise DenominatorZeroError("upper")
-        return Fraction(a, b), Fraction(c, d)
+        return kernel(self._n, self._pn, self._pd, self._qn, self._qd,
+                      ln, ld, un, ud, xn, xd)
 
-    def general_pair(self, lo, hi, x) -> tuple[Fraction, Fraction]:
-        """Same as pair() but always through the general form (for the
-        reduced-vs-general equivalence tests)."""
-        m = self.map
-        status, a, b, c, d = apply_pairs(
-            self._n,
-            [c.numerator for c in m.p], [c.denominator for c in m.p],
-            [c.numerator for c in m.q], [c.denominator for c in m.q],
-            lo.numerator, lo.denominator,
-            hi.numerator, hi.denominator,
-            x.numerator, x.denominator,
-        )
-        if status == 1:
-            raise DenominatorZeroError("lower")
-        if status == 2:
-            raise DenominatorZeroError("upper")
-        return Fraction(a, b), Fraction(c, d)
-
-
-def evaluator(m: MapCoefficients) -> MapEvaluator:
-    return MapEvaluator(m)
+    def denominator_pairs(self, ln, ld, un, ud) -> tuple[tuple[int, int], tuple[int, int]]:
+        """Both denominator forms at (L, U) = (ln/ld, un/ud) as reduced pairs
+        with positive denominators.  Canonical maps only: their evaluator
+        holds exactly the denominator tails."""
+        if not self._canonical:
+            raise ValueError("denominator_pairs needs a canonical map")
+        return (form_pair(self._pn, self._pd, ln, ld, un, ud),
+                form_pair(self._qn, self._qd, un, ud, ln, ld))
 
 
 def apply_pair(m: MapCoefficients, lo, hi, x) -> tuple[Fraction, Fraction]:
@@ -243,15 +237,9 @@ def denominators(m: MapCoefficients, lo, hi) -> tuple[Fraction, Fraction]:
     """Exact values of the two denominator forms at (L, U) = (lo, hi)."""
     lo = as_rational(lo)
     hi = as_rational(hi)
-    tail_p = m.p[m.n + 1:]
-    tail_q = m.q[m.n + 1:]
-    dp = Fraction(*form_pair(
-        [c.numerator for c in tail_p], [c.denominator for c in tail_p],
-        lo.numerator, lo.denominator, hi.numerator, hi.denominator))
-    dq = Fraction(*form_pair(
-        [c.numerator for c in tail_q], [c.denominator for c in tail_q],
-        hi.numerator, hi.denominator, lo.numerator, lo.denominator))
-    return dp, dq
+    dp, dq = MapEvaluator(canonicalize(m)).denominator_pairs(
+        lo.numerator, lo.denominator, hi.numerator, hi.denominator)
+    return Fraction(*dp), Fraction(*dq)
 
 
 def map_from_dict(data) -> MapCoefficients:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ._kernels import refine_float_loop
-from .maps import DenominatorZeroError, MapCoefficients, evaluator, secant_newton
+from .maps import DenominatorZeroError, MapCoefficients, MapEvaluator, secant_newton
 from .numeric import Interval, as_rational, pow_int
 
 WIDTH_REACHED = "width-reached"
@@ -105,7 +105,7 @@ def refine_to_eps(x, n: int, eps, m: MapCoefficients | None = None,
         m = secant_newton(n)
     elif m.n != n:
         raise ValueError(f"map degree {m.n} does not match n={n}")
-    ev = evaluator(m)
+    ev = MapEvaluator(m)
     iv = initial_interval(x)
     intervals = [iv]
     widths = [iv.width]

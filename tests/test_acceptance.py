@@ -84,6 +84,19 @@ def test_criterion_2_noncanonical_maps_falsified_at_corners():
     _report("2", elapsed, 5.0, "100/100 corner witnesses at x=L^n or x=U^n")
 
 
+def test_criterion_2_corner_probes_draw_samples_lazily():
+    # the probes stop at the first witness, so the 10^6 samples are never
+    # drawn
+    m = random_noncanonical_map(3, 0)
+    start = time.perf_counter()
+    verdict = falsify_contraction(m, SampleConfig(count=10 ** 6))
+    elapsed = time.perf_counter() - start
+    assert verdict.falsified
+    assert verdict.samples_checked <= 2
+    _report("2 (lazy)", elapsed, 1.0,
+            f"witness after {verdict.samples_checked} of 10^6 samples")
+
+
 def test_criterion_3_secant_newton_contraction_and_nesting():
     start = time.perf_counter()
     for n in (2, 3, 5, 7):

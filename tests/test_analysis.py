@@ -11,6 +11,7 @@ from root_enclose.analysis import (
     Witness,
     check_denominator_bounds,
     check_dominance,
+    check_map,
     corner_triples,
     equality_locus,
     evaluate_locus,
@@ -24,10 +25,12 @@ from root_enclose.maps import (
     DenominatorZeroError,
     MapCoefficients,
     apply_pair,
+    check_canonical,
     counterexample_map,
+    denominators,
     secant_newton,
 )
-from root_enclose.numeric import pow_int
+from root_enclose.numeric import geom_sum, pow_int
 
 CFG = SampleConfig(seed=42, count=400)
 
@@ -57,6 +60,29 @@ def test_sample_triples_without_corners():
     triples = sample_triples(2, cfg)
     corner_set = set(corner_triples(2))
     assert not any(t in corner_set for t in triples[:5])
+
+
+def test_sample_triples_random_head_is_pinned():
+    # the block of corner pair (1, 4) and the first random triples after the
+    # 75 corner probes; a change to the sampler that moves them changes
+    # every verdict's samples
+    triples = sample_triples(3, SampleConfig(seed=0, count=80))
+    assert len(corner_triples(3)) == 75
+    assert [tuple(map(str, t[:3])) for t in triples[10:15]] == [
+        ("1", "1", "4"), ("1", "4", "4"), ("1", "1", "1"), ("4", "4", "4"),
+        ("1", "5/2", "4")]
+    assert [tuple(map(str, t)) for t in triples[75:]] == [
+        ("794773/933489", "295147/134653", "441002/42451",
+         "25710772152141523/2441451498863077"),
+        ("271494/536111", "962839/821873", "509533/424605",
+         "892608502654595719/555154852168065617"),
+        ("67969/103886", "499749/375442", "870164/318047",
+         "124811844485686749/52921063620850888"),
+        ("295529/146535", "176401/48680", "476113/114527",
+         "5489125095409201/115359060032000"),
+        ("37525/136277", "648407/838235", "264173/33146",
+         "272610816873075143/588975692868627875"),
+    ]
 
 
 def test_corner_grid_contains_diagnostic_points():
@@ -231,6 +257,126 @@ def test_maps_passing_both_checks_dominate_on_same_samples():
 def test_dominance_stats_invariant():
     with pytest.raises(ValueError):
         DominanceStats(3, 1, 0, (), ())
+
+
+# --- the int-pair scans against a Fraction reference -------------------------
+
+def _reference_witness(m, L, r, U, x):
+    try:
+        lo, hi = apply_pair(m, L, U, x)
+    except DenominatorZeroError:
+        return Witness(L, r, U, x, "denominator-zero", F(0), F(0))
+    for violated, lhs, rhs in (("L <= L'", L, lo), ("L' <= r", lo, r),
+                               ("r <= U'", r, hi), ("U' <= U", hi, U)):
+        if lhs > rhs:
+            return Witness(L, r, U, x, violated, lhs, rhs)
+    return None
+
+
+def _reference_contraction(m, cfg):
+    """falsify_contraction on Fractions: apply_pair over sample_triples,
+    after the corner probes for non-canonical maps."""
+    triples = sample_triples(m.n, cfg)
+    checked = 0
+    sides = {name[0] for name, _, _ in check_canonical(m).violations}
+    seen = set()
+    for t in triples if sides else ():
+        if (t.L, t.U) in seen:
+            continue
+        seen.add((t.L, t.U))
+        probes = [(t.L, t.L, t.U)] if "p" in sides else []
+        probes += [(t.L, t.U, t.U)] if "q" in sides else []
+        for L, r, U in probes:
+            checked += 1
+            w = _reference_witness(m, L, r, U, r ** m.n)
+            if w is not None:
+                return Verdict("falsified", w, checked)
+    for t in triples:
+        checked += 1
+        w = _reference_witness(m, *t)
+        if w is not None:
+            return Verdict("falsified", w, checked)
+    return Verdict("passed-on-samples", None, checked)
+
+
+def _reference_bounds(m, cfg):
+    n = m.n
+    for checked, t in enumerate(sample_triples(n, cfg), 1):
+        dp, dq = denominators(m, t.L, t.U)
+        for violated, lhs, rhs in (
+                ("p-denominator >= secant form", dp, geom_sum(t.L, t.U, n)),
+                ("q-denominator >= n*U^(n-1)", dq, n * t.U ** (n - 1))):
+            if lhs < rhs:
+                w = Witness(t.L, t.L, t.U, t.L ** n, violated, lhs, rhs)
+                return Verdict("falsified", w, checked)
+    return Verdict("passed-on-samples", None, cfg.count)
+
+
+def _reference_dominance(m, cfg):
+    sn = secant_newton(m.n)
+    subset = proper = 0
+    equality, violations = [], []
+    for L, r, U, x in sample_triples(m.n, cfg):
+        try:
+            mlo, mhi = apply_pair(m, L, U, x)
+        except DenominatorZeroError:
+            violations.append(Witness(L, r, U, x, "denominator-zero", F(0), F(0)))
+            continue
+        slo, shi = apply_pair(sn, L, U, x)
+        if mlo > slo:
+            violations.append(Witness(L, r, U, x, "L' <= L*", mlo, slo))
+        elif shi > mhi:
+            violations.append(Witness(L, r, U, x, "U* <= U'", shi, mhi))
+        else:
+            subset += 1
+            if (mlo, mhi) == (slo, shi):
+                equality.append((L, r, U))
+            else:
+                proper += 1
+    return DominanceStats(cfg.count, subset, proper, tuple(equality), tuple(violations))
+
+
+_REFERENCE_MAPS = {
+    "secant-newton": secant_newton(3),
+    "perturbed": perturbed_contracting_map(3, 5),
+    "counterexample": counterexample_map(),
+    "unrepaired-counterexample": counterexample_map(repair_q0=False),
+    "noncanonical-2": random_noncanonical_map(2, 0),
+    "noncanonical-3": random_noncanonical_map(3, 4),
+    "p-head-only": MapCoefficients(2, (F(0), 0, 0, 1, 1), (F(-1), 0, 0, 2, 0)),
+    # lower numerator U*(L - U) at x = L^2: the probes pass where L = U
+    "p-head-zero-at-L=U": MapCoefficients(2, (F(-1), 1, -1, 1, 1), (F(-1), 0, 0, 2, 0)),
+    "canonical": random_canonical_map(2, 24),
+    # sign-mixed tails whose denominator forms vanish on sampled points
+    "denominator-zero-2": random_canonical_map(2, 27),
+    "denominator-zero-3": random_canonical_map(3, 15),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REFERENCE_MAPS))
+def test_scans_match_fraction_reference(name):
+    m = _REFERENCE_MAPS[name]
+    cfg = SampleConfig(seed=13, count=300)
+    contraction = falsify_contraction(m, cfg)
+    assert contraction == _reference_contraction(m, cfg)
+    assert check_dominance(m, cfg) == _reference_dominance(m, cfg)
+    if check_canonical(m).is_canonical:
+        bounds = check_denominator_bounds(m, cfg)
+        assert bounds == _reference_bounds(m, cfg)
+    else:
+        bounds = None
+    assert check_map(m, cfg) == (bounds, contraction)
+
+
+def test_reference_maps_cover_every_path():
+    cfg = SampleConfig(seed=13, count=300)
+    kinds = set()
+    for m in _REFERENCE_MAPS.values():
+        v = falsify_contraction(m, cfg)
+        kinds.add(v.witness.violated if v.falsified else v.outcome)
+        kinds.update(w.violated for w in check_dominance(m, cfg).violations)
+    assert {"passed-on-samples", "denominator-zero", "L <= L'", "L' <= r",
+            "r <= U'", "U' <= U", "L' <= L*", "U* <= U'"} <= kinds
 
 
 # --- equality locus ----------------------------------------------------------

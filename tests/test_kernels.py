@@ -52,6 +52,25 @@ class TestKernelContracts:
             assert den > 0
             assert gcd(abs(num), den) == 1
 
+    def test_map_outputs_reduced(self, impl):
+        # the scans compare endpoints by cross-multiplication and test them
+        # for equality structurally; both need this contract.  The tails
+        # make the denominator forms negative at (L, U) = (2/3, 5/4).
+        tail_n, tail_d = [-3, 1], [2, 6]
+        pairs = (2, 3, 5, 4, 7, 5)
+        head_n, head_d = [-1, 0, 0], [1, 1, 1]
+        results = (
+            impl.apply_reduced_pairs(2, tail_n, tail_d, tail_n, tail_d, *pairs),
+            impl.apply_pairs(2, head_n + tail_n, head_d + tail_d,
+                             head_n + tail_n, head_d + tail_d, *pairs),
+        )
+        for status, a, b, c, d in results:
+            assert status == 0
+            for num, den in ((a, b), (c, d)):
+                assert den > 0
+                assert gcd(abs(num), den) == 1
+        assert results[0] == results[1]
+
 
 @needs_speedup
 class TestBackendAgreement:
