@@ -35,7 +35,7 @@ from .maps import (
     load_map,
     secant_newton,
 )
-from .numeric import Interval, Rational, geom_sum, parse_rational, pow_int, width
+from .numeric import Interval, Rational, geom_sum, parse_rational, pow_int
 from .solver import (
     FloatTrace,
     NotContractingError,
@@ -83,5 +83,4 @@ __all__ = [
     "refine_to_eps",
     "sample_triples",
     "secant_newton",
-    "width",
 ]

@@ -1,10 +1,9 @@
-"""Pure-Python reference implementation of the arithmetic kernels.
+"""The arithmetic kernels, in pure Python.
 
 These are the hot inner loops of the whole package: evaluating one member of
 the refinement-map family at one (L, U, x) point, and the double-precision
-refinement loop.  The compiled twin (``_speedup.pyx``) implements exactly the
-same functions with the same semantics; ``root_enclose._kernels`` picks one
-at import time.
+refinement loop.  This is their only implementation; the package imports
+them through ``root_enclose._kernels``.
 
 Rational values are passed as (numerator, denominator) pairs of Python ints
 in lowest terms with a positive denominator, and are returned in the same

@@ -23,6 +23,7 @@ The checks:
 
 from __future__ import annotations
 
+import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -268,15 +269,16 @@ def _map_chunks(scan, m: MapCoefficients, samples, jobs: int) -> list:
     """[scan((m, chunk)) for each chunk of samples], in sample order.
 
     With jobs > 1 the samples are split into consecutive chunks that run in
-    that many worker processes; otherwise the whole (possibly lazy)
-    sequence is one chunk, read in this process.
+    worker processes, at most one per chunk and per CPU; otherwise the whole
+    (possibly lazy) sequence is one chunk, read in this process.
     """
     if jobs <= 1:
         return [scan((m, samples))]
     samples = list(samples)
     size = max(64, -(-len(samples) // jobs))
     chunks = [(m, samples[i:i + size]) for i in range(0, len(samples), size)]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(chunks), os.cpu_count() or 1)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(scan, chunks))
 
 

@@ -25,7 +25,7 @@ from .maps import (
     counterexample_map,
     load_map,
 )
-from .numeric import parse_rational
+from .numeric import format_rational, parse_rational
 from .solver import (
     DEFAULT_MAX_ITER,
     NotContractingError,
@@ -177,7 +177,7 @@ def _run_rational(resolver, x, n, eps):
         return exc.iteration or 0, "denominator-zero"
     except NotContractingError as exc:
         return exc.iteration, "not-contracting"
-    return trace.iterations, str(trace.widths[-1])
+    return trace.iterations, format_rational(trace.widths[-1])
 
 
 def _run_float(resolver, x, n, eps):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 
 from ._kernels import geom_sum_pair, pow_pair
@@ -36,8 +37,18 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(value: Fraction) -> str:
-    """Reduced text form with positive denominator ('a' or 'a/b')."""
-    return str(Fraction(value))
+    """Reduced text form with positive denominator ('a' or 'a/b').
+
+    Exact at any size: parts longer than the interpreter's int-to-str digit
+    limit are written through ``Decimal``, which converts ints exactly and is
+    not subject to that limit.
+    """
+    value = Fraction(value)
+    try:
+        return str(value)
+    except ValueError:
+        num, den = Decimal(value.numerator), Decimal(value.denominator)
+        return str(num) if den == 1 else f"{num}/{den}"
 
 
 def as_rational(value) -> Fraction:
@@ -93,8 +104,3 @@ class Interval:
 
     def __str__(self) -> str:
         return f"[{self.lo}, {self.hi}]"
-
-
-def width(interval: Interval) -> Fraction:
-    """hi - lo; the refinement loop's termination measure."""
-    return interval.hi - interval.lo

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from ._kernels import refine_float_loop
 from .maps import DenominatorZeroError, MapCoefficients, MapEvaluator, secant_newton
-from .numeric import Interval, as_rational, pow_int
+from .numeric import Interval, as_rational, format_rational, pow_int
 
 WIDTH_REACHED = "width-reached"
 MAX_ITERATIONS = "max-iterations"
@@ -60,12 +60,14 @@ class RefineTrace:
         out = {
             "iterations": self.iterations,
             "terminated": self.terminated,
-            "final_interval": [str(self.final.lo), str(self.final.hi)],
-            "final_width": str(self.widths[-1]),
+            "final_interval": [format_rational(self.final.lo),
+                               format_rational(self.final.hi)],
+            "final_width": format_rational(self.widths[-1]),
         }
         if include_intervals:
-            out["intervals"] = [[str(iv.lo), str(iv.hi)] for iv in self.intervals]
-            out["widths"] = [str(w) for w in self.widths]
+            out["intervals"] = [[format_rational(iv.lo), format_rational(iv.hi)]
+                                for iv in self.intervals]
+            out["widths"] = [format_rational(w) for w in self.widths]
         return out
 
 

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from root_enclose import analysis
 from root_enclose.analysis import (
     DominanceStats,
     SampleConfig,
@@ -234,6 +235,38 @@ def test_dominance_counterexample_has_equality_point_and_violations():
 def test_dominance_job_independent():
     m = perturbed_contracting_map(3, 5)
     assert check_dominance(m, CFG, jobs=2) == check_dominance(m, CFG)
+
+
+def test_pool_starts_at_most_one_worker_per_chunk_and_cpu(monkeypatch):
+    # the fake pool records its size and maps in this process, so a huge
+    # jobs value starts no process here
+    pools = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, chunks):
+            chunks = list(chunks)
+            pools.append((self.max_workers, len(chunks)))
+            return map(fn, chunks)
+
+    monkeypatch.setattr(analysis, "ProcessPoolExecutor", InProcessPool)
+    m = secant_newton(3)
+    serial = falsify_contraction(m, CFG)
+    for cpus in (64, 4, None):
+        monkeypatch.setattr(analysis.os, "cpu_count", lambda: cpus)
+        pools.clear()
+        assert falsify_contraction(m, CFG, jobs=5000) == serial
+        ((workers, chunks),) = pools
+        assert 4 < chunks < 64
+        assert workers == {64: chunks, 4: 4, None: 1}[cpus]
 
 
 def test_maps_passing_both_checks_dominate_on_same_samples():

@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -13,6 +14,7 @@ from root_enclose.bench import (
     run_bench,
     spec_from_dict,
 )
+from root_enclose.solver import refine_to_eps
 
 DOMINATED_SPEC = {
     "n": 2,
@@ -26,6 +28,22 @@ ZERO_DEN_SPEC = {
     "p": ["-1", "0", "0", "2", "-1"],
     "q": ["-1", "0", "0", "2", "0"],
 }
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no int-to-str digit limit on this interpreter")
+def test_deep_row_at_the_default_digit_limit():
+    # the final width has 15,788 digits, beyond the default limit of 4300
+    spec = spec_from_dict({"maps": ["secant-newton"], "xs": ["1/5"], "ns": [3],
+                           "epses": [f"1/{10 ** 50}"], "reps": 1})
+    previous = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+        (row,) = run_bench(spec)
+        sys.set_int_max_str_digits(0)
+        assert F(row.final_width) == refine_to_eps(F(1, 5), 3, F(1, 10 ** 50)).widths[-1]
+    finally:
+        sys.set_int_max_str_digits(previous)
 
 
 def test_default_spec_iteration_counts():

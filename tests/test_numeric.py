@@ -10,7 +10,6 @@ from root_enclose.numeric import (
     geom_sum,
     parse_rational,
     pow_int,
-    width,
 )
 
 rationals = st.builds(F, st.integers(-200, 200), st.integers(1, 60))
@@ -73,10 +72,10 @@ def test_results_are_reduced(a, b, n):
 
 
 def test_width_examples():
-    assert width(Interval(F(1), F(2))) == F(1)
-    assert width(Interval(F(3, 2), F(3, 2))) == F(0)
+    assert Interval(F(1), F(2)).width == F(1)
+    assert Interval(F(3, 2), F(3, 2)).width == F(0)
     # after two Secant-Newton steps on x=2, n=2 the interval is [24/17, 17/12]
-    assert width(Interval(F(24, 17), F(17, 12))) == F(1, 204)
+    assert Interval(F(24, 17), F(17, 12)).width == F(1, 204)
 
 
 def test_interval_invariant():

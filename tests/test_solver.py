@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -166,6 +167,23 @@ def test_trace_json():
     full = trace.to_json(include_intervals=True)
     assert full["intervals"] == [["1", "2"], ["4/3", "3/2"]]
     assert full["widths"] == ["1", "1/6"]
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no int-to-str digit limit on this interpreter")
+def test_deep_trace_json_at_the_default_digit_limit():
+    # the endpoints have 48,174 digits, beyond the default limit of 4300
+    trace = refine_to_eps(F(1, 5), 3, F(1, 10 ** 200))
+    previous = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+        limited = trace.to_json(include_intervals=True)
+        sys.set_int_max_str_digits(0)
+        unlimited = trace.to_json(include_intervals=True)
+    finally:
+        sys.set_int_max_str_digits(previous)
+    assert limited == unlimited
+    assert len(limited["final_interval"][0]) > 48_000
 
 
 # --- float fast path --------------------------------------------------------
