@@ -9,7 +9,5 @@ from ._pure import (
     apply_pairs,
     apply_reduced_pairs,
     form_pair,
-    geom_sum_pair,
-    pow_pair,
     refine_float_loop,
 )

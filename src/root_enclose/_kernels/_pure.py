@@ -2,8 +2,11 @@
 
 These are the hot inner loops of the whole package: evaluating one member of
 the refinement-map family at one (L, U, x) point, and the double-precision
-refinement loop.  This is their only implementation; the package imports
-them through ``root_enclose._kernels``.
+refinement loop.  ``form_pair`` is the one evaluator of the homogeneous forms
+sum_i c_i * a**(k-1-i) * b**i that every map numerator and denominator is
+built from (with unit coefficients it is the secant form); both map kernels
+finish each endpoint through one routine, ``_endpoint``.  This is their only
+implementation; the package imports them through ``root_enclose._kernels``.
 
 Rational values are passed as (numerator, denominator) pairs of Python ints
 in lowest terms with a positive denominator, and are returned in the same
@@ -31,69 +34,36 @@ def norm_pair(num, den):
     return num, den
 
 
-def pow_pair(num, den, k):
-    """(num/den)**k for k >= 0, with 0**0 == 1.
-
-    Reduced input gives reduced output (coprimality survives powering).
-    """
-    if k < 0:
-        raise ValueError("negative exponent")
-    if k == 0:
-        return 1, 1
-    return num ** k, den ** k
-
-
-def _powers(base, top):
-    """[base**0, ..., base**top]."""
-    out = [1]
-    acc = 1
-    for _ in range(top):
-        acc = acc * base
-        out.append(acc)
-    return out
-
-
-def geom_sum_pair(an, ad, bn, bd, k):
-    """a**(k-1) + a**(k-2)*b + ... + b**(k-1) (k terms) for a=an/ad, b=bn/bd."""
-    if k < 1:
-        raise ValueError("need at least one term")
-    # over the common denominator (ad*bd)**(k-1) the terms are products of
-    # x = an*bd and y = bn*ad
-    x = an * bd
-    y = bn * ad
-    xp = _powers(x, k - 1)
-    yp = _powers(y, k - 1)
-    total = 0
-    for i in range(k):
-        total += xp[k - 1 - i] * yp[i]
-    return norm_pair(total, (ad * bd) ** (k - 1))
-
-
 def form_pair(cn, cd, an, ad, bn, bd):
-    """sum_i c_i * a**(k-1-i) * b**i with k = len(cn) and c_i = cn[i]/cd[i].
+    """sum_i c_i * a**(k-1-i) * b**i with k = len(cn) >= 1 and c_i = cn[i]/cd[i].
 
     This is the homogeneous degree-(k-1) form both map denominators use
     (and, with the leading x added by the caller, the numerators).
     """
-    k = len(cn)
+    # Horner in a over the common denominator (ad*bd)**(k-1), where a and b
+    # become x = an*bd and y = bn*ad
     x = an * bd
     y = bn * ad
-    xp = _powers(x, k - 1)
-    yp = _powers(y, k - 1)
-    sn = 0
-    sd = 1
-    for i in range(k):
-        term = cn[i] * xp[k - 1 - i] * yp[i]
-        sn = sn * cd[i] + term * sd
-        sd = sd * cd[i]
-    return norm_pair(sn, sd * (ad * bd) ** (k - 1))
+    sn = cn[0]
+    sd = cd[0]
+    yi = 1
+    for i in range(1, len(cn)):
+        yi *= y
+        d = cd[i]
+        sn = sn * x * d + cn[i] * yi * sd
+        sd *= d
+    return norm_pair(sn, sd * (ad * bd) ** (len(cn) - 1))
 
 
-def _shifted_quotient(bn, bd, num_n, num_d, den_n, den_d):
-    """base + num/den as a reduced pair; num_d, den_d must be positive."""
-    qn = num_n * den_d
-    qd = num_d * den_n
-    return norm_pair(bn * qd + qn * bd, bd * qd)
+def _endpoint(an, ad, hn, hd, den, xn, xd):
+    """a + (x + h) / den as a reduced pair, or None when the form den is
+    exactly zero.  Every denominator must be positive."""
+    den_n, den_d = den
+    if den_n == 0:
+        return None
+    num_n = hn * xd + xn * hd
+    qd = hd * xd * den_n
+    return norm_pair(an * qd + num_n * den_d * ad, ad * qd)
 
 
 def apply_pairs(n, pn, pd, qn, qd, ln, ld, un, ud, xn, xd):
@@ -104,23 +74,16 @@ def apply_pairs(n, pn, pd, qn, qd, ln, ld, un, ud, xn, xd):
     upper one is (the pair slots are 0/1 placeholders then).
     """
     # lower endpoint: L + (x + sum_{i<=n} p_i L^(n-i) U^i) / (sum_i p_{n+1+i} L^(n-1-i) U^i)
-    fn, fd = form_pair(pn[: n + 1], pd[: n + 1], ln, ld, un, ud)
-    num_n = fn * xd + xn * fd
-    num_d = fd * xd
-    den_n, den_d = form_pair(pn[n + 1:], pd[n + 1:], ln, ld, un, ud)
-    if den_n == 0:
+    lo = _endpoint(ln, ld, *form_pair(pn[: n + 1], pd[: n + 1], ln, ld, un, ud),
+                   form_pair(pn[n + 1:], pd[n + 1:], ln, ld, un, ud), xn, xd)
+    if lo is None:
         return 1, 0, 1, 0, 1
-    lo_n, lo_d = _shifted_quotient(ln, ld, num_n, num_d, den_n, den_d)
-
     # upper endpoint: same shape with the roles of L and U swapped
-    fn, fd = form_pair(qn[: n + 1], qd[: n + 1], un, ud, ln, ld)
-    num_n = fn * xd + xn * fd
-    num_d = fd * xd
-    den_n, den_d = form_pair(qn[n + 1:], qd[n + 1:], un, ud, ln, ld)
-    if den_n == 0:
+    hi = _endpoint(un, ud, *form_pair(qn[: n + 1], qd[: n + 1], un, ud, ln, ld),
+                   form_pair(qn[n + 1:], qd[n + 1:], un, ud, ln, ld), xn, xd)
+    if hi is None:
         return 2, 0, 1, 0, 1
-    hi_n, hi_d = _shifted_quotient(un, ud, num_n, num_d, den_n, den_d)
-    return 0, lo_n, lo_d, hi_n, hi_d
+    return (0, *lo, *hi)
 
 
 def apply_reduced_pairs(n, ptn, ptd, qtn, qtd, ln, ld, un, ud, xn, xd):
@@ -129,24 +92,15 @@ def apply_reduced_pairs(n, ptn, ptd, qtn, qtd, ln, ld, un, ud, xn, xd):
     ptn/ptd and qtn/qtd are the n denominator coefficients of each side.
     Same return convention as apply_pairs.
     """
-    lpn = ln ** n
-    lpd = ld ** n
-    num_n = xn * lpd - lpn * xd
-    num_d = xd * lpd
-    den_n, den_d = form_pair(ptn, ptd, ln, ld, un, ud)
-    if den_n == 0:
+    lo = _endpoint(ln, ld, -ln ** n, ld ** n,
+                   form_pair(ptn, ptd, ln, ld, un, ud), xn, xd)
+    if lo is None:
         return 1, 0, 1, 0, 1
-    lo_n, lo_d = _shifted_quotient(ln, ld, num_n, num_d, den_n, den_d)
-
-    upn = un ** n
-    upd = ud ** n
-    num_n = xn * upd - upn * xd
-    num_d = xd * upd
-    den_n, den_d = form_pair(qtn, qtd, un, ud, ln, ld)
-    if den_n == 0:
+    hi = _endpoint(un, ud, -un ** n, ud ** n,
+                   form_pair(qtn, qtd, un, ud, ln, ld), xn, xd)
+    if hi is None:
         return 2, 0, 1, 0, 1
-    hi_n, hi_d = _shifted_quotient(un, ud, num_n, num_d, den_n, den_d)
-    return 0, lo_n, lo_d, hi_n, hi_d
+    return (0, *lo, *hi)
 
 
 def _float_endpoint(coeffs, n, a, b, base, x):

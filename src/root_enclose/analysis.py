@@ -32,7 +32,7 @@ from itertools import islice
 from math import gcd
 from typing import NamedTuple
 
-from ._kernels import geom_sum_pair
+from ._kernels import form_pair
 from .maps import MapCoefficients, MapEvaluator, check_canonical, secant_newton
 from .numeric import as_rational, pow_int
 
@@ -43,8 +43,6 @@ from .numeric import geom_sum  # noqa: F401
 
 PASSED_ON_SAMPLES = "passed-on-samples"
 FALSIFIED = "falsified"
-
-_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -368,11 +366,12 @@ def falsify_contraction(m: MapCoefficients, cfg: SampleConfig, jobs: int = 1) ->
 def _bounds_verdict(m: MapCoefficients, samples) -> Verdict:
     n = m.n
     denominator_pairs = MapEvaluator(m).denominator_pairs
+    ones = [1] * n  # Secant-Newton's p tail: form_pair gives the secant form
     checked = 0
     for ln, ld, _, _, un, ud, _, _ in samples:
         checked += 1
         (pn, pd), (qn, qd) = denominator_pairs(ln, ld, un, ud)
-        sn, sd = geom_sum_pair(ln, ld, un, ud, n)
+        sn, sd = form_pair(ones, ones, ln, ld, un, ud)
         if pn * sd < sn * pd:
             return Verdict(FALSIFIED, _witness(
                 (ln, ld, ln, ld, un, ud, ln ** n, ld ** n),
@@ -453,65 +452,41 @@ def check_dominance(m: MapCoefficients, cfg: SampleConfig, jobs: int = 1) -> Dom
 
 
 class TrivariatePoly:
-    """Dense trivariate polynomial: coeffs[i][j][k] multiplies L^i U^j x^k.
+    """Sparse trivariate polynomial: {(i, j, k): c} for the terms c*L^i U^j x^k.
 
-    Stored trimmed to the minimal bounding degrees of its nonzero terms (the
-    zero polynomial is the single zero coefficient), so structural equality
-    is semantic equality.
+    Only nonzero terms are stored, ordered by exponent, so structural
+    equality is semantic equality and the zero polynomial has no terms.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_terms",)
 
-    def __init__(self, coeffs):
-        self.coeffs = coeffs
-
-    @classmethod
-    def from_terms(cls, terms: dict) -> "TrivariatePoly":
-        live = {key: as_rational(c) for key, c in terms.items() if c != 0}
-        if not live:
-            return cls((((Fraction(0),),),))
-        di = max(k[0] for k in live)
-        dj = max(k[1] for k in live)
-        dk = max(k[2] for k in live)
-        dense = tuple(
-            tuple(
-                tuple(live.get((i, j, k), Fraction(0)) for k in range(dk + 1))
-                for j in range(dj + 1)
-            )
-            for i in range(di + 1)
-        )
-        return cls(dense)
+    def __init__(self, terms: dict):
+        self._terms = {key: as_rational(c) for key, c in sorted(terms.items()) if c != 0}
 
     @property
     def is_zero(self) -> bool:
-        return self.coeffs == (((Fraction(0),),),)
+        return not self._terms
 
     def terms(self) -> dict:
         """Nonzero terms as {(L-exp, U-exp, x-exp): coefficient}."""
-        out = {}
-        for i, plane in enumerate(self.coeffs):
-            for j, row in enumerate(plane):
-                for k, c in enumerate(row):
-                    if c != 0:
-                        out[(i, j, k)] = c
-        return out
+        return dict(self._terms)
 
     def evaluate(self, L, U, x) -> Fraction:
         L = as_rational(L)
         U = as_rational(U)
         x = as_rational(x)
         total = Fraction(0)
-        for (i, j, k), c in self.terms().items():
+        for (i, j, k), c in self._terms.items():
             total += c * pow_int(L, i) * pow_int(U, j) * pow_int(x, k)
         return total
 
     def __eq__(self, other):
         if not isinstance(other, TrivariatePoly):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self._terms == other._terms
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash(tuple(self._terms.items()))
 
     def __str__(self):
         if self.is_zero:
@@ -525,7 +500,7 @@ class TrivariatePoly:
                     parts.append(f"{sym}^{e}")
             return "*".join(parts) if parts else "1"
         pieces = []
-        for (i, j, k), c in sorted(self.terms().items(),
+        for (i, j, k), c in sorted(self._terms.items(),
                                    key=lambda kv: (-kv[0][2], -kv[0][0], -kv[0][1])):
             mono = monomial(i, j, k)
             mag = abs(c)
@@ -550,30 +525,25 @@ def equality_locus(m: MapCoefficients) -> tuple[TrivariatePoly, TrivariatePoly]:
         f_q = (x - U^n) * (coefficientwise excess of the q-denominator
                            over n*U^(n-1))
 
-    returned expanded in a dense coefficient representation over (L, U, x).
-    Both are identically zero exactly for Secant-Newton itself; for any
-    other canonical map their common zero set has measure zero.
+    returned expanded as sparse polynomials over (L, U, x).  Both are
+    identically zero exactly for Secant-Newton itself; for any other
+    canonical map their common zero set has measure zero.
     """
     if not check_canonical(m).is_canonical:
         raise ValueError("equality locus applies to canonical maps only")
     n = m.n
-    terms_p: dict = {}
-    for i in range(n):
-        c = m.p[n + 1 + i] - 1
-        if c != 0:
-            key_hi = (n - 1 - i, i, 1)         # L^(n-1-i) U^i * x
-            key_lo = (2 * n - 1 - i, i, 0)     # L^(n-1-i) U^i * L^n
-            terms_p[key_hi] = terms_p.get(key_hi, _ZERO) + c
-            terms_p[key_lo] = terms_p.get(key_lo, _ZERO) - c
-    terms_q: dict = {}
-    for i in range(n):
-        c = m.q[n + 1 + i] - (n if i == 0 else 0)
-        if c != 0:
-            key_hi = (i, n - 1 - i, 1)         # U^(n-1-i) L^i * x
-            key_lo = (i, 2 * n - 1 - i, 0)     # U^(n-1-i) L^i * U^n
-            terms_q[key_hi] = terms_q.get(key_hi, _ZERO) + c
-            terms_q[key_lo] = terms_q.get(key_lo, _ZERO) - c
-    return TrivariatePoly.from_terms(terms_p), TrivariatePoly.from_terms(terms_q)
+    ref = secant_newton(n)
+    polys = []
+    # each side is (x - a^n) * sum_i c_i a^(n-1-i) b^i, c_i the excess of the
+    # map's tail over Secant-Newton's and (a, b) = (L, U) for p, (U, L) for q
+    for coeffs, ref_coeffs, a_first in ((m.p, ref.p, True), (m.q, ref.q, False)):
+        terms = {}
+        for i in range(n):
+            c = coeffs[n + 1 + i] - ref_coeffs[n + 1 + i]
+            for ea, eb, ex, v in ((n - 1 - i, i, 1, c), (2 * n - 1 - i, i, 0, -c)):
+                terms[(ea, eb, ex) if a_first else (eb, ea, ex)] = v
+        polys.append(TrivariatePoly(terms))
+    return tuple(polys)
 
 
 def evaluate_locus(m: MapCoefficients, L, U, x) -> tuple[Fraction, Fraction]:

@@ -229,25 +229,10 @@ def emit(rows, fmt: str = "csv") -> str:
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(_FIELDS)
         for row in rows:
-            writer.writerow([
-                row.map_name, row.backend, row.n, str(row.x), str(row.eps),
-                row.iterations, row.final_width, row.wall_time_ns,
-            ])
+            cells = row.to_json()
+            writer.writerow([cells[field] for field in _FIELDS])
         return buf.getvalue()
     if fmt == "json":
         return json.dumps([row.to_json() for row in rows], indent=2) + "\n"
     raise ValueError(f"unknown format {fmt!r}")
 
-
-def row_from_json(data: dict) -> BenchRow:
-    """Inverse of BenchRow.to_json."""
-    return BenchRow(
-        map_name=data["map"],
-        backend=data["backend"],
-        n=data["n"],
-        x=parse_rational(data["x"]),
-        eps=parse_rational(data["eps"]),
-        iterations=data["iterations"],
-        final_width=data["final_width"],
-        wall_time_ns=data["wall_time_ns"],
-    )

@@ -367,20 +367,24 @@ def build_parser() -> argparse.ArgumentParser:
                     "refinement maps, plus exact property checks for the whole "
                     "map family.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true",
-                        help="emit machine-readable JSON")
-    common.add_argument("--seed", type=int, default=None,
+    # each subcommand gets only the options it reads
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--out", default=None, help="write output to a file")
+    json_output = argparse.ArgumentParser(add_help=False, parents=[output])
+    json_output.add_argument("--json", action="store_true",
+                             help="emit machine-readable JSON")
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=None,
                         help=f"sampling seed (default: ${SEED_ENV} or 0)")
-    common.add_argument("--samples", type=int, default=10_000,
-                        help="sample count for property checks")
-    common.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for sample scans")
-    common.add_argument("--out", default=None, help="write output to a file")
+    sampled = argparse.ArgumentParser(add_help=False, parents=[seeded])
+    sampled.add_argument("--samples", type=int, default=10_000,
+                         help="sample count for property checks")
+    sampled.add_argument("--jobs", type=int, default=1,
+                         help="worker processes for sample scans")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("root", parents=[common],
+    p = sub.add_parser("root", parents=[json_output],
                        help="compute an enclosure of the nth root of x")
     p.add_argument("--x", type=_parse_positive_rational, required=True)
     p.add_argument("--n", type=int, required=True)
@@ -395,19 +399,19 @@ def build_parser() -> argparse.ArgumentParser:
                    help="include the full interval sequence")
     p.set_defaults(func=cmd_root)
 
-    p = sub.add_parser("check", parents=[common],
+    p = sub.add_parser("check", parents=[json_output, sampled],
                        help="canonical form, denominator bounds and "
                             "contraction falsifier for a map-spec file")
     p.add_argument("map_file")
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("compare", parents=[common],
+    p = sub.add_parser("compare", parents=[json_output, sampled],
                        help="dominance statistics of secant-newton against "
                             "the given map")
     p.add_argument("map_file")
     p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("locus", parents=[common],
+    p = sub.add_parser("locus", parents=[json_output],
                        help="equality-locus polynomials of a canonical map, "
                             "optionally evaluated at a point")
     p.add_argument("map_file")
@@ -416,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=_parse_positive_rational, default=None)
     p.set_defaults(func=cmd_locus)
 
-    p = sub.add_parser("counterexample", parents=[common],
+    p = sub.add_parser("counterexample", parents=[json_output, seeded],
                        help="reproduce the bundled equality-point "
                             "counterexample exactly")
     p.add_argument("--locus", action="store_true",
@@ -426,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "diagnostic that rejects it")
     p.set_defaults(func=cmd_counterexample)
 
-    p = sub.add_parser("bench", parents=[common],
+    p = sub.add_parser("bench", parents=[output],
                        help="run a convergence/timing benchmark")
     p.add_argument("spec_file", nargs="?", default=None)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -436,10 +440,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # deep exact refinements produce endpoints with more digits than the
-    # interpreter's default int-to-str conversion guard allows to print
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(2_000_000)
+    # deep exact refinements print endpoints with more digits than the
+    # interpreter's default int-to-str conversion guard allows; the guard is
+    # raised for this call only, and never lowered
+    previous = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if previous:
+        sys.set_int_max_str_digits(max(previous, 2_000_000))
+    try:
+        return _run(argv)
+    finally:
+        if previous:
+            sys.set_int_max_str_digits(previous)
+
+
+def _run(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -1,10 +1,12 @@
 """Exact rational scalars and intervals.
 
-All verification arithmetic in this package goes through this module so that
-exactness lives in one place.  The scalar type is the stdlib
-``fractions.Fraction`` (re-exported as ``Rational``): arbitrary precision,
-always stored reduced with a positive denominator, so equality is structural.
-The solver's float fast path deliberately does not use this module.
+The scalar type is the stdlib ``fractions.Fraction`` (re-exported as
+``Rational``): arbitrary precision, always stored reduced with a positive
+denominator, so equality is structural.  This module holds the Fraction-level
+helpers (parsing, formatting, powers, the geometric sum) and ``Interval``.
+The map kernels and the sampled scans work on reduced int pairs instead
+(``root_enclose._kernels``) and build Fractions only at their boundaries;
+the solver's float fast path uses neither.
 """
 
 from __future__ import annotations
@@ -13,8 +15,6 @@ import re
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-
-from ._kernels import geom_sum_pair, pow_pair
 
 Rational = Fraction
 
@@ -62,9 +62,7 @@ def pow_int(base: Fraction, k: int) -> Fraction:
     """base**k for integer k >= 0, with 0**0 == 1."""
     if k < 0:
         raise ValueError("negative exponent")
-    base = as_rational(base)
-    num, den = pow_pair(base.numerator, base.denominator, k)
-    return Fraction(num, den)
+    return as_rational(base) ** k
 
 
 def geom_sum(a: Fraction, b: Fraction, n: int) -> Fraction:
@@ -77,8 +75,7 @@ def geom_sum(a: Fraction, b: Fraction, n: int) -> Fraction:
         raise ValueError("geom_sum needs n >= 1")
     a = as_rational(a)
     b = as_rational(b)
-    num, den = geom_sum_pair(a.numerator, a.denominator, b.numerator, b.denominator, n)
-    return Fraction(num, den)
+    return sum((a ** (n - 1 - i) * b ** i for i in range(n)), Fraction(0))
 
 
 @dataclass(frozen=True)

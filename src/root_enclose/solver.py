@@ -80,6 +80,13 @@ def initial_interval(x) -> Interval:
     return Interval(min(one, x), max(one, x))
 
 
+def _check_n_and_max_iter(n, max_iter):
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    if not isinstance(n, int) or n < 2:
+        raise ValueError(f"need integer n >= 2, got {n!r}")
+
+
 def _validated(x, eps, max_iter, n):
     x = as_rational(x)
     eps = as_rational(eps)
@@ -87,10 +94,18 @@ def _validated(x, eps, max_iter, n):
         raise ValueError(f"x must be positive, got {x}")
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    if not isinstance(n, int) or n < 2:
-        raise ValueError(f"need integer n >= 2, got {n!r}")
+    _check_n_and_max_iter(n, max_iter)
+    return x, eps
+
+
+def _validated_float(x, eps, max_iter, n):
+    x = float(x)
+    if not 0 < x < float("inf"):
+        raise ValueError(f"x must be a positive finite float, got {x!r}")
+    eps = float(eps)
+    if not eps > 0:
+        raise ValueError(f"eps must be positive, got {eps!r}")
+    _check_n_and_max_iter(n, max_iter)
     return x, eps
 
 
@@ -190,14 +205,7 @@ def refine_float(x: float, n: int, eps: float, m: MapCoefficients | None = None,
     point, reported as "stalled") and reports NaN/overflow or a zero
     denominator as "non-finite", keeping the last finite interval.
     """
-    x = float(x)
-    if not x > 0 or x != x or x == float("inf"):
-        raise ValueError(f"x must be a positive finite float, got {x!r}")
-    eps = float(eps)
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps!r}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    x, eps = _validated_float(x, eps, max_iter, n)
     if m is None:
         m = secant_newton(n)
     elif m.n != n:
@@ -211,12 +219,7 @@ def refine_float(x: float, n: int, eps: float, m: MapCoefficients | None = None,
 def bisect_float(x: float, n: int, eps: float,
                  max_iter: int = DEFAULT_MAX_ITER) -> FloatTrace:
     """Double-precision bisection baseline (same caveats as refine_float)."""
-    x = float(x)
-    if not x > 0 or x != x or x == float("inf"):
-        raise ValueError(f"x must be a positive finite float, got {x!r}")
-    eps = float(eps)
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps!r}")
+    x, eps = _validated_float(x, eps, max_iter, n)
     lo = min(1.0, x)
     hi = max(1.0, x)
     it = 0

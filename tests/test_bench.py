@@ -10,10 +10,10 @@ from root_enclose.bench import (
     CSV_HEADER,
     default_spec,
     emit,
-    row_from_json,
     run_bench,
     spec_from_dict,
 )
+from root_enclose.numeric import parse_rational
 from root_enclose.solver import refine_to_eps
 
 DOMINATED_SPEC = {
@@ -135,8 +135,11 @@ def test_emit_csv_header_and_shape():
 def test_emit_json_round_trips():
     rows = run_bench(BenchSpec(("secant-newton",), (F(2),), (2,),
                                (F(1, 6),), "rational", 1))
-    decoded = [row_from_json(obj) for obj in json.loads(emit(rows, "json"))]
-    assert decoded == rows
+    decoded = json.loads(emit(rows, "json"))
+    assert decoded == [row.to_json() for row in rows]
+    for obj, row in zip(decoded, rows):
+        assert parse_rational(obj["x"]) == row.x
+        assert parse_rational(obj["eps"]) == row.eps
 
 
 def test_spec_from_dict_validation():

@@ -239,6 +239,44 @@ def test_bench_json_format_and_out_file(tmp_path):
     assert {row["map"] for row in rows} == {"secant-newton", "bisection"}
 
 
+@pytest.mark.parametrize("argv", [
+    ("root", "--x", "2", "--n", "2", "--eps", "1/6", "--jobs", "2"),
+    ("bench", "--json"),
+])
+def test_options_a_subcommand_does_not_read_are_rejected(argv):
+    out = run_cli(*argv)
+    assert out.returncode == 2
+    assert "unrecognized arguments" in out.stderr
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no int-to-str digit limit on this interpreter")
+def test_main_restores_the_digit_limit(capsys):
+    # the endpoints have about 22,400 digits; the text output prints them
+    # through str, beyond the default limit of 4300
+    from fractions import Fraction as F
+
+    from root_enclose import cli
+    from root_enclose.numeric import parse_rational
+    from root_enclose.solver import refine_to_eps
+
+    previous = sys.get_int_max_str_digits()
+    try:
+        default = sys.int_info.default_max_str_digits
+        sys.set_int_max_str_digits(default)
+        assert cli.main(["root", "--x", "2", "--n", "3", "--eps", "1e-200"]) == 0
+        assert sys.get_int_max_str_digits() == default
+        sys.set_int_max_str_digits(0)
+        interval, iterations, terminated = capsys.readouterr().out.splitlines()
+        lo, hi = (parse_rational(v) for v in interval.strip("[]").split(", "))
+        final = refine_to_eps(F(2), 3, F(1, 10 ** 200)).final
+    finally:
+        sys.set_int_max_str_digits(previous)
+    assert (lo, hi) == (final.lo, final.hi)
+    assert len(interval) > 2 * 22_000
+    assert (iterations, terminated) == ("iterations: 10", "terminated: width-reached")
+
+
 def test_unknown_subcommand_exits_2():
     out = run_cli("frobnicate")
     assert out.returncode == 2

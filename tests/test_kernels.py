@@ -15,33 +15,19 @@ from root_enclose._kernels import _pure
 REPO = Path(__file__).resolve().parents[1]
 
 
-# one implementation; the "pure" id keeps the test names of the suite stable
-@pytest.mark.parametrize("impl", [_pure], ids=["pure"])
 class TestKernelContracts:
-    def test_norm_pair_reduces(self, impl):
-        assert impl.norm_pair(6, -4) == (-3, 2)
-        assert impl.norm_pair(0, 7) == (0, 1)
+    def test_norm_pair_reduces(self):
+        assert _pure.norm_pair(6, -4) == (-3, 2)
+        assert _pure.norm_pair(0, 7) == (0, 1)
         with pytest.raises(ZeroDivisionError):
-            impl.norm_pair(1, 0)
+            _pure.norm_pair(1, 0)
 
-    def test_pow_pair(self, impl):
-        assert impl.pow_pair(3, 2, 3) == (27, 8)
-        assert impl.pow_pair(0, 1, 0) == (1, 1)
-        with pytest.raises(ValueError):
-            impl.pow_pair(2, 1, -1)
+    def test_outputs_reduced(self):
+        num, den = _pure.form_pair([1, 2], [3, 5], 6, 4, 10, 15)
+        assert den > 0
+        assert gcd(abs(num), den) == 1
 
-    def test_geom_sum_pair(self, impl):
-        assert impl.geom_sum_pair(1, 1, 2, 1, 3) == (7, 1)
-        assert impl.geom_sum_pair(1, 2, 2, 1, 2) == (5, 2)
-
-    def test_outputs_reduced(self, impl):
-        for num, den in (impl.geom_sum_pair(6, 4, -10, 15, 5),
-                         impl.pow_pair(-3, 2, 4),
-                         impl.form_pair([1, 2], [3, 5], 6, 4, 10, 15)):
-            assert den > 0
-            assert gcd(abs(num), den) == 1
-
-    def test_map_outputs_reduced(self, impl):
+    def test_map_outputs_reduced(self):
         # the scans compare endpoints by cross-multiplication and test them
         # for equality structurally; both need this contract.  The tails
         # make the denominator forms negative at (L, U) = (2/3, 5/4).
@@ -49,8 +35,8 @@ class TestKernelContracts:
         pairs = (2, 3, 5, 4, 7, 5)
         head_n, head_d = [-1, 0, 0], [1, 1, 1]
         results = (
-            impl.apply_reduced_pairs(2, tail_n, tail_d, tail_n, tail_d, *pairs),
-            impl.apply_pairs(2, head_n + tail_n, head_d + tail_d,
+            _pure.apply_reduced_pairs(2, tail_n, tail_d, tail_n, tail_d, *pairs),
+            _pure.apply_pairs(2, head_n + tail_n, head_d + tail_d,
                              head_n + tail_n, head_d + tail_d, *pairs),
         )
         for status, a, b, c, d in results:

@@ -250,6 +250,26 @@ def test_refine_float_rejects_bad_inputs():
         refine_float(2.0, 2, 0.0)
 
 
+@pytest.mark.parametrize("solve", [refine_float, bisect_float])
+@pytest.mark.parametrize("x,n,eps,max_iter", [
+    (0.0, 2, 1e-3, 10),
+    (-2.0, 2, 1e-3, 10),
+    (float("nan"), 2, 1e-3, 10),
+    (float("inf"), 2, 1e-3, 10),
+    (2.0, 2, 0.0, 10),
+    (2.0, 2, -1e-3, 10),
+    (2.0, 2, float("nan"), 10),
+    (2.0, 0, 1e-3, 10),
+    (2.0, 1, 1e-3, 10),
+    (2.0, 2.5, 1e-3, 10),
+    (2.0, 2, 1e-3, 0),
+], ids=["x-zero", "x-negative", "x-nan", "x-inf", "eps-zero", "eps-negative",
+        "eps-nan", "n-zero", "n-one", "n-not-int", "max-iter-zero"])
+def test_float_solvers_reject_bad_inputs(solve, x, n, eps, max_iter):
+    with pytest.raises(ValueError):
+        solve(x, n, eps, max_iter=max_iter)
+
+
 def test_bisect_float_matches_rational_iterations():
     fast = bisect_float(2.0, 2, 1e-3)
     exact = bisect_to_eps(F(2), 2, F(1, 1000))
