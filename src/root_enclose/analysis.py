@@ -23,11 +23,10 @@ The checks:
 
 from __future__ import annotations
 
-import os
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import islice
 from math import gcd
 from typing import NamedTuple
@@ -263,21 +262,20 @@ def _witness(s, violated: str, lhs: tuple[int, int], rhs: tuple[int, int]) -> Wi
     return Witness(L, r, U, x, violated, Fraction(*lhs), Fraction(*rhs))
 
 
-def _map_chunks(scan, m: MapCoefficients, samples, jobs: int) -> list:
-    """[scan((m, chunk)) for each chunk of samples], in sample order.
-
-    With jobs > 1 the samples are split into consecutive chunks that run in
-    worker processes, at most one per chunk and per CPU; otherwise the whole
-    (possibly lazy) sequence is one chunk, read in this process.
-    """
-    if jobs <= 1:
-        return [scan((m, samples))]
-    samples = list(samples)
-    size = max(64, -(-len(samples) // jobs))
-    chunks = [(m, samples[i:i + size]) for i in range(0, len(samples), size)]
-    workers = min(jobs, len(chunks), os.cpu_count() or 1)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(scan, chunks))
+def _scan(tests, samples, checked: int = 0) -> list[Verdict]:
+    """Verdicts of per-sample tests (sample -> Witness or None) from one lazy
+    pass over samples.  Each test stops at its own first witness and the
+    pass stops once every test has; samples_checked counts the samples a
+    test saw, on top of the given checked."""
+    verdicts = [None] * len(tests)
+    for s in samples:
+        checked += 1
+        for i, test in enumerate(tests):
+            if verdicts[i] is None and (w := test(s)) is not None:
+                verdicts[i] = Verdict(FALSIFIED, w, checked)
+        if all(verdicts):
+            break
+    return [v or Verdict(PASSED_ON_SAMPLES, None, checked) for v in verdicts]
 
 
 def _contraction_witness(raw_pair, s) -> Witness | None:
@@ -297,55 +295,34 @@ def _contraction_witness(raw_pair, s) -> Witness | None:
     return None
 
 
-def _scan_contraction_chunk(args) -> tuple[int, Witness | None]:
-    """(points evaluated, first witness or None) over one chunk."""
-    m, samples = args
-    raw_pair = MapEvaluator(m).raw_pair
-    scanned = 0
-    for s in samples:
-        scanned += 1
-        w = _contraction_witness(raw_pair, s)
-        if w is not None:
-            return scanned, w
-    return scanned, None
-
-
-def _contraction_verdict(m: MapCoefficients, samples, jobs: int) -> Verdict:
-    checked = 0
-    report = check_canonical(m)
-    if not report.is_canonical:
-        n = m.n
-        raw_pair = MapEvaluator(m).raw_pair
-        p_violated = any(name.startswith("p") for name, _, _ in report.violations)
-        q_violated = any(name.startswith("q") for name, _, _ in report.violations)
-        drawn = []
-        seen = set()
-        for s in samples:
-            drawn.append(s)
-            ln, ld, _, _, un, ud, _, _ = s
-            if (ln, ld, un, ud) in seen:
-                continue
+def _corner_probes(m: MapCoefficients, cfg: SampleConfig, report):
+    """At each distinct sampled (L, U): the probe x = L**n (r = L) if a p-side
+    head coefficient is not canonical, and x = U**n (r = U) if a q-side one
+    is not.  The samples are read lazily."""
+    n = m.n
+    sides = {name[0] for name, _, _ in report.violations}
+    seen = set()
+    for ln, ld, _, _, un, ud, _, _ in _sample_pairs(n, cfg):
+        if (ln, ld, un, ud) not in seen:
             seen.add((ln, ld, un, ud))
-            probes = []
-            if p_violated:
-                probes.append((ln, ld, ln, ld, un, ud, ln ** n, ld ** n))
-            if q_violated:
-                probes.append((ln, ld, un, ud, un, ud, un ** n, ud ** n))
-            for probe in probes:
-                checked += 1
-                w = _contraction_witness(raw_pair, probe)
-                if w is not None:
-                    return Verdict(FALSIFIED, w, checked)
-        samples = drawn
-
-    for scanned, w in _map_chunks(_scan_contraction_chunk, m, samples, jobs):
-        checked += scanned
-        if w is not None:
-            return Verdict(FALSIFIED, w, checked)
-    return Verdict(PASSED_ON_SAMPLES, None, checked)
+            for side, rn, rd in (("p", ln, ld), ("q", un, ud)):
+                if side in sides:
+                    yield ln, ld, rn, rd, un, ud, rn ** n, rd ** n
 
 
-def falsify_contraction(m: MapCoefficients, cfg: SampleConfig, jobs: int = 1) -> Verdict:
+def _contraction_verdict(m: MapCoefficients, cfg: SampleConfig, report) -> Verdict:
+    """falsify_contraction(m, cfg), given report = check_canonical(m)."""
+    test = partial(_contraction_witness, MapEvaluator(m).raw_pair)
+    checked = 0
+    if not report.is_canonical:
+        probed = _scan([test], _corner_probes(m, cfg, report))[0]
+        if probed.falsified:
+            return probed
+        checked = probed.samples_checked
+    return _scan([test], _sample_pairs(m.n, cfg), checked)[0]
+
+
+def falsify_contraction(m: MapCoefficients, cfg: SampleConfig) -> Verdict:
     """Search the sample set for a violation of L <= L' <= r <= U' <= U.
 
     A zero denominator counts as a violation (the map is not defined on the
@@ -354,34 +331,29 @@ def falsify_contraction(m: MapCoefficients, cfg: SampleConfig, jobs: int = 1) ->
     corner x = L**n forces the lower numerator away from zero at generic
     (L, U), so probing the sampled pairs there yields a witness immediately,
     and likewise x = U**n for q-side violations.  The probes read the
-    samples lazily, so the rest are drawn only if no probe fails.
+    samples lazily, and the samples are drawn again for the plain scan only
+    if no probe fails.
 
-    samples_checked counts evaluated points (probes included); with
-    jobs > 1 the scan is partitioned but merged in sample order, so the
-    verdict is identical to the sequential one.
+    samples_checked counts evaluated points, probes included.
     """
-    return _contraction_verdict(m, _sample_pairs(m.n, cfg), jobs)
+    return _contraction_verdict(m, cfg, check_canonical(m))
 
 
-def _bounds_verdict(m: MapCoefficients, samples) -> Verdict:
-    n = m.n
-    denominator_pairs = MapEvaluator(m).denominator_pairs
-    ones = [1] * n  # Secant-Newton's p tail: form_pair gives the secant form
-    checked = 0
-    for ln, ld, _, _, un, ud, _, _ in samples:
-        checked += 1
-        (pn, pd), (qn, qd) = denominator_pairs(ln, ld, un, ud)
-        sn, sd = form_pair(ones, ones, ln, ld, un, ud)
-        if pn * sd < sn * pd:
-            return Verdict(FALSIFIED, _witness(
-                (ln, ld, ln, ld, un, ud, ln ** n, ld ** n),
-                "p-denominator >= secant form", (pn, pd), (sn, sd)), checked)
-        nn, nd = n * un ** (n - 1), ud ** (n - 1)
-        if qn * nd < nn * qd:
-            return Verdict(FALSIFIED, _witness(
-                (ln, ld, ln, ld, un, ud, ln ** n, ld ** n),
-                "q-denominator >= n*U^(n-1)", (qn, qd), (nn, nd)), checked)
-    return Verdict(PASSED_ON_SAMPLES, None, checked)
+def _bounds_witness(denominator_pairs, ones, s) -> Witness | None:
+    """First failing denominator bound at one sample's (L, U).  ones is
+    [1] * n, Secant-Newton's p tail: form_pair gives the secant form."""
+    n = len(ones)
+    ln, ld, _, _, un, ud, _, _ = s
+    (pn, pd), (qn, qd) = denominator_pairs(ln, ld, un, ud)
+    sn, sd = form_pair(ones, ones, ln, ld, un, ud)
+    if pn * sd < sn * pd:
+        return _witness((ln, ld, ln, ld, un, ud, ln ** n, ld ** n),
+                        "p-denominator >= secant form", (pn, pd), (sn, sd))
+    nn, nd = n * un ** (n - 1), ud ** (n - 1)
+    if qn * nd < nn * qd:
+        return _witness((ln, ld, ln, ld, un, ud, ln ** n, ld ** n),
+                        "q-denominator >= n*U^(n-1)", (qn, qd), (nn, nd))
+    return None
 
 
 def check_denominator_bounds(m: MapCoefficients, cfg: SampleConfig) -> Verdict:
@@ -395,30 +367,35 @@ def check_denominator_bounds(m: MapCoefficients, cfg: SampleConfig) -> Verdict:
     """
     if not check_canonical(m).is_canonical:
         raise ValueError("denominator bounds apply to canonical maps only")
-    return _bounds_verdict(m, _sample_pairs(m.n, cfg))
+    test = partial(_bounds_witness, MapEvaluator(m).denominator_pairs, [1] * m.n)
+    return _scan([test], _sample_pairs(m.n, cfg))[0]
 
 
-def check_map(m: MapCoefficients, cfg: SampleConfig,
-              jobs: int = 1) -> tuple[Verdict | None, Verdict]:
-    """(check_denominator_bounds(m, cfg), falsify_contraction(m, cfg, jobs))
-    from one draw of the samples; the bounds verdict is None for
-    non-canonical maps, which the bounds do not apply to."""
-    samples = _sample_pairs(m.n, cfg)
-    if not check_canonical(m).is_canonical:
-        return None, _contraction_verdict(m, samples, jobs)
-    samples = list(samples)
-    return _bounds_verdict(m, samples), _contraction_verdict(m, samples, jobs)
+def check_map(m: MapCoefficients, cfg: SampleConfig) -> tuple[Verdict | None, Verdict]:
+    """(check_denominator_bounds(m, cfg), falsify_contraction(m, cfg)); for a
+    canonical map both tests run in one pass over the samples.  The bounds
+    verdict is None for non-canonical maps, which the bounds do not apply
+    to."""
+    report = check_canonical(m)
+    if not report.is_canonical:
+        return None, _contraction_verdict(m, cfg, report)
+    bounds = partial(_bounds_witness, MapEvaluator(m).denominator_pairs, [1] * m.n)
+    contraction = partial(_contraction_witness, MapEvaluator(m).raw_pair)
+    return tuple(_scan([bounds, contraction], _sample_pairs(m.n, cfg)))
 
 
-def _scan_dominance_chunk(args):
-    m, samples = args
+def check_dominance(m: MapCoefficients, cfg: SampleConfig) -> DominanceStats:
+    """Compare the checked map's output interval against Secant-Newton's on
+    every sampled triple: count exact subsets ([L*, U*] inside [L', U']),
+    proper subsets, and equality points.  Zero denominators in the checked
+    map count as violations."""
     m_pair = MapEvaluator(m).raw_pair
     sn_pair = MapEvaluator(secant_newton(m.n)).raw_pair
     subset = 0
     proper = 0
     equality = []
     violations = []
-    for s in samples:
+    for s in _sample_pairs(m.n, cfg):
         ln, ld, rn, rd, un, ud, xn, xd = s
         status, a, b, c, d = m_pair(ln, ld, un, ud, xn, xd)
         if status:
@@ -435,20 +412,7 @@ def _scan_dominance_chunk(args):
                 equality.append((Fraction(ln, ld), Fraction(rn, rd), Fraction(un, ud)))
             else:
                 proper += 1
-    return subset, proper, equality, violations
-
-
-def check_dominance(m: MapCoefficients, cfg: SampleConfig, jobs: int = 1) -> DominanceStats:
-    """Compare the checked map's output interval against Secant-Newton's on
-    every sampled triple: count exact subsets ([L*, U*] inside [L', U']),
-    proper subsets, and equality points.  Zero denominators in the checked
-    map count as violations.  Results are merged in sample order."""
-    parts = _map_chunks(_scan_dominance_chunk, m, _sample_pairs(m.n, cfg), jobs)
-    subset = sum(p[0] for p in parts)
-    proper = sum(p[1] for p in parts)
-    equality = tuple(pt for p in parts for pt in p[2])
-    violations = tuple(w for p in parts for w in p[3])
-    return DominanceStats(cfg.count, subset, proper, equality, violations)
+    return DominanceStats(cfg.count, subset, proper, tuple(equality), tuple(violations))
 
 
 class TrivariatePoly:

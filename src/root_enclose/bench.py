@@ -123,6 +123,13 @@ def spec_from_dict(data) -> BenchSpec:
     backend = data.get("backend", "rational")
     if backend not in BACKENDS:
         raise BenchSpecError(f"backend must be one of {BACKENDS}, got {backend!r}")
+    if backend == "float":
+        try:
+            finite = all(0 < float(v) < float("inf") for v in xs + epses)
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise BenchSpecError("float backend: xs and epses must be positive finite floats")
     reps = data.get("reps", 5)
     if isinstance(reps, bool) or not isinstance(reps, int) or reps < 1:
         raise BenchSpecError(f"reps must be a positive integer, got {reps!r}")
@@ -199,10 +206,10 @@ def _run_float(resolver, x, n, eps):
 def run_bench(spec: BenchSpec) -> list[BenchRow]:
     """One row per (map, x, n, eps, repetition), nested in that order.
 
-    Per-row failures (zero denominator, degree mismatch, non-finite floats)
-    are recorded in the final_width column and do not abort the run; rows
-    that hit the iteration cap report iterations == max_iter with the width
-    actually reached.
+    Per-row failures (zero denominator, not contracting, degree mismatch,
+    non-finite floats) are recorded in the final_width column and do not
+    abort the run; rows that hit the iteration cap report
+    iterations == max_iter with the width actually reached.
     """
     entries = _resolve_maps(spec)
     rows = []

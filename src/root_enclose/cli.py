@@ -140,8 +140,9 @@ def cmd_root(args) -> int:
     if args.backend == "float":
         if map_name == "bisection":
             raise ValueError("the float backend supports refinement maps only")
-        trace = refine_float(float(x), args.n, float(args.eps), m,
-                             max_iter=args.max_iter)
+        if args.trace:
+            raise ValueError("the float backend keeps no interval sequence for --trace")
+        trace = refine_float(x, args.n, args.eps, m, max_iter=args.max_iter)
         ok = trace.terminated == "width-reached"
         if args.json:
             payload = trace.to_json()
@@ -179,7 +180,7 @@ def cmd_check(args) -> int:
     m = load_map(args.map_file)
     cfg = _sample_config(args)
     report = check_canonical(m)
-    bounds, verdict = analysis.check_map(m, cfg, jobs=args.jobs)
+    bounds, verdict = analysis.check_map(m, cfg)
 
     failed = verdict.falsified or (bounds is not None and bounds.falsified)
     if args.json:
@@ -213,7 +214,7 @@ def cmd_check(args) -> int:
 def cmd_compare(args) -> int:
     m = load_map(args.map_file)
     cfg = _sample_config(args)
-    stats = analysis.check_dominance(m, cfg, jobs=args.jobs)
+    stats = analysis.check_dominance(m, cfg)
     if args.json:
         _emit_json(args, stats.to_json())
         return 1 if stats.violations else 0
@@ -379,8 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
     sampled = argparse.ArgumentParser(add_help=False, parents=[seeded])
     sampled.add_argument("--samples", type=int, default=10_000,
                          help="sample count for property checks")
-    sampled.add_argument("--jobs", type=int, default=1,
-                         help="worker processes for sample scans")
 
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -99,10 +99,12 @@ def _validated(x, eps, max_iter, n):
 
 
 def _validated_float(x, eps, max_iter, n):
-    x = float(x)
+    try:
+        x, eps = float(x), float(eps)
+    except OverflowError as exc:
+        raise ValueError(f"x and eps must fit in a float: {exc}") from None
     if not 0 < x < float("inf"):
         raise ValueError(f"x must be a positive finite float, got {x!r}")
-    eps = float(eps)
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps!r}")
     _check_n_and_max_iter(n, max_iter)

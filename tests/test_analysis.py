@@ -1,9 +1,9 @@
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
 
-from root_enclose import analysis
 from root_enclose.analysis import (
     DominanceStats,
     SampleConfig,
@@ -162,14 +162,9 @@ def test_noncanonical_maps_caught_at_corners():
             assert w.r == w.L or w.r == w.U
 
 
-def test_falsifier_deterministic_and_job_independent():
+def test_falsifier_deterministic():
     m = counterexample_map()
-    v1 = falsify_contraction(m, CFG)
-    v2 = falsify_contraction(m, CFG)
-    v3 = falsify_contraction(m, CFG, jobs=2)
-    assert v1 == v2 == v3
-    sn = secant_newton(2)
-    assert falsify_contraction(sn, CFG, jobs=2) == falsify_contraction(sn, CFG)
+    assert falsify_contraction(m, CFG) == falsify_contraction(m, CFG)
 
 
 # --- denominator bounds ------------------------------------------------------
@@ -232,43 +227,6 @@ def test_dominance_counterexample_has_equality_point_and_violations():
     assert w.violated in ("L' <= L*", "U* <= U'")
 
 
-def test_dominance_job_independent():
-    m = perturbed_contracting_map(3, 5)
-    assert check_dominance(m, CFG, jobs=2) == check_dominance(m, CFG)
-
-
-def test_pool_starts_at_most_one_worker_per_chunk_and_cpu(monkeypatch):
-    # the fake pool records its size and maps in this process, so a huge
-    # jobs value starts no process here
-    pools = []
-
-    class InProcessPool:
-        def __init__(self, max_workers):
-            self.max_workers = max_workers
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, chunks):
-            chunks = list(chunks)
-            pools.append((self.max_workers, len(chunks)))
-            return map(fn, chunks)
-
-    monkeypatch.setattr(analysis, "ProcessPoolExecutor", InProcessPool)
-    m = secant_newton(3)
-    serial = falsify_contraction(m, CFG)
-    for cpus in (64, 4, None):
-        monkeypatch.setattr(analysis.os, "cpu_count", lambda: cpus)
-        pools.clear()
-        assert falsify_contraction(m, CFG, jobs=5000) == serial
-        ((workers, chunks),) = pools
-        assert 4 < chunks < 64
-        assert workers == {64: chunks, 4: 4, None: 1}[cpus]
-
-
 def test_maps_passing_both_checks_dominate_on_same_samples():
     # ties the three checks together: anything that survives the falsifier
     # and the denominator bounds on a sample set dominates on that set
@@ -290,6 +248,21 @@ def test_maps_passing_both_checks_dominate_on_same_samples():
 def test_dominance_stats_invariant():
     with pytest.raises(ValueError):
         DominanceStats(3, 1, 0, (), ())
+
+
+def test_scans_hold_no_sample_list():
+    # each check is one lazy pass: a list of the 20,000 samples would take
+    # about 7 MiB
+    m = secant_newton(2)
+    cfg = SampleConfig(count=20_000)
+    for check in (check_map, falsify_contraction, check_denominator_bounds):
+        tracemalloc.start()
+        try:
+            check(m, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20, (check.__name__, peak)
 
 
 # --- the int-pair scans against a Fraction reference -------------------------

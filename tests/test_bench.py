@@ -159,3 +159,10 @@ def test_spec_from_dict_validation():
         spec_from_dict({**good, "xs": []})
     with pytest.raises(BenchSpecError):
         spec_from_dict({**good, "epses": ["0"]})
+    # the float backend needs values that are positive finite doubles
+    huge, tiny = "1" + "0" * 400, "1/1" + "0" * 400
+    for bad in ({"xs": ["2", huge]}, {"xs": [tiny]}, {"epses": [huge]},
+                {"epses": [tiny]}):
+        spec_from_dict({**good, **bad})
+        with pytest.raises(BenchSpecError, match="positive finite floats"):
+            spec_from_dict({**good, **bad, "backend": "float"})

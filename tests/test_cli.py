@@ -242,11 +242,38 @@ def test_bench_json_format_and_out_file(tmp_path):
 @pytest.mark.parametrize("argv", [
     ("root", "--x", "2", "--n", "2", "--eps", "1/6", "--jobs", "2"),
     ("bench", "--json"),
+    ("check", "m.json", "--jobs", "2"),
+    ("compare", "m.json", "--jobs", "2"),
 ])
 def test_options_a_subcommand_does_not_read_are_rejected(argv):
     out = run_cli(*argv)
     assert out.returncode == 2
     assert "unrecognized arguments" in out.stderr
+
+
+_TOO_BIG_FOR_A_FLOAT = "1" + "0" * 400
+
+
+@pytest.mark.parametrize("argv", [
+    ("root", "--backend", "float", "--x", _TOO_BIG_FOR_A_FLOAT, "--n", "2",
+     "--eps", "1e-3"),
+    ("root", "--backend", "float", "--x", "2", "--n", "2",
+     "--eps", _TOO_BIG_FOR_A_FLOAT),
+    ("root", "--backend", "float", "--x", "2", "--n", "2", "--eps", "1e-3",
+     "--trace"),
+    ("root", "--backend", "float", "--map", "bisection", "--x", "2", "--n", "2",
+     "--eps", "1e-3"),
+    ("bench", "SPEC"),
+])
+def test_float_path_rejects_what_it_cannot_run(argv, tmp_path):
+    spec = tmp_path / "float-spec.json"
+    spec.write_text(json.dumps({
+        "maps": ["secant-newton"], "xs": ["2", _TOO_BIG_FOR_A_FLOAT], "ns": [2],
+        "epses": ["1/10"], "backend": "float", "reps": 1}))
+    out = run_cli(*(str(spec) if arg == "SPEC" else arg for arg in argv))
+    assert out.returncode == 2
+    assert out.stderr.startswith("error:")
+    assert "Traceback" not in out.stderr
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
@@ -306,10 +333,3 @@ def test_bad_seed_env_is_usage_error(write_map):
                   env_extra={"ROOT_ENCLOSE_SEED": "banana"})
     assert out.returncode == 2
     assert "ROOT_ENCLOSE_SEED" in out.stderr
-
-
-def test_jobs_flag_does_not_change_results(write_map):
-    path = write_map(COUNTEREXAMPLE_SPEC)
-    seq = run_cli("check", path, "--samples", "150", "--json")
-    par = run_cli("check", path, "--samples", "150", "--jobs", "2", "--json")
-    assert seq.stdout == par.stdout
