@@ -3,7 +3,11 @@ width bound is met.
 
 Two rigorous solvers share the exact rational arithmetic (the chosen
 refinement map, and a bisection baseline on y**n - x), plus one explicitly
-non-rigorous double-precision fast path for speed comparisons.
+non-rigorous double-precision fast path for speed comparisons.  Every interval
+either rational solver records satisfies lo**n <= x <= hi**n, checked
+exactly: bisection keeps the sign-bracketing half, and the map loop checks
+each step.  The map loop also bounds its endpoints' size, rounding them
+outward onto a dyadic lattice tied to eps once they outgrow it.
 """
 
 from __future__ import annotations
@@ -24,15 +28,16 @@ DEFAULT_MAX_ITER = 10_000
 
 
 class NotContractingError(RuntimeError):
-    """The map produced a disordered pair mid-refinement, certifying that it
-    is not contracting."""
+    """The map produced a disordered pair, or an interval that misses the
+    root, mid-refinement, certifying that it is not contracting."""
 
-    def __init__(self, lo, hi, iteration):
+    def __init__(self, lo, hi, iteration, misses_root: bool = False):
         self.lo = lo
         self.hi = hi
         self.iteration = iteration
+        what = "an interval that misses the root" if misses_root else "a non-interval pair"
         super().__init__(
-            f"map produced a non-interval pair [{lo}, {hi}] at iteration "
+            f"map produced {what} [{lo}, {hi}] at iteration "
             f"{iteration}; it is not contracting"
         )
 
@@ -111,6 +116,21 @@ def _validated_float(x, eps, max_iter, n):
     return x, eps
 
 
+def _round_outward(lo: Fraction, hi: Fraction, prev: Interval, k: int):
+    """Round an endpoint whose denominator has more than k bits outward onto
+    the 2**-k lattice (lo down, hi up) and clamp it to the previous interval.
+
+    Widening keeps the root inside and the clamp intersects two enclosures,
+    so the interval stays nested with lo > 0.  Endpoints that fit the
+    lattice are kept exact.
+    """
+    if lo.denominator.bit_length() > k:
+        lo = max(Fraction((lo.numerator << k) // lo.denominator, 1 << k), prev.lo)
+    if hi.denominator.bit_length() > k:
+        hi = min(Fraction(-((-hi.numerator << k) // hi.denominator), 1 << k), prev.hi)
+    return lo, hi
+
+
 def refine_to_eps(x, n: int, eps, m: MapCoefficients | None = None,
                   max_iter: int = DEFAULT_MAX_ITER) -> RefineTrace:
     """Iterate the map from the initial interval until width <= eps.
@@ -118,12 +138,21 @@ def refine_to_eps(x, n: int, eps, m: MapCoefficients | None = None,
     The width test runs before each application.  The map defaults to
     Secant-Newton of degree n; a zero denominator mid-loop propagates as
     DenominatorZeroError with the offending iteration index attached.
+
+    After each application an endpoint whose denominator has more than
+    k = bits(1/eps) + 16 bits is rounded outward onto the 2**-k lattice and
+    clamped to the previous interval, so endpoints stay near k bits instead
+    of growing about 2n-1-fold per iteration; smaller endpoints are the
+    map's exact output.  Every recorded interval is then checked exactly to
+    satisfy lo**n <= x <= hi**n; a disordered pair, or an interval that
+    misses the root, raises NotContractingError.
     """
     x, eps = _validated(x, eps, max_iter, n)
     if m is None:
         m = secant_newton(n)
     elif m.n != n:
         raise ValueError(f"map degree {m.n} does not match n={n}")
+    k = (eps.denominator // eps.numerator).bit_length() + 16
     ev = MapEvaluator(m)
     iv = initial_interval(x)
     intervals = [iv]
@@ -137,10 +166,12 @@ def refine_to_eps(x, n: int, eps, m: MapCoefficients | None = None,
         except DenominatorZeroError as exc:
             exc.iteration = it
             raise
-        try:
-            iv = Interval(lo, hi)
-        except ValueError:
-            raise NotContractingError(lo, hi, it) from None
+        if not 0 < lo <= hi:
+            raise NotContractingError(lo, hi, it)
+        lo, hi = _round_outward(lo, hi, iv, k)
+        if not pow_int(lo, n) <= x <= pow_int(hi, n):
+            raise NotContractingError(lo, hi, it, misses_root=True)
+        iv = Interval(lo, hi)
         it += 1
         intervals.append(iv)
         widths.append(iv.width)

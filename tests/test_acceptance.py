@@ -105,9 +105,9 @@ def test_criterion_3_secant_newton_contraction_and_nesting():
         assert verdict.outcome == "passed-on-samples"
         assert verdict.samples_checked == 10_000
 
-    # nesting of iterated traces; eps and x adapted to exact-arithmetic
-    # growth (endpoint digit counts multiply by roughly 2n-1 per iteration,
-    # so large n gets starting points near 1 and a coarser width bound)
+    # nesting of iterated traces; endpoints grow about 2n-1-fold in bits per
+    # iteration until they outgrow the 2^-k lattice of eps and are rounded
+    # outward, so every plan below is cheap
     trace_plan = {
         2: (F(1, 10 ** 6), (F(2), F(3), F(27, 8), F(1, 2))),
         3: (F(1, 10 ** 4), (F(2), F(3), F(27, 8), F(1, 2))),

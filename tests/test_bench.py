@@ -33,17 +33,20 @@ ZERO_DEN_SPEC = {
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
                     reason="no int-to-str digit limit on this interpreter")
 def test_deep_row_at_the_default_digit_limit():
-    # the final width has 15,788 digits, beyond the default limit of 4300
-    spec = spec_from_dict({"maps": ["secant-newton"], "xs": ["1/5"], "ns": [3],
-                           "epses": [f"1/{10 ** 50}"], "reps": 1})
+    # a width of 10^-10000 needs thousands of digits, whatever the rounding:
+    # here the final width has a 12,543-digit denominator, beyond the
+    # default limit of 4300
+    spec = BenchSpec(("secant-newton",), (F(2),), (2,), (F(1, 10 ** 10000),),
+                     "rational", 1)
     previous = sys.get_int_max_str_digits()
     try:
         sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
         (row,) = run_bench(spec)
         sys.set_int_max_str_digits(0)
-        assert F(row.final_width) == refine_to_eps(F(1, 5), 3, F(1, 10 ** 50)).widths[-1]
+        assert F(row.final_width) == refine_to_eps(F(2), 2, F(1, 10 ** 10000)).widths[-1]
     finally:
         sys.set_int_max_str_digits(previous)
+    assert len(row.final_width) > 12_500
 
 
 def test_default_spec_iteration_counts():

@@ -95,12 +95,13 @@ def test_root_denominator_zero_is_a_failure(write_map):
 
 
 def test_root_prints_endpoints_beyond_digit_guard():
-    # endpoints here carry tens of thousands of digits; printing them must
-    # not trip the interpreter's int-to-str conversion limit
-    out = run_cli("root", "--x", "10", "--n", "3", "--eps", "1e-8")
+    # a width of 10^-10000 needs endpoints of thousands of digits, whatever
+    # the rounding (here 6,272-digit parts); printing them must not trip the
+    # interpreter's int-to-str conversion limit
+    out = run_cli("root", "--x", "2", "--n", "2", "--eps", "1e-10000")
     assert out.returncode == 0
     assert "iterations:" in out.stdout
-    assert len(out.stdout) > 10_000
+    assert len(out.stdout) > 25_000
 
 
 def test_check_secant_newton_passes(write_map):
@@ -279,7 +280,7 @@ def test_float_path_rejects_what_it_cannot_run(argv, tmp_path):
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
                     reason="no int-to-str digit limit on this interpreter")
 def test_main_restores_the_digit_limit(capsys):
-    # the endpoints have about 22,400 digits; the text output prints them
+    # the endpoints have 6,272-digit parts; the text output prints them
     # through str, beyond the default limit of 4300
     from fractions import Fraction as F
 
@@ -291,17 +292,17 @@ def test_main_restores_the_digit_limit(capsys):
     try:
         default = sys.int_info.default_max_str_digits
         sys.set_int_max_str_digits(default)
-        assert cli.main(["root", "--x", "2", "--n", "3", "--eps", "1e-200"]) == 0
+        assert cli.main(["root", "--x", "2", "--n", "2", "--eps", "1e-10000"]) == 0
         assert sys.get_int_max_str_digits() == default
         sys.set_int_max_str_digits(0)
         interval, iterations, terminated = capsys.readouterr().out.splitlines()
         lo, hi = (parse_rational(v) for v in interval.strip("[]").split(", "))
-        final = refine_to_eps(F(2), 3, F(1, 10 ** 200)).final
+        final = refine_to_eps(F(2), 2, F(1, 10 ** 10000)).final
     finally:
         sys.set_int_max_str_digits(previous)
     assert (lo, hi) == (final.lo, final.hi)
-    assert len(interval) > 2 * 22_000
-    assert (iterations, terminated) == ("iterations: 10", "terminated: width-reached")
+    assert len(interval) > 4 * 6_000
+    assert (iterations, terminated) == ("iterations: 14", "terminated: width-reached")
 
 
 def test_unknown_subcommand_exits_2():

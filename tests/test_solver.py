@@ -1,10 +1,17 @@
+import random
 import sys
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from root_enclose.analysis import perturbed_contracting_map
-from root_enclose.maps import DenominatorZeroError, MapCoefficients, secant_newton
+from root_enclose.analysis import perturbed_contracting_map, random_canonical_map
+from root_enclose.maps import (
+    DenominatorZeroError,
+    MapCoefficients,
+    MapEvaluator,
+    secant_newton,
+)
 from root_enclose.numeric import Interval, pow_int
 from root_enclose.solver import (
     MAX_ITERATIONS,
@@ -104,10 +111,97 @@ def test_refine_flags_noncontracting_map():
     assert exc.value.lo > exc.value.hi
 
 
-# eps must respect the exact-arithmetic reality: endpoint digit counts grow
-# by a factor of roughly 2n-1 per iteration, so deep refinement at large n
-# is for the float path; dominated maps converge slower still and get a
-# hard iteration cap here
+def test_refine_flags_interval_that_misses_root():
+    # an ordered pair [5/3, 7/4] above sqrt(2): the p-denominator L is too
+    # small, so the lower endpoint overshoots the root
+    m = MapCoefficients(2, (F(-1), 0, 0, F(3, 2), 0), (F(-1), 0, 0, 4, 0))
+    with pytest.raises(NotContractingError, match="misses the root") as exc:
+        refine_to_eps(F(2), 2, F(1, 100), m)
+    assert exc.value.iteration == 0
+    assert (exc.value.lo, exc.value.hi) == (F(5, 3), F(7, 4))
+
+
+def _assert_enclosing_and_nested(trace, x, n):
+    for iv in trace.intervals:
+        assert pow_int(iv.lo, n) <= x <= pow_int(iv.hi, n)
+    for prev, cur in zip(trace.intervals, trace.intervals[1:]):
+        assert prev.lo <= cur.lo and cur.hi <= prev.hi
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 32), st.sampled_from((2, 3)),
+       st.integers(1, 50), st.integers(1, 50))
+def test_returned_traces_enclose_the_root(seed, n, a, b):
+    # positive denominators keep every step nested; whether a step keeps
+    # the root is what the per-step check decides
+    m = random_canonical_map(n, random.Random(seed), positive_denominators=True)
+    x = F(a, b)
+    try:
+        trace = refine_to_eps(x, n, F(1, 10 ** 6), m, max_iter=5)
+    except NotContractingError as exc:
+        lo, hi = exc.lo, exc.hi
+        assert not (0 < lo <= hi and pow_int(lo, n) <= x <= pow_int(hi, n))
+        return
+    _assert_enclosing_and_nested(trace, x, n)
+
+
+# every x = a/b in (0, 2] \ {1} with b <= 5, in increasing order, and the
+# iteration counts exact (never rounded) Secant-Newton takes on them
+DEEP_XS = tuple(sorted(
+    {F(a, b) for b in range(1, 6) for a in range(1, 2 * b + 1)} - {F(1)}
+))
+DEEP_ITERATIONS = {
+    (2, 50): (7, 7, 7, 7, 7, 6, 6, 6, 6, 6, 6, 6, 6, 6, 6, 6, 6, 6, 7),
+    (2, 200): (9, 9, 9, 9, 9, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 9),
+    (3, 50): (8, 8, 7, 7, 7, 7, 6, 6, 6, 6, 6, 7, 7, 7, 7, 7, 7, 7, 8),
+    (3, 200): (10, 10, 9, 9, 9, 8, 8, 8, 8, 8, 8, 9, 9, 9, 9, 9, 9, 9, 10),
+}
+
+
+@pytest.mark.parametrize("n,eps_exp", sorted(DEEP_ITERATIONS))
+def test_rounding_keeps_the_exact_iteration_counts(n, eps_exp):
+    counts = tuple(refine_to_eps(x, n, F(1, 10 ** eps_exp)).iterations
+                   for x in DEEP_XS)
+    assert counts == DEEP_ITERATIONS[n, eps_exp]
+
+
+def test_deep_endpoints_stay_on_the_lattice():
+    # exact endpoints would reach 160,031 bits here
+    eps = F(1, 10 ** 200)
+    k = (10 ** 200).bit_length() + 16
+    trace = refine_to_eps(F(1, 5), 3, eps)
+    assert (trace.iterations, trace.terminated) == (10, WIDTH_REACHED)
+    for iv in trace.intervals:
+        for v in (iv.lo, iv.hi):
+            assert max(v.numerator.bit_length(), v.denominator.bit_length()) <= k + 2
+
+
+@pytest.mark.parametrize("x", [F(1, 5), F(2), F(9, 5)])
+def test_degree_5_reaches_a_deep_width(x):
+    trace = refine_to_eps(x, 5, F(1, 10 ** 200))
+    assert trace.terminated == WIDTH_REACHED
+    assert 10 <= trace.iterations <= 11
+    _assert_enclosing_and_nested(trace, x, 5)
+
+
+def test_rounded_endpoint_is_clamped_to_the_previous_interval():
+    # a huge p-denominator moves L = 1/3 by 2/(3(2^40+3)), less than one
+    # step of the 2^-26 lattice of eps = 1/1000; rounded down, the new lower
+    # endpoint would fall below 1/3, so the clamp keeps 1/3
+    m = MapCoefficients(2, (F(-1), 0, 0, 2 ** 40, 1), (F(-1), 0, 0, 2, 0))
+    x = F(1, 3)
+    exact_lo, _ = MapEvaluator(m).pair(x, F(1), x)
+    assert exact_lo > x
+    assert F((exact_lo.numerator << 26) // exact_lo.denominator, 1 << 26) < x
+    trace = refine_to_eps(x, 2, F(1, 1000), m, max_iter=3)
+    assert trace.terminated == MAX_ITERATIONS
+    assert [iv.lo for iv in trace.intervals] == [x] * 4
+    _assert_enclosing_and_nested(trace, x, 2)
+
+
+# exact endpoints grow about 2n-1-fold in bits per iteration until they
+# reach the 2^-k lattice of eps, so these widths stay cheap; dominated maps
+# converge slower and get a hard iteration cap here
 @pytest.mark.parametrize("n,x,eps", [
     (2, F(2), F(1, 10 ** 8)),
     (3, F(27, 8), F(1, 10 ** 4)),
@@ -115,18 +209,12 @@ def test_refine_flags_noncontracting_map():
     (5, F(2), F(1, 100)),
 ])
 def test_enclosure_and_nesting(n, x, eps):
-    def assert_enclosing_and_nested(trace):
-        for iv in trace.intervals:
-            assert pow_int(iv.lo, n) <= x <= pow_int(iv.hi, n)
-        for prev, cur in zip(trace.intervals, trace.intervals[1:]):
-            assert prev.lo <= cur.lo and cur.hi <= prev.hi
-
     trace = refine_to_eps(x, n, eps, secant_newton(n))
     assert trace.terminated == WIDTH_REACHED
-    assert_enclosing_and_nested(trace)
+    _assert_enclosing_and_nested(trace, x, n)
 
     perturbed = perturbed_contracting_map(n, 17)
-    assert_enclosing_and_nested(refine_to_eps(x, n, eps, perturbed, max_iter=4))
+    _assert_enclosing_and_nested(refine_to_eps(x, n, eps, perturbed, max_iter=4), x, n)
 
 
 def test_bisection_iteration_count():
@@ -172,8 +260,9 @@ def test_trace_json():
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
                     reason="no int-to-str digit limit on this interpreter")
 def test_deep_trace_json_at_the_default_digit_limit():
-    # the endpoints have 48,174 digits, beyond the default limit of 4300
-    trace = refine_to_eps(F(1, 5), 3, F(1, 10 ** 200))
+    # a width of 10^-10000 needs endpoints of thousands of digits, whatever
+    # the rounding: here 6,272-digit parts, beyond the default limit of 4300
+    trace = refine_to_eps(F(2), 2, F(1, 10 ** 10000))
     previous = sys.get_int_max_str_digits()
     try:
         sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
@@ -183,7 +272,7 @@ def test_deep_trace_json_at_the_default_digit_limit():
     finally:
         sys.set_int_max_str_digits(previous)
     assert limited == unlimited
-    assert len(limited["final_interval"][0]) > 48_000
+    assert len(limited["final_interval"][0]) > 12_000
 
 
 # --- float fast path --------------------------------------------------------
