@@ -6,8 +6,10 @@ one row per (map, x, n, eps, repetition) in that nesting order.  Iteration
 counts are deterministic per configuration; wall times are reported for
 every repetition, never averaged.
 
-Rational-backend timings are arithmetic-bound: numerator and denominator
-growth dominates, which is exactly why the float backend exists alongside.
+Rational-backend timings are arithmetic-bound: big-integer products on
+endpoints of about bits(1/eps) bits (the refinement loop rounds onto a
+lattice of that size, and bisection's endpoints grow one bit a step), which
+is why the float backend exists alongside.
 """
 
 from __future__ import annotations

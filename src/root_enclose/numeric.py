@@ -52,7 +52,13 @@ def format_rational(value: Fraction) -> str:
 
 
 def as_rational(value) -> Fraction:
-    """Coerce ints and Fractions; floats are rejected to keep things exact."""
+    """Coerce ints and Fractions; floats are rejected to keep things exact.
+
+    A value whose type is exactly Fraction is returned as is (it is
+    immutable); a Fraction subclass is converted to a plain Fraction.
+    """
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         raise TypeError(f"refusing to coerce float {value!r} to an exact rational")
     return Fraction(value)

@@ -5,8 +5,9 @@ Two rigorous solvers share the exact rational arithmetic (the chosen
 refinement map, and a bisection baseline on y**n - x), plus one explicitly
 non-rigorous double-precision fast path for speed comparisons.  Every interval
 either rational solver records satisfies lo**n <= x <= hi**n, checked
-exactly: bisection keeps the sign-bracketing half, and the map loop checks
-each step.  The map loop also bounds its endpoints' size, rounding them
+exactly: bisection keeps the sign-bracketing half, testing each midpoint
+on one integer numerator over x.den * 2**j, and the map loop checks each
+step.  The map loop also bounds its endpoints' size, rounding them
 outward onto a dyadic lattice tied to eps once they outgrow it.
 """
 
@@ -181,25 +182,44 @@ def refine_to_eps(x, n: int, eps, m: MapCoefficients | None = None,
 def bisect_to_eps(x, n: int, eps, max_iter: int = DEFAULT_MAX_ITER) -> RefineTrace:
     """Bisection baseline on y**n - x, keeping the sign-bracketing half.
 
-    Every recorded interval satisfies lo**n <= x <= hi**n exactly; the width
-    halves each iteration.
+    The loop runs on integers.  With x = xn/d the start interval is
+    [a/d, b/d] for a, b = min(xn, d), max(xn, d), and after step j every
+    endpoint is an integer over d*2**j (not dyadic in general: for x = 1/3
+    the first midpoint is 2/3).  A midpoint
+    mid/(d*2**j) becomes the lower endpoint exactly when
+    mid**n <= xn * d**(n-1) * 2**(n*j), and the width test compares
+    (b - a) * eps.den with eps.num * d * 2**j.  No Fraction arithmetic runs
+    per step: only the new endpoint and the width are built as Fractions,
+    and the kept endpoint is reused.  Every recorded interval satisfies
+    lo**n <= x <= hi**n exactly; the width halves each iteration.
     """
     x, eps = _validated(x, eps, max_iter, n)
     iv = initial_interval(x)
+    d = x.denominator
+    a, b = sorted((x.numerator, d))
+    span = b - a  # the width's numerator over d*2**j, the same at every j
+    target = x.numerator * d ** (n - 1)  # x == target / d**n
+    scale = d
     intervals = [iv]
     widths = [iv.width]
     it = 0
-    while widths[-1] > eps:
+    while span * eps.denominator > eps.numerator * scale:
         if it >= max_iter:
             return RefineTrace(it, tuple(intervals), tuple(widths), MAX_ITERATIONS)
-        mid = (iv.lo + iv.hi) / 2
-        if pow_int(mid, n) <= x:
-            iv = Interval(mid, iv.hi)
+        mid = a + b  # (a + b) / 2 on the next scale, d * 2**(j+1)
+        a <<= 1
+        b <<= 1
+        scale <<= 1
+        target <<= n
+        if mid ** n <= target:
+            a = mid
+            iv = Interval(Fraction(mid, scale), iv.hi)
         else:
-            iv = Interval(iv.lo, mid)
+            b = mid
+            iv = Interval(iv.lo, Fraction(mid, scale))
         it += 1
         intervals.append(iv)
-        widths.append(iv.width)
+        widths.append(Fraction(span, scale))
     return RefineTrace(it, tuple(intervals), tuple(widths), WIDTH_REACHED)
 
 

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from root_enclose.numeric import (
     Interval,
+    as_rational,
     format_rational,
     geom_sum,
     parse_rational,
@@ -26,6 +27,32 @@ positive_rationals = st.builds(F, st.integers(1, 200), st.integers(1, 60))
 ])
 def test_pow_int_examples(base, k, expected):
     assert pow_int(base, k) == expected
+
+
+def test_as_rational_returns_a_fraction_unchanged():
+    value = F(22, 7)
+    assert as_rational(value) is value
+
+
+def test_as_rational_converts_a_fraction_subclass():
+    class Sub(F):
+        pass
+
+    value = as_rational(Sub(3, 4))
+    assert type(value) is F
+    assert value == F(3, 4)
+
+
+def test_as_rational_converts_ints():
+    value = as_rational(5)
+    assert type(value) is F
+    assert value == 5
+
+
+@pytest.mark.parametrize("bad", [1.5, 0.0, float("inf")])
+def test_as_rational_rejects_floats(bad):
+    with pytest.raises(TypeError):
+        as_rational(bad)
 
 
 def test_pow_int_rejects_negative_exponent():

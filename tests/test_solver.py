@@ -3,7 +3,7 @@ import sys
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from root_enclose.analysis import perturbed_contracting_map, random_canonical_map
 from root_enclose.maps import (
@@ -14,11 +14,13 @@ from root_enclose.maps import (
 )
 from root_enclose.numeric import Interval, pow_int
 from root_enclose.solver import (
+    DEFAULT_MAX_ITER,
     MAX_ITERATIONS,
     NON_FINITE,
     STALLED,
     WIDTH_REACHED,
     NotContractingError,
+    RefineTrace,
     bisect_float,
     bisect_to_eps,
     initial_interval,
@@ -217,6 +219,53 @@ def test_enclosure_and_nesting(n, x, eps):
     _assert_enclosing_and_nested(refine_to_eps(x, n, eps, perturbed, max_iter=4), x, n)
 
 
+def _bisect_reference(x, n, eps, max_iter=DEFAULT_MAX_ITER):
+    """The plain Fraction bisection loop the integer loop must reproduce
+    (the trace compares iterations, intervals, widths and terminated)."""
+    iv = initial_interval(x)
+    intervals = [iv]
+    widths = [iv.width]
+    it = 0
+    while widths[-1] > eps:
+        if it >= max_iter:
+            return RefineTrace(it, tuple(intervals), tuple(widths), MAX_ITERATIONS)
+        mid = (iv.lo + iv.hi) / 2
+        if pow_int(mid, n) <= x:
+            iv = Interval(mid, iv.hi)
+        else:
+            iv = Interval(iv.lo, mid)
+        it += 1
+        intervals.append(iv)
+        widths.append(iv.width)
+    return RefineTrace(it, tuple(intervals), tuple(widths), WIDTH_REACHED)
+
+
+@pytest.mark.parametrize("n,eps_exp", sorted(DEEP_ITERATIONS))
+def test_integer_bisection_matches_the_fraction_loop_on_deep_cases(n, eps_exp):
+    eps = F(1, 10 ** eps_exp)
+    for x in DEEP_XS:
+        assert bisect_to_eps(x, n, eps) == _bisect_reference(x, n, eps)
+
+
+# x = 9 hits its root 3 as the second midpoint, x = 1 needs no step, and
+# max_iter = 5 stops 1/3 at eps = 1e-30 short of the width
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 10 ** 6), st.integers(1, 10 ** 6), st.integers(2, 7),
+       st.integers(1, 10 ** 3), st.integers(0, 30), st.integers(1, 120))
+@example(9, 1, 2, 1, 6, 120)
+@example(7, 7, 3, 1, 6, 120)
+@example(1, 3, 3, 1, 30, 5)
+def test_integer_bisection_matches_the_fraction_loop(a, b, n, c, e, max_iter):
+    x, eps = F(a, b), F(c, 10 ** e)
+    assert (bisect_to_eps(x, n, eps, max_iter=max_iter)
+            == _bisect_reference(x, n, eps, max_iter=max_iter))
+
+
+def test_bisection_midpoints_need_not_be_dyadic():
+    trace = bisect_to_eps(F(1, 3), 2, F(1, 10))
+    assert trace.intervals[1] == Interval(F(1, 3), F(2, 3))
+
+
 def test_bisection_iteration_count():
     trace = bisect_to_eps(F(2), 2, F(1, 1000))
     assert trace.iterations == 10  # unit start width, halves each step
@@ -273,6 +322,25 @@ def test_deep_trace_json_at_the_default_digit_limit():
         sys.set_int_max_str_digits(previous)
     assert limited == unlimited
     assert len(limited["final_interval"][0]) > 12_000
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no int-to-str digit limit on this interpreter")
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from((refine_to_eps, bisect_to_eps)), st.integers(1, 50),
+       st.integers(1, 50), st.integers(2, 3), st.integers(1, 200))
+def test_deep_traces_serialise(solve, a, b, n, eps_exp):
+    trace = solve(F(a, b), n, F(1, 10 ** eps_exp))
+    previous = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+        data = trace.to_json(include_intervals=True)
+        intervals = tuple(Interval(F(lo), F(hi)) for lo, hi in data["intervals"])
+        widths = tuple(F(w) for w in data["widths"])
+    finally:
+        sys.set_int_max_str_digits(previous)
+    assert intervals == trace.intervals
+    assert widths == trace.widths
 
 
 # --- float fast path --------------------------------------------------------
