@@ -43,21 +43,22 @@ from .numeric import geom_sum  # noqa: F401
 PASSED_ON_SAMPLES = "passed-on-samples"
 FALSIFIED = "falsified"
 
+# bound on the numerators and denominators of the seeded sample values
+MAX_MAGNITUDE = 10 ** 6
+
 
 @dataclass(frozen=True)
 class SampleConfig:
-    """Deterministic sampling plan for the universally quantified checks."""
+    """Deterministic sampling plan for the universally quantified checks:
+    the first count samples of the fixed corner block followed by triples
+    drawn from seed."""
 
     seed: int = 0
     count: int = 10_000
-    max_magnitude: int = 10 ** 6
-    include_corner_probes: bool = True
 
     def __post_init__(self):
         if self.count < 1:
             raise ValueError("count must be >= 1")
-        if self.max_magnitude < 2:
-            raise ValueError("max_magnitude must be >= 2")
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError("seed must fit in 64 unsigned bits")
 
@@ -101,19 +102,19 @@ class Witness:
 
 @dataclass(frozen=True)
 class Verdict:
-    """Outcome of a sampled property check."""
+    """Outcome of a sampled property check: falsified exactly when it
+    carries a witness."""
 
-    outcome: str
     witness: Witness | None
     samples_checked: int
 
-    def __post_init__(self):
-        if (self.outcome == FALSIFIED) != (self.witness is not None):
-            raise ValueError("falsified verdicts carry a witness, passing ones do not")
-
     @property
     def falsified(self) -> bool:
-        return self.outcome == FALSIFIED
+        return self.witness is not None
+
+    @property
+    def outcome(self) -> str:
+        return FALSIFIED if self.falsified else PASSED_ON_SAMPLES
 
     def to_json(self) -> dict:
         return {
@@ -125,19 +126,25 @@ class Verdict:
 
 @dataclass(frozen=True)
 class DominanceStats:
-    """Subset statistics of Secant-Newton's output against another map's."""
+    """Subset statistics of Secant-Newton's output against another map's.
+
+    Every sample is either a violation or a subset, and a subset is either
+    an equality point or a proper subset, so
+    subset_count = samples - len(violations) and
+    proper_subset_count = subset_count - len(equality_points).
+    """
 
     samples: int
-    subset_count: int
-    proper_subset_count: int
     equality_points: tuple[tuple[Fraction, Fraction, Fraction], ...]
     violations: tuple[Witness, ...]
 
-    def __post_init__(self):
-        if self.subset_count + len(self.violations) != self.samples:
-            raise ValueError("every sample is either a subset or a violation")
-        if self.proper_subset_count > self.subset_count:
-            raise ValueError("proper subsets are subsets")
+    @property
+    def subset_count(self) -> int:
+        return self.samples - len(self.violations)
+
+    @property
+    def proper_subset_count(self) -> int:
+        return self.subset_count - len(self.equality_points)
 
     def to_json(self) -> dict:
         return {
@@ -199,16 +206,14 @@ def _random_pair(randint, mag: int) -> tuple[int, int]:
     return num // g, den // g
 
 
-def _draw(n: int, cfg: SampleConfig):
+def _draw(n: int, seed: int):
     """The endless sample sequence: the corner block, then seeded triples."""
-    if cfg.include_corner_probes:
-        yield from _corner_samples(n)
-    randint = random.Random(cfg.seed).randint
-    mag = cfg.max_magnitude
+    yield from _corner_samples(n)
+    randint = random.Random(seed).randint
     while True:
-        an, ad = _random_pair(randint, mag)
-        bn, bd = _random_pair(randint, mag)
-        cn, cd = _random_pair(randint, mag)
+        an, ad = _random_pair(randint, MAX_MAGNITUDE)
+        bn, bd = _random_pair(randint, MAX_MAGNITUDE)
+        cn, cd = _random_pair(randint, MAX_MAGNITUDE)
         # sort the three values; equal values are equal pairs, so ties
         # cannot change the result
         if bn * ad < an * bd:
@@ -225,7 +230,7 @@ def _sample_pairs(n: int, cfg: SampleConfig):
     lazily: a scan that stops early never draws the rest."""
     if n < 2:
         raise ValueError("need n >= 2")
-    return islice(_draw(n, cfg), cfg.count)
+    return islice(_draw(n, cfg.seed), cfg.count)
 
 
 def _triple(s) -> Triple:
@@ -234,7 +239,7 @@ def _triple(s) -> Triple:
 
 
 def corner_triples(n: int) -> list[Triple]:
-    """The fixed head of every corner-enabled sample sequence."""
+    """The fixed head of every sample sequence."""
     return [_triple(s) for s in _corner_samples(n)]
 
 
@@ -245,10 +250,10 @@ def _random_positive(rng: random.Random, mag: int) -> Fraction:
 def sample_triples(n: int, cfg: SampleConfig) -> list[Triple]:
     """Deterministic list of exactly cfg.count sample triples.
 
-    With corner probes enabled the fixed corner block comes first (truncated
-    if cfg.count is smaller); pseudo-random triples with numerators and
-    denominators bounded by cfg.max_magnitude fill the rest.  The checks
-    below scan this same sequence in int-pair form.
+    The fixed corner block comes first (truncated if cfg.count is smaller);
+    pseudo-random triples with numerators and denominators bounded by
+    MAX_MAGNITUDE fill the rest.  The checks below scan this same sequence
+    in int-pair form.
     """
     return [_triple(s) for s in _sample_pairs(n, cfg)]
 
@@ -272,10 +277,10 @@ def _scan(tests, samples, checked: int = 0) -> list[Verdict]:
         checked += 1
         for i, test in enumerate(tests):
             if verdicts[i] is None and (w := test(s)) is not None:
-                verdicts[i] = Verdict(FALSIFIED, w, checked)
+                verdicts[i] = Verdict(w, checked)
         if all(verdicts):
             break
-    return [v or Verdict(PASSED_ON_SAMPLES, None, checked) for v in verdicts]
+    return [v or Verdict(None, checked) for v in verdicts]
 
 
 def _contraction_witness(raw_pair, s) -> Witness | None:
@@ -386,13 +391,11 @@ def check_map(m: MapCoefficients, cfg: SampleConfig) -> tuple[Verdict | None, Ve
 
 def check_dominance(m: MapCoefficients, cfg: SampleConfig) -> DominanceStats:
     """Compare the checked map's output interval against Secant-Newton's on
-    every sampled triple: count exact subsets ([L*, U*] inside [L', U']),
-    proper subsets, and equality points.  Zero denominators in the checked
-    map count as violations."""
+    every sampled triple: a sample is a violation unless [L*, U*] lies inside
+    [L', U'] exactly, and an equality point if the two intervals coincide.
+    Zero denominators in the checked map count as violations."""
     m_pair = MapEvaluator(m).raw_pair
     sn_pair = MapEvaluator(secant_newton(m.n)).raw_pair
-    subset = 0
-    proper = 0
     equality = []
     violations = []
     for s in _sample_pairs(m.n, cfg):
@@ -406,13 +409,9 @@ def check_dominance(m: MapCoefficients, cfg: SampleConfig) -> DominanceStats:
             violations.append(_witness(s, "L' <= L*", (a, b), (sa, sb)))
         elif sc * d > c * sd:
             violations.append(_witness(s, "U* <= U'", (sc, sd), (c, d)))
-        else:
-            subset += 1
-            if a == sa and b == sb and c == sc and d == sd:
-                equality.append((Fraction(ln, ld), Fraction(rn, rd), Fraction(un, ud)))
-            else:
-                proper += 1
-    return DominanceStats(cfg.count, subset, proper, tuple(equality), tuple(violations))
+        elif a == sa and b == sb and c == sc and d == sd:
+            equality.append((Fraction(ln, ld), Fraction(rn, rd), Fraction(un, ud)))
+    return DominanceStats(cfg.count, tuple(equality), tuple(violations))
 
 
 class TrivariatePoly:

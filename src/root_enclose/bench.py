@@ -171,35 +171,28 @@ def _resolve_maps(spec: BenchSpec) -> list[tuple[str, object]]:
     return entries
 
 
-def _run_rational(resolver, x, n, eps):
-    """(iterations, final_width_text) for one rational-backend row."""
+def _run(resolver, backend: str, x, n, eps):
+    """(iterations, final_width_text) for one row."""
+    if backend == "rational":
+        bisect, refine = bisect_to_eps, refine_to_eps
+    else:
+        bisect, refine = bisect_float, refine_float
+        x, eps = float(x), float(eps)
     try:
         if resolver == "bisection":
-            trace = bisect_to_eps(x, n, eps)
+            trace = bisect(x, n, eps)
         elif resolver == "secant-newton":
-            trace = refine_to_eps(x, n, eps)
+            trace = refine(x, n, eps)
+        elif resolver.n != n:
+            return 0, "n-mismatch"
         else:
-            if resolver.n != n:
-                return 0, "n-mismatch"
-            trace = refine_to_eps(x, n, eps, resolver)
+            trace = refine(x, n, eps, resolver)
     except DenominatorZeroError as exc:
         return exc.iteration or 0, "denominator-zero"
     except NotContractingError as exc:
         return exc.iteration, "not-contracting"
-    return trace.iterations, format_rational(trace.widths[-1])
-
-
-def _run_float(resolver, x, n, eps):
-    xf = float(x)
-    epsf = float(eps)
-    if resolver == "bisection":
-        trace = bisect_float(xf, n, epsf)
-    elif resolver == "secant-newton":
-        trace = refine_float(xf, n, epsf)
-    else:
-        if resolver.n != n:
-            return 0, "n-mismatch"
-        trace = refine_float(xf, n, epsf, resolver)
+    if backend == "rational":
+        return trace.iterations, format_rational(trace.final.width)
     if trace.terminated == "non-finite":
         return trace.iterations, "non-finite"
     return trace.iterations, repr(trace.width)
@@ -221,10 +214,7 @@ def run_bench(spec: BenchSpec) -> list[BenchRow]:
                 for eps in spec.epses:
                     for _ in range(spec.reps):
                         start = time.perf_counter_ns()
-                        if spec.backend == "rational":
-                            iters, widest = _run_rational(resolver, x, n, eps)
-                        else:
-                            iters, widest = _run_float(resolver, x, n, eps)
+                        iters, widest = _run(resolver, spec.backend, x, n, eps)
                         wall = time.perf_counter_ns() - start
                         rows.append(BenchRow(
                             name, spec.backend, n, x, eps, iters, widest, wall))

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 from fractions import Fraction
@@ -38,8 +37,6 @@ from .solver import (
     refine_to_eps,
 )
 
-SEED_ENV = "ROOT_ENCLOSE_SEED"
-
 _EPS_SHORTHAND = re.compile(r"1[eE]-([0-9]+)\Z")
 
 
@@ -58,22 +55,6 @@ def _parse_positive_rational(text: str) -> Fraction:
     if value <= 0:
         raise ValueError(f"expected a positive rational, got {text!r}")
     return value
-
-
-def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    raw = os.environ.get(SEED_ENV)
-    if raw is None:
-        return 0
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{SEED_ENV}={raw!r} is not an integer") from None
-
-
-def _sample_config(args) -> SampleConfig:
-    return SampleConfig(seed=_resolve_seed(args), count=args.samples)
 
 
 def _load_map_argument(text: str) -> MapCoefficients:
@@ -113,9 +94,11 @@ def _witness_lines(m: MapCoefficients, w) -> list[str]:
         slo, shi = apply_pair(secant_newton(m.n), w.L, w.U, w.x)
         lines.append(f"  map output:           [{mlo}, {mhi}]")
         lines.append(f"  secant-newton output: [{slo}, {shi}]")
-    else:
+    elif w.violated in ("L <= L'", "L' <= r", "r <= U'", "U' <= U"):
         lo, hi = apply_pair(m, w.L, w.U, w.x)
         lines.append(f"  L={w.L}  L'={lo}  r={w.r}  U'={hi}  U={w.U}")
+    # otherwise a denominator bound: lhs and rhs are the two forms it
+    # compares, and the map may have no output at that point
     lines.append(f"  violated: {w.violated}  with lhs={w.lhs}, rhs={w.rhs}")
     return lines
 
@@ -178,7 +161,7 @@ def cmd_root(args) -> int:
 
 def cmd_check(args) -> int:
     m = load_map(args.map_file)
-    cfg = _sample_config(args)
+    cfg = SampleConfig(args.seed, args.samples)
     report = check_canonical(m)
     bounds, verdict = analysis.check_map(m, cfg)
 
@@ -213,7 +196,7 @@ def cmd_check(args) -> int:
 
 def cmd_compare(args) -> int:
     m = load_map(args.map_file)
-    cfg = _sample_config(args)
+    cfg = SampleConfig(args.seed, args.samples)
     stats = analysis.check_dominance(m, cfg)
     if args.json:
         _emit_json(args, stats.to_json())
@@ -290,7 +273,7 @@ def cmd_locus(args) -> int:
 def cmd_counterexample(args) -> int:
     if args.unrepaired_q0:
         m = counterexample_map(repair_q0=False)
-        cfg = SampleConfig(seed=_resolve_seed(args), count=200)
+        cfg = SampleConfig(args.seed, count=200)
         verdict = analysis.falsify_contraction(m, cfg)
         lines = [
             "unrepaired variant: q0 = +1 instead of -1",
@@ -375,8 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
     json_output.add_argument("--json", action="store_true",
                              help="emit machine-readable JSON")
     seeded = argparse.ArgumentParser(add_help=False)
-    seeded.add_argument("--seed", type=int, default=None,
-                        help=f"sampling seed (default: ${SEED_ENV} or 0)")
+    seeded.add_argument("--seed", type=int, default=0,
+                        help="sampling seed (default: 0)")
     sampled = argparse.ArgumentParser(add_help=False, parents=[seeded])
     sampled.add_argument("--samples", type=int, default=10_000,
                          help="sample count for property checks")

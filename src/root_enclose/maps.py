@@ -81,11 +81,15 @@ class CanonicalReport:
     """Outcome of the canonical-form check.
 
     ``violations`` holds (coefficient name, required value, actual value)
-    for every head coefficient that differs from the canonical one.
+    for every head coefficient that differs from the canonical one; the map
+    is canonical exactly when there are none.
     """
 
-    is_canonical: bool
     violations: tuple[tuple[str, Fraction, Fraction], ...]
+
+    @property
+    def is_canonical(self) -> bool:
+        return not self.violations
 
     def to_json(self) -> dict:
         return {
@@ -142,7 +146,7 @@ def check_canonical(m: MapCoefficients) -> CanonicalReport:
         for i in range(1, m.n + 1):
             if coeffs[i] != zero:
                 violations.append((f"{name}{i}", zero, coeffs[i]))
-    return CanonicalReport(not violations, tuple(violations))
+    return CanonicalReport(tuple(violations))
 
 
 def canonicalize(m: MapCoefficients) -> MapCoefficients:

@@ -45,18 +45,20 @@ class NotContractingError(RuntimeError):
 
 @dataclass(frozen=True)
 class RefineTrace:
-    """Per-iteration record of the rational refinement loop."""
+    """Per-iteration record of a rational solver: the start interval and
+    every interval after it, and why the loop stopped.  The iteration count
+    and the widths follow from the intervals."""
 
-    iterations: int
     intervals: tuple[Interval, ...]
-    widths: tuple[Fraction, ...]
     terminated: str
 
-    def __post_init__(self):
-        if len(self.intervals) != self.iterations + 1:
-            raise ValueError("trace records one interval per iteration plus the start")
-        if len(self.widths) != len(self.intervals):
-            raise ValueError("trace records one width per interval")
+    @property
+    def iterations(self) -> int:
+        return len(self.intervals) - 1
+
+    @property
+    def widths(self) -> tuple[Fraction, ...]:
+        return tuple(iv.width for iv in self.intervals)
 
     @property
     def final(self) -> Interval:
@@ -68,7 +70,7 @@ class RefineTrace:
             "terminated": self.terminated,
             "final_interval": [format_rational(self.final.lo),
                                format_rational(self.final.hi)],
-            "final_width": format_rational(self.widths[-1]),
+            "final_width": format_rational(self.final.width),
         }
         if include_intervals:
             out["intervals"] = [[format_rational(iv.lo), format_rational(iv.hi)]
@@ -157,11 +159,10 @@ def refine_to_eps(x, n: int, eps, m: MapCoefficients | None = None,
     ev = MapEvaluator(m)
     iv = initial_interval(x)
     intervals = [iv]
-    widths = [iv.width]
     it = 0
-    while widths[-1] > eps:
+    while iv.width > eps:
         if it >= max_iter:
-            return RefineTrace(it, tuple(intervals), tuple(widths), MAX_ITERATIONS)
+            return RefineTrace(tuple(intervals), MAX_ITERATIONS)
         try:
             lo, hi = ev.pair(iv.lo, iv.hi, x)
         except DenominatorZeroError as exc:
@@ -175,8 +176,7 @@ def refine_to_eps(x, n: int, eps, m: MapCoefficients | None = None,
         iv = Interval(lo, hi)
         it += 1
         intervals.append(iv)
-        widths.append(iv.width)
-    return RefineTrace(it, tuple(intervals), tuple(widths), WIDTH_REACHED)
+    return RefineTrace(tuple(intervals), WIDTH_REACHED)
 
 
 def bisect_to_eps(x, n: int, eps, max_iter: int = DEFAULT_MAX_ITER) -> RefineTrace:
@@ -189,8 +189,8 @@ def bisect_to_eps(x, n: int, eps, max_iter: int = DEFAULT_MAX_ITER) -> RefineTra
     mid/(d*2**j) becomes the lower endpoint exactly when
     mid**n <= xn * d**(n-1) * 2**(n*j), and the width test compares
     (b - a) * eps.den with eps.num * d * 2**j.  No Fraction arithmetic runs
-    per step: only the new endpoint and the width are built as Fractions,
-    and the kept endpoint is reused.  Every recorded interval satisfies
+    per step: only the new endpoint is built as a Fraction, and the kept
+    endpoint is reused.  Every recorded interval satisfies
     lo**n <= x <= hi**n exactly; the width halves each iteration.
     """
     x, eps = _validated(x, eps, max_iter, n)
@@ -201,11 +201,10 @@ def bisect_to_eps(x, n: int, eps, max_iter: int = DEFAULT_MAX_ITER) -> RefineTra
     target = x.numerator * d ** (n - 1)  # x == target / d**n
     scale = d
     intervals = [iv]
-    widths = [iv.width]
     it = 0
     while span * eps.denominator > eps.numerator * scale:
         if it >= max_iter:
-            return RefineTrace(it, tuple(intervals), tuple(widths), MAX_ITERATIONS)
+            return RefineTrace(tuple(intervals), MAX_ITERATIONS)
         mid = a + b  # (a + b) / 2 on the next scale, d * 2**(j+1)
         a <<= 1
         b <<= 1
@@ -219,8 +218,7 @@ def bisect_to_eps(x, n: int, eps, max_iter: int = DEFAULT_MAX_ITER) -> RefineTra
             iv = Interval(iv.lo, Fraction(mid, scale))
         it += 1
         intervals.append(iv)
-        widths.append(Fraction(span, scale))
-    return RefineTrace(it, tuple(intervals), tuple(widths), WIDTH_REACHED)
+    return RefineTrace(tuple(intervals), WIDTH_REACHED)
 
 
 @dataclass(frozen=True)

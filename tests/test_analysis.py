@@ -56,13 +56,6 @@ def test_sample_triples_corners_first():
     assert triples[0].r == triples[0].L
 
 
-def test_sample_triples_without_corners():
-    cfg = SampleConfig(seed=3, count=50, include_corner_probes=False)
-    triples = sample_triples(2, cfg)
-    corner_set = set(corner_triples(2))
-    assert not any(t in corner_set for t in triples[:5])
-
-
 def test_sample_triples_random_head_is_pinned():
     # the block of corner pair (1, 4) and the first random triples after the
     # 75 corner probes; a change to the sampler that moves them changes
@@ -95,8 +88,6 @@ def test_corner_grid_contains_diagnostic_points():
 def test_sample_config_validation():
     with pytest.raises(ValueError):
         SampleConfig(seed=0, count=0)
-    with pytest.raises(ValueError):
-        SampleConfig(seed=0, count=10, max_magnitude=1)
     with pytest.raises(ValueError):
         SampleConfig(seed=-1, count=10)
 
@@ -245,11 +236,6 @@ def test_maps_passing_both_checks_dominate_on_same_samples():
     assert survivors >= 5  # the certified perturbed maps at least
 
 
-def test_dominance_stats_invariant():
-    with pytest.raises(ValueError):
-        DominanceStats(3, 1, 0, (), ())
-
-
 def test_scans_hold_no_sample_list():
     # each check is one lazy pass: a list of the 20,000 samples would take
     # about 7 MiB
@@ -296,13 +282,13 @@ def _reference_contraction(m, cfg):
             checked += 1
             w = _reference_witness(m, L, r, U, r ** m.n)
             if w is not None:
-                return Verdict("falsified", w, checked)
+                return Verdict(w, checked)
     for t in triples:
         checked += 1
         w = _reference_witness(m, *t)
         if w is not None:
-            return Verdict("falsified", w, checked)
-    return Verdict("passed-on-samples", None, checked)
+            return Verdict(w, checked)
+    return Verdict(None, checked)
 
 
 def _reference_bounds(m, cfg):
@@ -314,11 +300,13 @@ def _reference_bounds(m, cfg):
                 ("q-denominator >= n*U^(n-1)", dq, n * t.U ** (n - 1))):
             if lhs < rhs:
                 w = Witness(t.L, t.L, t.U, t.L ** n, violated, lhs, rhs)
-                return Verdict("falsified", w, checked)
-    return Verdict("passed-on-samples", None, cfg.count)
+                return Verdict(w, checked)
+    return Verdict(None, cfg.count)
 
 
 def _reference_dominance(m, cfg):
+    """check_dominance on Fractions, with the subset and proper-subset counts
+    it tallies itself: (stats, subset, proper)."""
     sn = secant_newton(m.n)
     subset = proper = 0
     equality, violations = [], []
@@ -339,7 +327,8 @@ def _reference_dominance(m, cfg):
                 equality.append((L, r, U))
             else:
                 proper += 1
-    return DominanceStats(cfg.count, subset, proper, tuple(equality), tuple(violations))
+    stats = DominanceStats(cfg.count, tuple(equality), tuple(violations))
+    return stats, subset, proper
 
 
 _REFERENCE_MAPS = {
@@ -365,7 +354,10 @@ def test_scans_match_fraction_reference(name):
     cfg = SampleConfig(seed=13, count=300)
     contraction = falsify_contraction(m, cfg)
     assert contraction == _reference_contraction(m, cfg)
-    assert check_dominance(m, cfg) == _reference_dominance(m, cfg)
+    stats = check_dominance(m, cfg)
+    reference, subset, proper = _reference_dominance(m, cfg)
+    assert stats == reference
+    assert (stats.subset_count, stats.proper_subset_count) == (subset, proper)
     if check_canonical(m).is_canonical:
         bounds = check_denominator_bounds(m, cfg)
         assert bounds == _reference_bounds(m, cfg)
@@ -492,14 +484,6 @@ def test_noncanonical_generator_changes_head():
         m = random_noncanonical_map(4, seed)
         from root_enclose.maps import check_canonical
         assert not check_canonical(m).is_canonical
-
-
-def test_verdict_invariant():
-    with pytest.raises(ValueError):
-        Verdict("falsified", None, 3)
-    with pytest.raises(ValueError):
-        Verdict("passed-on-samples",
-                Witness(F(1), F(1), F(2), F(1), "L <= L'", F(1), F(0)), 3)
 
 
 def test_witness_ordering_invariant():

@@ -106,17 +106,19 @@ def test_float_backend_rows():
 
 def test_failure_rows_do_not_abort(write_map):
     path = write_map(ZERO_DEN_SPEC, "zeroden.json")
-    spec = BenchSpec((path, "secant-newton"), (F(2),), (2,), (F(1, 10),), "rational", 1)
-    rows = run_bench(spec)
-    assert rows[0].final_width == "denominator-zero"
-    assert rows[1].iterations == 2
+    for backend, failure in (("rational", "denominator-zero"), ("float", "non-finite")):
+        spec = BenchSpec((path, "secant-newton"), (F(2),), (2,), (F(1, 10),), backend, 1)
+        rows = run_bench(spec)
+        assert rows[0].final_width == failure
+        assert rows[1].iterations == 2
 
 
 def test_degree_mismatch_is_recorded_per_row():
-    spec = BenchSpec(("counterexample",), (F(2),), (2, 3), (F(1, 10),), "rational", 1)
-    rows = run_bench(spec)
-    assert rows[0].final_width == "n-mismatch"
-    assert rows[1].final_width != "n-mismatch"
+    for backend in ("rational", "float"):
+        spec = BenchSpec(("counterexample",), (F(2),), (2, 3), (F(1, 10),), backend, 1)
+        rows = run_bench(spec)
+        assert rows[0].final_width == "n-mismatch"
+        assert rows[1].final_width != "n-mismatch"
 
 
 def test_unknown_map_name_rejected():

@@ -1,5 +1,5 @@
+import hashlib
 import json
-import os
 import subprocess
 import sys
 
@@ -22,14 +22,10 @@ PERTURBED_SPEC = {
 }
 
 
-def run_cli(*argv, env_extra=None):
-    env = dict(os.environ)
-    env.pop("ROOT_ENCLOSE_SEED", None)
-    if env_extra:
-        env.update(env_extra)
+def run_cli(*argv):
     return subprocess.run(
         [sys.executable, "-m", "root_enclose.cli", *argv],
-        capture_output=True, text=True, env=env)
+        capture_output=True, text=True)
 
 
 def test_root_contains_cube_root():
@@ -117,6 +113,25 @@ def test_check_counterexample_witness(write_map):
     assert "witness: L=1  r=4  U=4  x=64" in out.stdout
     assert "83/20" in out.stdout
     assert "L' <= r" in out.stdout
+
+
+def test_check_prints_a_bounds_witness_where_the_map_is_undefined(write_map):
+    # the p-denominator L + ... - U vanishes at L = U = 1, the first corner,
+    # where the bounds witness compares 0 with the secant form 2; text
+    # output prints that comparison, and the map's missing output nowhere
+    zero_at_corner = {"n": 2, "p": ["-1", "0", "0", "1", "-1"],
+                      "q": ["-1", "0", "0", "2", "0"]}
+    out = run_cli("check", write_map(zero_at_corner), "--samples", "100")
+    assert out.returncode == 1
+    assert out.stderr == ""
+    assert out.stdout == (
+        "canonical form: yes\n"
+        "denominator bounds: falsified (1 pairs)\n"
+        "  witness: L=1  r=1  U=1  x=1\n"
+        "    violated: p-denominator >= secant form  with lhs=0, rhs=2\n"
+        "contraction: falsified (1 points)\n"
+        "  witness: L=1  r=1  U=1  x=1\n"
+        "    the lower denominator form is exactly 0 here\n")
 
 
 def test_check_rejects_wrong_length(write_map):
@@ -318,19 +333,44 @@ def test_json_output_byte_identical_for_same_seed(write_map):
     assert runs[0].returncode == runs[1].returncode == 1
 
 
-def test_seed_env_variable_is_default(write_map):
-    path = write_map(SN3_SPEC)
-    via_flag = run_cli("compare", path, "--samples", "120", "--seed", "77", "--json")
-    via_env = run_cli("compare", path, "--samples", "120",
-                      env_extra={"ROOT_ENCLOSE_SEED": "77"})
-    via_env_json = run_cli("compare", path, "--samples", "120", "--json",
-                           env_extra={"ROOT_ENCLOSE_SEED": "77"})
-    assert via_flag.returncode == via_env.returncode == 0
-    assert via_flag.stdout == via_env_json.stdout
+# sha256 of the stdout of outputs that must not change byte for byte
+# (bench rows without their wall_time_ns); COUNTEREXAMPLE and SN3 stand for
+# map-spec files
+PINNED_OUTPUTS = [
+    (("check", "COUNTEREXAMPLE", "--samples", "300", "--json"), 1,
+     "061c9e480fba2b2c824a0dcda9c1f32c29c353b939982fbfa32f839b267f0ae7"),
+    (("check", "SN3", "--samples", "300", "--json"), 0,
+     "2483d6144b03c03f20ef23f8f669d73db25b11c3c32afc58799dbc51722cc22e"),
+    (("compare", "COUNTEREXAMPLE", "--samples", "300", "--json"), 1,
+     "495dedb28a9a9f9bb029f8484c80ac9e0a986fa08099689d0baeb6da5fa678b1"),
+    (("compare", "SN3", "--samples", "300", "--json"), 0,
+     "f90098fda271491c339215f2d60372c1de96ad474727d04857e6ebc1bb1f64d7"),
+    (("root", "--x", "2", "--n", "3", "--eps", "1e-50", "--json", "--trace"), 0,
+     "d98bcb0a35ac6d9322897f188ab2d8bec19ec2ad35896f88a49f040f13d51e99"),
+    (("root", "--x", "2", "--n", "3", "--eps", "1e-50", "--map", "bisection",
+      "--json", "--trace"), 0,
+     "a2441c5c4a6326e3a5c13819e87f1b2faa8f1dc1e5320a79c39482c5f50f14d3"),
+    (("locus", "COUNTEREXAMPLE", "--json"), 0,
+     "62d5edd8a9c11343480a9108133c77fa7e834194c49e04f314edd0dc4eb72acc"),
+    (("counterexample", "--json", "--locus"), 0,
+     "b9e8738dbc157ee7285ed4fddbb030de2cb83c2608f456dac1adf94018d41e50"),
+    (("bench", "--format", "json"), 0,
+     "fdb6b2ffd79ed1ecaf986870109f70e29d249958d66e1764162272591f6203be"),
+]
 
 
-def test_bad_seed_env_is_usage_error(write_map):
-    out = run_cli("compare", write_map(SN3_SPEC), "--samples", "50",
-                  env_extra={"ROOT_ENCLOSE_SEED": "banana"})
-    assert out.returncode == 2
-    assert "ROOT_ENCLOSE_SEED" in out.stderr
+@pytest.mark.parametrize("argv,code,digest", PINNED_OUTPUTS,
+                         ids=[" ".join(argv) for argv, _, _ in PINNED_OUTPUTS])
+def test_output_is_pinned(argv, code, digest, write_map, capsys):
+    from root_enclose import cli
+
+    specs = {"COUNTEREXAMPLE": COUNTEREXAMPLE_SPEC, "SN3": SN3_SPEC}
+    argv = [write_map(specs[a]) if a in specs else a for a in argv]
+    assert cli.main(argv) == code
+    out = capsys.readouterr().out
+    if argv[0] == "bench":
+        rows = json.loads(out)
+        for row in rows:
+            del row["wall_time_ns"]
+        out = json.dumps(rows, indent=2) + "\n"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

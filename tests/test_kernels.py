@@ -47,29 +47,43 @@ class TestKernelContracts:
         assert results[0] == results[1]
 
 
-def test_tracer_wraps_the_kernels_at_their_lookup_names():
+def test_tracer_wraps_the_kernels_at_their_lookup_names(tmp_path):
     # perfbench/tracing.py patches functions at the names their callers look
     # up; a renamed or removed name would silently drop its counts
     script = textwrap.dedent("""
         import json
+        import os
+        import sys
         import tracing
         import root_enclose
-        from root_enclose import analysis, maps
+        from root_enclose import analysis, cli, maps
         tracer = tracing.Tracer()
         tracing.install(tracer)
         tracer.begin_pass()
         tracer.active = True
-        analysis.falsify_contraction(maps.secant_newton(2), analysis.SampleConfig(
-            count=10, include_corner_probes=False))
+        analysis.falsify_contraction(maps.secant_newton(2), analysis.SampleConfig(count=10))
+        tracer.begin_pass()
+        cli.main(["root", "--x", "2", "--n", "2", "--eps", "1e-30", "--map", "bisection",
+                  "--json", "--out", os.devnull])
+        cli.main(["compare", sys.argv[1], "--samples", "200", "--json", "--out", os.devnull])
         tracer.active = False
-        print(json.dumps([root_enclose.kernel_backend, tracer.per_pass()[0]]))
+        print(json.dumps([root_enclose.kernel_backend, tracer.per_pass()]))
     """)
+    spec = tmp_path / "counterexample.json"
+    spec.write_text(json.dumps({"n": 3, "p": ["-1", "0", "0", "0", "2", "1/2", "1"],
+                                "q": ["-1", "0", "0", "0", "3", "0", "0"]}))
     path = os.pathsep.join([str(REPO / "src"), str(REPO / "perfbench")])
-    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+    out = subprocess.run([sys.executable, "-c", script, str(spec)], capture_output=True,
                          text=True, timeout=60, env=dict(os.environ, PYTHONPATH=path))
     assert out.returncode == 0, out.stderr
-    backend, metrics = json.loads(out.stdout)
+    backend, (metrics, cli_metrics) = json.loads(out.stdout)
     assert backend == "pure"
     assert metrics["kernels.apply_reduced_pairs.calls"] == 10
     assert metrics["kernels.form_pair.calls"] == 20
     assert metrics["analysis.points_checked"] == 10
+    # the tracer reads trace.iterations and stats.samples from the results;
+    # a record that stopped answering either would lose these counts
+    assert cli_metrics["cli.main.calls"] == 2
+    assert cli_metrics["solver.bisect_to_eps.iterations"] == 100
+    assert cli_metrics["analysis.points_checked"] == 200
+    assert cli_metrics["analysis.equality_points"] == 53

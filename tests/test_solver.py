@@ -220,15 +220,16 @@ def test_enclosure_and_nesting(n, x, eps):
 
 
 def _bisect_reference(x, n, eps, max_iter=DEFAULT_MAX_ITER):
-    """The plain Fraction bisection loop the integer loop must reproduce
-    (the trace compares iterations, intervals, widths and terminated)."""
+    """The plain Fraction bisection loop the integer loop must reproduce:
+    (trace, iterations, widths), counting the iterations and the widths
+    itself."""
     iv = initial_interval(x)
     intervals = [iv]
     widths = [iv.width]
     it = 0
     while widths[-1] > eps:
         if it >= max_iter:
-            return RefineTrace(it, tuple(intervals), tuple(widths), MAX_ITERATIONS)
+            return RefineTrace(tuple(intervals), MAX_ITERATIONS), it, tuple(widths)
         mid = (iv.lo + iv.hi) / 2
         if pow_int(mid, n) <= x:
             iv = Interval(mid, iv.hi)
@@ -237,14 +238,21 @@ def _bisect_reference(x, n, eps, max_iter=DEFAULT_MAX_ITER):
         it += 1
         intervals.append(iv)
         widths.append(iv.width)
-    return RefineTrace(it, tuple(intervals), tuple(widths), WIDTH_REACHED)
+    return RefineTrace(tuple(intervals), WIDTH_REACHED), it, tuple(widths)
+
+
+def _assert_matches_bisect_reference(x, n, eps, max_iter=DEFAULT_MAX_ITER):
+    trace = bisect_to_eps(x, n, eps, max_iter=max_iter)
+    reference, iterations, widths = _bisect_reference(x, n, eps, max_iter)
+    assert trace == reference
+    assert (trace.iterations, trace.widths) == (iterations, widths)
 
 
 @pytest.mark.parametrize("n,eps_exp", sorted(DEEP_ITERATIONS))
 def test_integer_bisection_matches_the_fraction_loop_on_deep_cases(n, eps_exp):
     eps = F(1, 10 ** eps_exp)
     for x in DEEP_XS:
-        assert bisect_to_eps(x, n, eps) == _bisect_reference(x, n, eps)
+        _assert_matches_bisect_reference(x, n, eps)
 
 
 # x = 9 hits its root 3 as the second midpoint, x = 1 needs no step, and
@@ -256,9 +264,7 @@ def test_integer_bisection_matches_the_fraction_loop_on_deep_cases(n, eps_exp):
 @example(7, 7, 3, 1, 6, 120)
 @example(1, 3, 3, 1, 30, 5)
 def test_integer_bisection_matches_the_fraction_loop(a, b, n, c, e, max_iter):
-    x, eps = F(a, b), F(c, 10 ** e)
-    assert (bisect_to_eps(x, n, eps, max_iter=max_iter)
-            == _bisect_reference(x, n, eps, max_iter=max_iter))
+    _assert_matches_bisect_reference(F(a, b), n, F(c, 10 ** e), max_iter)
 
 
 def test_bisection_midpoints_need_not_be_dyadic():
