@@ -9,29 +9,14 @@ finish each endpoint through one routine, ``_endpoint``.  This is their only
 implementation; the package imports them through ``root_enclose._kernels``.
 
 Rational values are passed as (numerator, denominator) pairs of Python ints
-in lowest terms with a positive denominator, and are returned in the same
-form.
+with a positive denominator, and are returned in the same form, but not
+reduced: no kernel calls gcd.  Their callers compare values by
+cross-multiplication, or build a Fraction, which reduces anyway.
 """
 
 from __future__ import annotations
 
-from math import gcd
-
 BACKEND_NAME = "pure"
-
-
-def norm_pair(num, den):
-    """Reduce num/den to lowest terms with den > 0."""
-    if den == 0:
-        raise ZeroDivisionError("rational with zero denominator")
-    if den < 0:
-        num = -num
-        den = -den
-    g = gcd(num, den)
-    if g > 1:
-        num //= g
-        den //= g
-    return num, den
 
 
 def form_pair(cn, cd, an, ad, bn, bd):
@@ -52,18 +37,20 @@ def form_pair(cn, cd, an, ad, bn, bd):
         d = cd[i]
         sn = sn * x * d + cn[i] * yi * sd
         sd *= d
-    return norm_pair(sn, sd * (ad * bd) ** (len(cn) - 1))
+    return sn, sd * (ad * bd) ** (len(cn) - 1)
 
 
-def _endpoint(an, ad, hn, hd, den, xn, xd):
-    """a + (x + h) / den as a reduced pair, or None when the form den is
-    exactly zero.  Every denominator must be positive."""
-    den_n, den_d = den
+def _endpoint(an, ad, hn, hd, den_n, den_d, xn, xd):
+    """a + (x + h) / den as a pair with a positive denominator, or None when
+    the form den = den_n/den_d is exactly zero."""
     if den_n == 0:
         return None
     num_n = hn * xd + xn * hd
     qd = hd * xd * den_n
-    return norm_pair(an * qd + num_n * den_d * ad, ad * qd)
+    if qd < 0:
+        qd = -qd
+        den_d = -den_d
+    return an * qd + num_n * den_d * ad, ad * qd
 
 
 def apply_pairs(n, pn, pd, qn, qd, ln, ld, un, ud, xn, xd):
@@ -75,29 +62,28 @@ def apply_pairs(n, pn, pd, qn, qd, ln, ld, un, ud, xn, xd):
     """
     # lower endpoint: L + (x + sum_{i<=n} p_i L^(n-i) U^i) / (sum_i p_{n+1+i} L^(n-1-i) U^i)
     lo = _endpoint(ln, ld, *form_pair(pn[: n + 1], pd[: n + 1], ln, ld, un, ud),
-                   form_pair(pn[n + 1:], pd[n + 1:], ln, ld, un, ud), xn, xd)
+                   *form_pair(pn[n + 1:], pd[n + 1:], ln, ld, un, ud), xn, xd)
     if lo is None:
         return 1, 0, 1, 0, 1
     # upper endpoint: same shape with the roles of L and U swapped
     hi = _endpoint(un, ud, *form_pair(qn[: n + 1], qd[: n + 1], un, ud, ln, ld),
-                   form_pair(qn[n + 1:], qd[n + 1:], un, ud, ln, ld), xn, xd)
+                   *form_pair(qn[n + 1:], qd[n + 1:], un, ud, ln, ld), xn, xd)
     if hi is None:
         return 2, 0, 1, 0, 1
     return (0, *lo, *hi)
 
 
-def apply_reduced_pairs(n, ptn, ptd, qtn, qtd, ln, ld, un, ud, xn, xd):
-    """Canonical-map fast path: the numerators are exactly x - L**n, x - U**n.
+def apply_reduced_pairs(n, dpn, dpd, dqn, dqd, ln, ld, un, ud, xn, xd):
+    """Canonical-map path: the numerators are exactly x - L**n, x - U**n.
 
-    ptn/ptd and qtn/qtd are the n denominator coefficients of each side.
-    Same return convention as apply_pairs.
+    dpn/dpd and dqn/dqd are the values at (L, U) of the lower and upper
+    denominator forms, which the caller evaluates with form_pair (and may
+    use again).  Same return convention as apply_pairs.
     """
-    lo = _endpoint(ln, ld, -ln ** n, ld ** n,
-                   form_pair(ptn, ptd, ln, ld, un, ud), xn, xd)
+    lo = _endpoint(ln, ld, -ln ** n, ld ** n, dpn, dpd, xn, xd)
     if lo is None:
         return 1, 0, 1, 0, 1
-    hi = _endpoint(un, ud, -un ** n, ud ** n,
-                   form_pair(qtn, qtd, un, ud, ln, ld), xn, xd)
+    hi = _endpoint(un, ud, -un ** n, ud ** n, dqn, dqd, xn, xd)
     if hi is None:
         return 2, 0, 1, 0, 1
     return (0, *lo, *hi)

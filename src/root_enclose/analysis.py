@@ -5,6 +5,8 @@ are checked on deterministic sample sets, and every failure comes back as a
 concrete rational witness that can be re-checked by hand.  Sample points are
 built as (L, r, U) with x = r**n, so the root of x is rational by
 construction and every comparison is exact; irrational values never arise.
+Each sample is evaluated once, on int pairs that are never reduced, and
+every test of a check reads that one evaluation.
 
 The checks:
 
@@ -183,8 +185,10 @@ _CORNER_PAIRS = (
 
 # Inside the scans a sample is the tuple (Ln, Ld, rn, rd, Un, Ud, xn, xd):
 # L, r, U and x = r**n as reduced int pairs with positive denominators, so
-# order is decided by cross-multiplication and equality is structural.
-# Fractions are built only for what leaves the module.
+# equal sample values are equal pairs.  The map's values at a sample come
+# from the kernels unreduced, with positive denominators, and are compared
+# by cross-multiplication.  Fractions are built only for what leaves the
+# module.
 
 # (Ln, Ld, rn, rd, Un, Ud) of every corner probe, in sample order
 _CORNER_POINTS = tuple(
@@ -199,9 +203,17 @@ def _corner_samples(n: int):
         yield ln, ld, rn, rd, un, ud, rn ** n, rd ** n
 
 
-def _random_pair(randint, mag: int) -> tuple[int, int]:
-    num = randint(1, mag)
-    den = randint(1, mag)
+def _uniform_ints(getrandbits, mag: int):
+    """Endless randint(1, mag) values: the rejection loop on getrandbits(k)
+    that randint runs, inlined, so the values are the same."""
+    k = mag.bit_length()
+    while True:
+        r = getrandbits(k)
+        if r < mag:
+            yield r + 1
+
+
+def _reduced(num: int, den: int) -> tuple[int, int]:
     g = gcd(num, den)
     return num // g, den // g
 
@@ -209,11 +221,11 @@ def _random_pair(randint, mag: int) -> tuple[int, int]:
 def _draw(n: int, seed: int):
     """The endless sample sequence: the corner block, then seeded triples."""
     yield from _corner_samples(n)
-    randint = random.Random(seed).randint
+    draw = _uniform_ints(random.Random(seed).getrandbits, MAX_MAGNITUDE).__next__
     while True:
-        an, ad = _random_pair(randint, MAX_MAGNITUDE)
-        bn, bd = _random_pair(randint, MAX_MAGNITUDE)
-        cn, cd = _random_pair(randint, MAX_MAGNITUDE)
+        an, ad = _reduced(draw(), draw())
+        bn, bd = _reduced(draw(), draw())
+        cn, cd = _reduced(draw(), draw())
         # sort the three values; equal values are equal pairs, so ties
         # cannot change the result
         if bn * ad < an * bd:
@@ -244,7 +256,7 @@ def corner_triples(n: int) -> list[Triple]:
 
 
 def _random_positive(rng: random.Random, mag: int) -> Fraction:
-    return Fraction(*_random_pair(rng.randint, mag))
+    return Fraction(rng.randint(1, mag), rng.randint(1, mag))
 
 
 def sample_triples(n: int, cfg: SampleConfig) -> list[Triple]:
@@ -267,26 +279,36 @@ def _witness(s, violated: str, lhs: tuple[int, int], rhs: tuple[int, int]) -> Wi
     return Witness(L, r, U, x, violated, Fraction(*lhs), Fraction(*rhs))
 
 
-def _scan(tests, samples, checked: int = 0) -> list[Verdict]:
-    """Verdicts of per-sample tests (sample -> Witness or None) from one lazy
-    pass over samples.  Each test stops at its own first witness and the
-    pass stops once every test has; samples_checked counts the samples a
-    test saw, on top of the given checked."""
-    verdicts = [None] * len(tests)
+def _evaluations(ev: MapEvaluator, samples):
+    """Each sample with the map's one evaluation there, as (s, dens, result)
+    from ev.evaluate: the canonical map's denominator forms (or None) and
+    the kernel result.  Lazy, like samples."""
+    evaluate = ev.evaluate
     for s in samples:
+        ln, ld, _, _, un, ud, xn, xd = s
+        yield s, *evaluate(ln, ld, un, ud, xn, xd)
+
+
+def _scan(tests, evaluations, checked: int = 0) -> list[Verdict]:
+    """Verdicts of per-sample tests ((s, dens, result) -> Witness or None)
+    from one lazy pass over the evaluations.  Each test stops at its own
+    first witness and the pass stops once every test has; samples_checked
+    counts the samples a test saw, on top of the given checked."""
+    verdicts = [None] * len(tests)
+    for e in evaluations:
         checked += 1
         for i, test in enumerate(tests):
-            if verdicts[i] is None and (w := test(s)) is not None:
+            if verdicts[i] is None and (w := test(e)) is not None:
                 verdicts[i] = Verdict(w, checked)
         if all(verdicts):
             break
     return [v or Verdict(None, checked) for v in verdicts]
 
 
-def _contraction_witness(raw_pair, s) -> Witness | None:
+def _contraction_witness(e) -> Witness | None:
     """First failing inequality of L <= L' <= r <= U' <= U at one sample."""
-    ln, ld, rn, rd, un, ud, xn, xd = s
-    status, a, b, c, d = raw_pair(ln, ld, un, ud, xn, xd)
+    s, _, (status, a, b, c, d) = e
+    ln, ld, rn, rd, un, ud, _, _ = s
     if status:
         return _witness(s, "denominator-zero", _ZERO_PAIR, _ZERO_PAIR)
     if a * ld < ln * b:
@@ -317,14 +339,16 @@ def _corner_probes(m: MapCoefficients, cfg: SampleConfig, report):
 
 def _contraction_verdict(m: MapCoefficients, cfg: SampleConfig, report) -> Verdict:
     """falsify_contraction(m, cfg), given report = check_canonical(m)."""
-    test = partial(_contraction_witness, MapEvaluator(m).raw_pair)
+    ev = MapEvaluator(m)
     checked = 0
     if not report.is_canonical:
-        probed = _scan([test], _corner_probes(m, cfg, report))[0]
+        probes = _evaluations(ev, _corner_probes(m, cfg, report))
+        probed = _scan([_contraction_witness], probes)[0]
         if probed.falsified:
             return probed
         checked = probed.samples_checked
-    return _scan([test], _sample_pairs(m.n, cfg), checked)[0]
+    samples = _evaluations(ev, _sample_pairs(m.n, cfg))
+    return _scan([_contraction_witness], samples, checked)[0]
 
 
 def falsify_contraction(m: MapCoefficients, cfg: SampleConfig) -> Verdict:
@@ -344,21 +368,34 @@ def falsify_contraction(m: MapCoefficients, cfg: SampleConfig) -> Verdict:
     return _contraction_verdict(m, cfg, check_canonical(m))
 
 
-def _bounds_witness(denominator_pairs, ones, s) -> Witness | None:
-    """First failing denominator bound at one sample's (L, U).  ones is
-    [1] * n, Secant-Newton's p tail: form_pair gives the secant form."""
+def _secant_newton_denominators(ones, ln, ld, un, ud):
+    """Secant-Newton's two denominator forms at (L, U): the secant form
+    L^(n-1) + L^(n-2) U + ... + U^(n-1) and the Newton form n*U^(n-1), as
+    pairs.  ones is [1] * n, Secant-Newton's p tail."""
     n = len(ones)
+    return form_pair(ones, ones, ln, ld, un, ud), (n * un ** (n - 1), ud ** (n - 1))
+
+
+def _bounds_witness(ones, e) -> Witness | None:
+    """First failing denominator bound at one evaluated sample
+    e = (s, dens, _): the map's forms dens against Secant-Newton's at the
+    sample's (L, U).  ones is [1] * n."""
+    n = len(ones)
+    s, ((pn, pd), (qn, qd)), _ = e
     ln, ld, _, _, un, ud, _, _ = s
-    (pn, pd), (qn, qd) = denominator_pairs(ln, ld, un, ud)
-    sn, sd = form_pair(ones, ones, ln, ld, un, ud)
+    (sn, sd), (nn, nd) = _secant_newton_denominators(ones, ln, ld, un, ud)
     if pn * sd < sn * pd:
         return _witness((ln, ld, ln, ld, un, ud, ln ** n, ld ** n),
                         "p-denominator >= secant form", (pn, pd), (sn, sd))
-    nn, nd = n * un ** (n - 1), ud ** (n - 1)
     if qn * nd < nn * qd:
         return _witness((ln, ld, ln, ld, un, ud, ln ** n, ld ** n),
                         "q-denominator >= n*U^(n-1)", (qn, qd), (nn, nd))
     return None
+
+
+def _sample_scan(m: MapCoefficients, cfg: SampleConfig, tests) -> list[Verdict]:
+    """_scan of tests over the evaluations of m at the samples of cfg."""
+    return _scan(tests, _evaluations(MapEvaluator(m), _sample_pairs(m.n, cfg)))
 
 
 def check_denominator_bounds(m: MapCoefficients, cfg: SampleConfig) -> Verdict:
@@ -372,44 +409,84 @@ def check_denominator_bounds(m: MapCoefficients, cfg: SampleConfig) -> Verdict:
     """
     if not check_canonical(m).is_canonical:
         raise ValueError("denominator bounds apply to canonical maps only")
-    test = partial(_bounds_witness, MapEvaluator(m).denominator_pairs, [1] * m.n)
-    return _scan([test], _sample_pairs(m.n, cfg))[0]
+    return _sample_scan(m, cfg, [partial(_bounds_witness, [1] * m.n)])[0]
 
 
 def check_map(m: MapCoefficients, cfg: SampleConfig) -> tuple[Verdict | None, Verdict]:
     """(check_denominator_bounds(m, cfg), falsify_contraction(m, cfg)); for a
-    canonical map both tests run in one pass over the samples.  The bounds
-    verdict is None for non-canonical maps, which the bounds do not apply
-    to."""
+    canonical map both tests run on one evaluation per sample, in one pass
+    over the samples.  The bounds verdict is None for non-canonical maps,
+    which the bounds do not apply to."""
     report = check_canonical(m)
     if not report.is_canonical:
         return None, _contraction_verdict(m, cfg, report)
-    bounds = partial(_bounds_witness, MapEvaluator(m).denominator_pairs, [1] * m.n)
-    contraction = partial(_contraction_witness, MapEvaluator(m).raw_pair)
-    return tuple(_scan([bounds, contraction], _sample_pairs(m.n, cfg)))
+    bounds = partial(_bounds_witness, [1] * m.n)
+    return tuple(_sample_scan(m, cfg, [bounds, _contraction_witness]))
+
+
+def _subset_by_denominators(s, dens, sn_dens) -> bool | None:
+    """At sample s of a canonical map whose denominator forms are
+    dens = (Dp, Dq), against Secant-Newton's sn_dens = (S, N): True if the
+    two intervals are equal, False if the map's holds Secant-Newton's
+    properly, and None where a witness needs the endpoints (Secant-Newton's
+    interval sticks out, or Dp or Dq is zero).
+
+    Both maps share the numerators x - L^n >= 0 >= x - U^n, so
+    L' - L* = (x - L^n)(1/Dp - 1/S) and U' - U* = (x - U^n)(1/Dq - 1/N),
+    with x = L^n exactly when r = L and x = U^n exactly when r = U.
+    """
+    ln, ld, rn, rd, un, ud, _, _ = s
+    ((pn, pd), (qn, qd)), ((sn, sd), (nn, nd)) = dens, sn_dens
+    if pn == 0 or qn == 0:
+        return None
+    at_l = rn == ln and rd == ld
+    at_u = rn == un and rd == ud
+    if not (at_l or pn < 0 or pn * sd >= sn * pd):  # L* < L'
+        return None
+    if not (at_u or qn < 0 or qn * nd >= nn * qd):  # U' < U*
+        return None
+    return (at_l or pn * sd == sn * pd) and (at_u or qn * nd == nn * qd)
 
 
 def check_dominance(m: MapCoefficients, cfg: SampleConfig) -> DominanceStats:
     """Compare the checked map's output interval against Secant-Newton's on
     every sampled triple: a sample is a violation unless [L*, U*] lies inside
     [L', U'] exactly, and an equality point if the two intervals coincide.
-    Zero denominators in the checked map count as violations."""
-    m_pair = MapEvaluator(m).raw_pair
-    sn_pair = MapEvaluator(secant_newton(m.n)).raw_pair
+    Zero denominators in the checked map count as violations.
+
+    For a canonical map the denominator forms decide every sample where
+    Secant-Newton's interval is inside (see _subset_by_denominators);
+    endpoints are computed only for the others, and for non-canonical maps.
+    """
+    n = m.n
+    ones = [1] * n
+    ev = MapEvaluator(m)
+    sn_pair = MapEvaluator(secant_newton(n)).canonical_pair
+    canonical = check_canonical(m).is_canonical
     equality = []
     violations = []
-    for s in _sample_pairs(m.n, cfg):
+    for s in _sample_pairs(n, cfg):
         ln, ld, rn, rd, un, ud, xn, xd = s
-        status, a, b, c, d = m_pair(ln, ld, un, ud, xn, xd)
+        sn_dens = _secant_newton_denominators(ones, ln, ld, un, ud)
+        if canonical:
+            dens = ev.denominator_pairs(ln, ld, un, ud)
+            equal = _subset_by_denominators(s, dens, sn_dens)
+            if equal is not None:
+                if equal:
+                    equality.append((Fraction(ln, ld), Fraction(rn, rd), Fraction(un, ud)))
+                continue
+            status, a, b, c, d = ev.canonical_pair(dens, ln, ld, un, ud, xn, xd)
+        else:
+            _, (status, a, b, c, d) = ev.evaluate(ln, ld, un, ud, xn, xd)
         if status:
             violations.append(_witness(s, "denominator-zero", _ZERO_PAIR, _ZERO_PAIR))
             continue
-        _, sa, sb, sc, sd = sn_pair(ln, ld, un, ud, xn, xd)
+        _, sa, sb, sc, sd = sn_pair(sn_dens, ln, ld, un, ud, xn, xd)
         if a * sb > sa * b:
             violations.append(_witness(s, "L' <= L*", (a, b), (sa, sb)))
         elif sc * d > c * sd:
             violations.append(_witness(s, "U* <= U'", (sc, sd), (c, d)))
-        elif a == sa and b == sb and c == sc and d == sd:
+        elif a * sb == sa * b and c * sd == sc * d:
             equality.append((Fraction(ln, ld), Fraction(rn, rd), Fraction(un, ud)))
     return DominanceStats(cfg.count, tuple(equality), tuple(violations))
 

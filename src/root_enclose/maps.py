@@ -160,7 +160,8 @@ class MapEvaluator:
     """One map prepared for repeated exact evaluation.
 
     Canonical maps are dispatched to the reduced-form fast path (numerators
-    x - L^n and x - U^n); everything else goes through the general form.
+    x - L^n and x - U^n, over the denominator forms of the map's tails);
+    everything else goes through the general form.
     The two are algebraically identical on canonical maps, which the test
     suite checks against each other.
     """
@@ -186,7 +187,7 @@ class MapEvaluator:
             raise ValueError(f"need 0 < lo <= hi, got [{lo}, {hi}]")
         if x <= 0:
             raise ValueError(f"need x > 0, got {x}")
-        status, a, b, c, d = self.raw_pair(
+        _, (status, a, b, c, d) = self.evaluate(
             lo.numerator, lo.denominator,
             hi.numerator, hi.denominator,
             x.numerator, x.denominator,
@@ -197,23 +198,35 @@ class MapEvaluator:
             raise DenominatorZeroError("upper")
         return Fraction(a, b), Fraction(c, d)
 
-    def raw_pair(self, ln, ld, un, ud, xn, xd) -> tuple[int, int, int, int, int]:
-        """pair() on reduced int pairs, unchecked: the kernel's
-        (status, lo_num, lo_den, hi_num, hi_den), status 1 or 2 for a zero
-        lower or upper denominator.  The endpoints come back reduced with
-        positive denominators."""
-        kernel = apply_reduced_pairs if self._canonical else apply_pairs
-        return kernel(self._n, self._pn, self._pd, self._qn, self._qd,
-                      ln, ld, un, ud, xn, xd)
+    def evaluate(self, ln, ld, un, ud, xn, xd):
+        """pair() on int pairs with positive denominators, unchecked, as
+        (dens, (status, lo_num, lo_den, hi_num, hi_den)): the kernel's
+        result, status 1 or 2 for a zero lower or upper denominator, with
+        the endpoints' denominators positive but not reduced.  dens is what
+        denominator_pairs gives for a canonical map, whose endpoints divide
+        by those forms, and None for any other map."""
+        if self._canonical:
+            dens = self.denominator_pairs(ln, ld, un, ud)
+            return dens, self.canonical_pair(dens, ln, ld, un, ud, xn, xd)
+        return None, apply_pairs(self._n, self._pn, self._pd, self._qn, self._qd,
+                                 ln, ld, un, ud, xn, xd)
 
     def denominator_pairs(self, ln, ld, un, ud) -> tuple[tuple[int, int], tuple[int, int]]:
-        """Both denominator forms at (L, U) = (ln/ld, un/ud) as reduced pairs
-        with positive denominators.  Canonical maps only: their evaluator
-        holds exactly the denominator tails."""
+        """Both denominator forms at (L, U) = (ln/ld, un/ud) as pairs with
+        positive denominators, not reduced.  Canonical maps only: their
+        evaluator holds exactly the denominator tails."""
         if not self._canonical:
             raise ValueError("denominator_pairs needs a canonical map")
         return (form_pair(self._pn, self._pd, ln, ld, un, ud),
                 form_pair(self._qn, self._qd, un, ud, ln, ld))
+
+    def canonical_pair(self, dens, ln, ld, un, ud, xn, xd) -> tuple[int, int, int, int, int]:
+        """evaluate's kernel result for a canonical map of this degree whose
+        two denominator forms at (L, U) take the values dens, as
+        denominator_pairs returns them; a caller that needs the forms as
+        well evaluates them once."""
+        (dpn, dpd), (dqn, dqd) = dens
+        return apply_reduced_pairs(self._n, dpn, dpd, dqn, dqd, ln, ld, un, ud, xn, xd)
 
 
 def apply_pair(m: MapCoefficients, lo, hi, x) -> tuple[Fraction, Fraction]:

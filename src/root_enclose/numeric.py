@@ -4,9 +4,11 @@ The scalar type is the stdlib ``fractions.Fraction`` (re-exported as
 ``Rational``): arbitrary precision, always stored reduced with a positive
 denominator, so equality is structural.  This module holds the Fraction-level
 helpers (parsing, formatting, powers, the geometric sum) and ``Interval``.
-The map kernels and the sampled scans work on reduced int pairs instead
-(``root_enclose._kernels``) and build Fractions only at their boundaries;
-the solver's float fast path uses neither.
+The map kernels and the sampled scans work on (num, den) int pairs instead
+(``root_enclose._kernels``): the denominator is positive, but the kernels'
+results are not reduced, so values are compared by cross-multiplication,
+and Fractions, which reduce, are built only at the boundaries.  The
+solver's float fast path uses neither.
 """
 
 from __future__ import annotations

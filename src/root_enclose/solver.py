@@ -269,7 +269,11 @@ def refine_float(x: float, n: int, eps: float, m: MapCoefficients | None = None,
 
 def bisect_float(x: float, n: int, eps: float,
                  max_iter: int = DEFAULT_MAX_ITER) -> FloatTrace:
-    """Double-precision bisection baseline (same caveats as refine_float)."""
+    """Double-precision bisection baseline (same caveats as refine_float).
+
+    A midpoint whose nth power overflows a float ends the loop as
+    "non-finite", keeping the last finite interval, as in refine_float.
+    """
     x, eps = _validated_float(x, eps, max_iter, n)
     lo = min(1.0, x)
     hi = max(1.0, x)
@@ -280,7 +284,11 @@ def bisect_float(x: float, n: int, eps: float,
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             return FloatTrace(it, lo, hi, STALLED)
-        if mid ** n <= x:
+        try:
+            below = mid ** n <= x
+        except OverflowError:
+            return FloatTrace(it, lo, hi, NON_FINITE)
+        if below:
             lo = mid
         else:
             hi = mid

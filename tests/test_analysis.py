@@ -3,8 +3,10 @@ import tracemalloc
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from root_enclose.analysis import (
+    MAX_MAGNITUDE,
     DominanceStats,
     SampleConfig,
     Triple,
@@ -364,6 +366,49 @@ def test_scans_match_fraction_reference(name):
     else:
         bounds = None
     assert check_map(m, cfg) == (bounds, contraction)
+
+
+_GENERATORS = {
+    # sign-mixed tails: denominator forms that vanish or turn negative
+    "canonical": random_canonical_map,
+    "noncanonical": random_noncanonical_map,
+    "perturbed": perturbed_contracting_map,
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(_GENERATORS)), st.integers(2, 5), st.integers(0, 2 ** 32),
+       st.integers(0, 2 ** 64 - 1))
+def test_scans_match_fraction_reference_on_random_maps(kind, n, map_seed, seed):
+    m = _GENERATORS[kind](n, map_seed)
+    cfg = SampleConfig(seed=seed, count=120)
+    contraction = falsify_contraction(m, cfg)
+    assert contraction == _reference_contraction(m, cfg)
+    assert check_dominance(m, cfg) == _reference_dominance(m, cfg)[0]
+    if check_canonical(m).is_canonical:
+        bounds = check_denominator_bounds(m, cfg)
+        assert bounds == _reference_bounds(m, cfg)
+    else:
+        bounds = None
+    assert check_map(m, cfg) == (bounds, contraction)
+
+
+def _reference_draw(n, seed):
+    """The seeded part of the sample sequence, drawn with randint and sorted
+    as Fractions."""
+    rng = random.Random(seed)
+    while True:
+        L, r, U = sorted(F(rng.randint(1, MAX_MAGNITUDE), rng.randint(1, MAX_MAGNITUDE))
+                         for _ in range(3))
+        yield Triple(L, r, U, r ** n)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2 ** 64 - 1])
+def test_sampler_draws_what_randint_draws(seed):
+    corners = len(corner_triples(3))
+    triples = sample_triples(3, SampleConfig(seed=seed, count=corners + 2000))
+    reference = _reference_draw(3, seed)
+    assert triples[corners:] == [next(reference) for _ in range(2000)]
 
 
 def test_reference_maps_cover_every_path():

@@ -113,6 +113,13 @@ def test_failure_rows_do_not_abort(write_map):
         assert rows[1].iterations == 2
 
 
+def test_float_bisection_overflow_is_a_row():
+    spec = spec_from_dict({"maps": ["bisection"], "xs": [str(10 ** 100)], "ns": [7],
+                           "epses": ["1/1000000000000"], "backend": "float", "reps": 1})
+    [row] = run_bench(spec)
+    assert (row.iterations, row.final_width) == (0, "non-finite")
+
+
 def test_degree_mismatch_is_recorded_per_row():
     for backend in ("rational", "float"):
         spec = BenchSpec(("counterexample",), (F(2),), (2, 3), (F(1, 10),), backend, 1)

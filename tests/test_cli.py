@@ -15,6 +15,18 @@ COUNTEREXAMPLE_SPEC = {
     "p": ["-1", "0", "0", "0", "2", "1/2", "1"],
     "q": ["-1", "0", "0", "0", "3", "0", "0"],
 }
+# a p head coefficient off its canonical value
+NONCANONICAL_SPEC = {
+    "n": 3,
+    "p": ["-1", "1/2", "0", "0", "1", "1", "1"],
+    "q": ["-1", "0", "0", "0", "3", "0", "0"],
+}
+# both denominator forms are negative or zero at sampled points
+ZERO_DENOMINATOR_SPEC = {
+    "n": 2,
+    "p": ["-1", "0", "0", "1", "-1"],
+    "q": ["-1", "0", "0", "2", "0"],
+}
 PERTURBED_SPEC = {
     "n": 3,
     "p": ["-1", "0", "0", "0", "2", "1", "1"],
@@ -335,7 +347,7 @@ def test_json_output_byte_identical_for_same_seed(write_map):
 
 # sha256 of the stdout of outputs that must not change byte for byte
 # (bench rows without their wall_time_ns); COUNTEREXAMPLE and SN3 stand for
-# map-spec files
+# map-spec files, and so do NONCANONICAL and ZERO_DENOMINATOR
 PINNED_OUTPUTS = [
     (("check", "COUNTEREXAMPLE", "--samples", "300", "--json"), 1,
      "061c9e480fba2b2c824a0dcda9c1f32c29c353b939982fbfa32f839b267f0ae7"),
@@ -356,6 +368,22 @@ PINNED_OUTPUTS = [
      "b9e8738dbc157ee7285ed4fddbb030de2cb83c2608f456dac1adf94018d41e50"),
     (("bench", "--format", "json"), 0,
      "fdb6b2ffd79ed1ecaf986870109f70e29d249958d66e1764162272591f6203be"),
+    (("check", "NONCANONICAL", "--samples", "300", "--json"), 1,
+     "263c8e582c375d61b959adb615e028fec197bf151ca4501a532d4c99f62e4f38"),
+    (("check", "NONCANONICAL", "--samples", "300"), 1,
+     "e345b1c557d54dcab7be1a86d3249ebec1ac4800d71219b71cb46f437bb54c27"),
+    (("compare", "NONCANONICAL", "--samples", "300", "--json"), 1,
+     "7897e0f1b4836c165a3937e47805e512926ad07f545d857960afa62daadabf54"),
+    (("compare", "NONCANONICAL", "--samples", "300"), 1,
+     "ce6e51dc7789a7b20d50a8d533099573bf6adfa578eb289c3f42bdb387fb8d3a"),
+    (("check", "ZERO_DENOMINATOR", "--samples", "300", "--json"), 1,
+     "41aa427d7bde4ae389d94fd839ead8a921917b121de4ab6ca30763ec9ae7c1a2"),
+    (("check", "ZERO_DENOMINATOR", "--samples", "300"), 1,
+     "2665ed7bad5175931a758fba5587e1d8a899dc3d15c56bd356476a79895ec451"),
+    (("compare", "ZERO_DENOMINATOR", "--samples", "300", "--json"), 1,
+     "28337853388434701c2a26893a3faa72cb2fc29e7c1f5529a07176652bccd8d9"),
+    (("compare", "ZERO_DENOMINATOR", "--samples", "300"), 1,
+     "83a03cf33c872e2d0dc8a2723434a0bca5df92e1cec59d8d73183893d7751439"),
 ]
 
 
@@ -364,7 +392,8 @@ PINNED_OUTPUTS = [
 def test_output_is_pinned(argv, code, digest, write_map, capsys):
     from root_enclose import cli
 
-    specs = {"COUNTEREXAMPLE": COUNTEREXAMPLE_SPEC, "SN3": SN3_SPEC}
+    specs = {"COUNTEREXAMPLE": COUNTEREXAMPLE_SPEC, "SN3": SN3_SPEC,
+             "NONCANONICAL": NONCANONICAL_SPEC, "ZERO_DENOMINATOR": ZERO_DENOMINATOR_SPEC}
     argv = [write_map(specs[a]) if a in specs else a for a in argv]
     assert cli.main(argv) == code
     out = capsys.readouterr().out

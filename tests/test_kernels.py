@@ -5,10 +5,9 @@ import os
 import subprocess
 import sys
 import textwrap
-from math import gcd
+from fractions import Fraction as F
 from pathlib import Path
 
-import pytest
 
 from root_enclose._kernels import _pure
 
@@ -16,35 +15,42 @@ REPO = Path(__file__).resolve().parents[1]
 
 
 class TestKernelContracts:
-    def test_norm_pair_reduces(self):
-        assert _pure.norm_pair(6, -4) == (-3, 2)
-        assert _pure.norm_pair(0, 7) == (0, 1)
-        with pytest.raises(ZeroDivisionError):
-            _pure.norm_pair(1, 0)
+    # the kernels return unreduced pairs: the scans compare them by
+    # cross-multiplication and the evaluator's Fractions reduce them, so the
+    # contract is a positive denominator and the exact value
 
-    def test_outputs_reduced(self):
+    def test_form_pair_value(self):
         num, den = _pure.form_pair([1, 2], [3, 5], 6, 4, 10, 15)
         assert den > 0
-        assert gcd(abs(num), den) == 1
+        assert F(num, den) == F(1, 3) * F(6, 4) + F(2, 5) * F(10, 15)
 
-    def test_map_outputs_reduced(self):
-        # the scans compare endpoints by cross-multiplication and test them
-        # for equality structurally; both need this contract.  The tails
-        # make the denominator forms negative at (L, U) = (2/3, 5/4).
+    def test_map_outputs_match_fraction_reference(self):
+        # the tails make both denominator forms negative at (L, U) = (2/3, 5/4)
         tail_n, tail_d = [-3, 1], [2, 6]
+        L, U, x = F(2, 3), F(5, 4), F(7, 5)
         pairs = (2, 3, 5, 4, 7, 5)
         head_n, head_d = [-1, 0, 0], [1, 1, 1]
+        a0, a1 = F(-3, 2), F(1, 6)
+        dp, dq = a0 * L + a1 * U, a0 * U + a1 * L
+        assert dp < 0 and dq < 0
+        expected = (L + (x - L ** 2) / dp, U + (x - U ** 2) / dq)
+        (dpn, dpd), (dqn, dqd) = (_pure.form_pair(tail_n, tail_d, 2, 3, 5, 4),
+                                  _pure.form_pair(tail_n, tail_d, 5, 4, 2, 3))
+        assert (F(dpn, dpd), F(dqn, dqd)) == (dp, dq)
         results = (
-            _pure.apply_reduced_pairs(2, tail_n, tail_d, tail_n, tail_d, *pairs),
+            _pure.apply_reduced_pairs(2, dpn, dpd, dqn, dqd, *pairs),
             _pure.apply_pairs(2, head_n + tail_n, head_d + tail_d,
                              head_n + tail_n, head_d + tail_d, *pairs),
         )
         for status, a, b, c, d in results:
             assert status == 0
-            for num, den in ((a, b), (c, d)):
-                assert den > 0
-                assert gcd(abs(num), den) == 1
-        assert results[0] == results[1]
+            assert b > 0 and d > 0
+            assert (F(a, b), F(c, d)) == expected
+
+    def test_zero_denominator_status(self):
+        # status 1 or 2 names the side whose form is exactly zero
+        assert _pure.apply_reduced_pairs(2, 0, 5, 1, 1, 1, 1, 2, 1, 2, 1)[0] == 1
+        assert _pure.apply_reduced_pairs(2, 1, 1, 0, 5, 1, 1, 2, 1, 2, 1)[0] == 2
 
 
 def test_tracer_wraps_the_kernels_at_their_lookup_names(tmp_path):

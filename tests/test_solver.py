@@ -404,6 +404,13 @@ def test_refine_float_overflow_is_reported():
     assert trace.terminated == NON_FINITE
 
 
+def test_bisect_float_overflow_is_reported():
+    # the first midpoint's 7th power is about 1e693, beyond the float range
+    trace = bisect_float(1e100, 7, 1e-12)
+    assert trace.terminated == NON_FINITE
+    assert (trace.iterations, trace.lo, trace.hi) == (0, 1.0, 1e100)
+
+
 def test_refine_float_rejects_bad_inputs():
     with pytest.raises(ValueError):
         refine_float(0.0, 2, 1e-3)
