@@ -8,10 +8,13 @@ built from (with unit coefficients it is the secant form); both map kernels
 finish each endpoint through one routine, ``_endpoint``.  This is their only
 implementation; the package imports them through ``root_enclose._kernels``.
 
-Rational values are passed as (numerator, denominator) pairs of Python ints
-with a positive denominator, and are returned in the same form, but not
-reduced: no kernel calls gcd.  Their callers compare values by
-cross-multiplication, or build a Fraction, which reduces anyway.
+A coefficient vector is passed as a list of integer numerators over one
+positive common denominator, which ``maps.MapEvaluator`` computes once per
+map side (the lcm of the coefficients' denominators).  Rational values are
+passed as (numerator, denominator) pairs of Python ints with a positive
+denominator, and are returned in the same form, but not reduced: no kernel
+calls gcd.  Their callers compare values by cross-multiplication, or build
+a Fraction, which reduces anyway.
 """
 
 from __future__ import annotations
@@ -19,25 +22,22 @@ from __future__ import annotations
 BACKEND_NAME = "pure"
 
 
-def form_pair(cn, cd, an, ad, bn, bd):
-    """sum_i c_i * a**(k-1-i) * b**i with k = len(cn) >= 1 and c_i = cn[i]/cd[i].
+def form_pair(c, den, an, ad, bn, bd):
+    """sum_i c_i * a**(k-1-i) * b**i with k = len(c) >= 1 and c_i = c[i]/den.
 
     This is the homogeneous degree-(k-1) form both map denominators use
     (and, with the leading x added by the caller, the numerators).
     """
-    # Horner in a over the common denominator (ad*bd)**(k-1), where a and b
-    # become x = an*bd and y = bn*ad
+    # Horner in a over the common denominator den*(ad*bd)**(k-1), where a
+    # and b become x = an*bd and y = bn*ad
     x = an * bd
     y = bn * ad
-    sn = cn[0]
-    sd = cd[0]
+    sn = c[0]
     yi = 1
-    for i in range(1, len(cn)):
+    for i in range(1, len(c)):
         yi *= y
-        d = cd[i]
-        sn = sn * x * d + cn[i] * yi * sd
-        sd *= d
-    return sn, sd * (ad * bd) ** (len(cn) - 1)
+        sn = sn * x + c[i] * yi
+    return sn, den * (ad * bd) ** (len(c) - 1)
 
 
 def _endpoint(an, ad, hn, hd, den_n, den_d, xn, xd):
@@ -53,21 +53,22 @@ def _endpoint(an, ad, hn, hd, den_n, den_d, xn, xd):
     return an * qd + num_n * den_d * ad, ad * qd
 
 
-def apply_pairs(n, pn, pd, qn, qd, ln, ld, un, ud, xn, xd):
-    """Evaluate the general degree-n map at (L, U, x), all given as pairs.
+def apply_pairs(n, p, pden, q, qden, ln, ld, un, ud, xn, xd):
+    """Evaluate the general degree-n map at (L, U, x), all given as pairs,
+    with coefficients p/pden and q/qden.
 
     Returns (status, lo_num, lo_den, hi_num, hi_den) with status 0 on
     success, 1 when the lower denominator form is exactly zero, 2 when the
     upper one is (the pair slots are 0/1 placeholders then).
     """
     # lower endpoint: L + (x + sum_{i<=n} p_i L^(n-i) U^i) / (sum_i p_{n+1+i} L^(n-1-i) U^i)
-    lo = _endpoint(ln, ld, *form_pair(pn[: n + 1], pd[: n + 1], ln, ld, un, ud),
-                   *form_pair(pn[n + 1:], pd[n + 1:], ln, ld, un, ud), xn, xd)
+    lo = _endpoint(ln, ld, *form_pair(p[: n + 1], pden, ln, ld, un, ud),
+                   *form_pair(p[n + 1:], pden, ln, ld, un, ud), xn, xd)
     if lo is None:
         return 1, 0, 1, 0, 1
     # upper endpoint: same shape with the roles of L and U swapped
-    hi = _endpoint(un, ud, *form_pair(qn[: n + 1], qd[: n + 1], un, ud, ln, ld),
-                   *form_pair(qn[n + 1:], qd[n + 1:], un, ud, ln, ld), xn, xd)
+    hi = _endpoint(un, ud, *form_pair(q[: n + 1], qden, un, ud, ln, ld),
+                   *form_pair(q[n + 1:], qden, un, ud, ln, ld), xn, xd)
     if hi is None:
         return 2, 0, 1, 0, 1
     return (0, *lo, *hi)

@@ -33,13 +33,11 @@ from itertools import islice
 from math import gcd
 from typing import NamedTuple
 
-from ._kernels import form_pair
-from .maps import MapCoefficients, MapEvaluator, check_canonical, secant_newton
+from .maps import MapCoefficients, MapEvaluator, check_canonical, denominators, secant_newton
 from .numeric import as_rational, pow_int
 
-# Not used by the scans, which work on int pairs; kept importable here because
-# perfbench/tracing.py wraps them at these names.
-from .maps import denominators  # noqa: F401
+# Not used here; kept importable because perfbench/tracing.py wraps it at this
+# name.
 from .numeric import geom_sum  # noqa: F401
 
 PASSED_ON_SAMPLES = "passed-on-samples"
@@ -255,10 +253,6 @@ def corner_triples(n: int) -> list[Triple]:
     return [_triple(s) for s in _corner_samples(n)]
 
 
-def _random_positive(rng: random.Random, mag: int) -> Fraction:
-    return Fraction(rng.randint(1, mag), rng.randint(1, mag))
-
-
 def sample_triples(n: int, cfg: SampleConfig) -> list[Triple]:
     """Deterministic list of exactly cfg.count sample triples.
 
@@ -368,22 +362,14 @@ def falsify_contraction(m: MapCoefficients, cfg: SampleConfig) -> Verdict:
     return _contraction_verdict(m, cfg, check_canonical(m))
 
 
-def _secant_newton_denominators(ones, ln, ld, un, ud):
-    """Secant-Newton's two denominator forms at (L, U): the secant form
-    L^(n-1) + L^(n-2) U + ... + U^(n-1) and the Newton form n*U^(n-1), as
-    pairs.  ones is [1] * n, Secant-Newton's p tail."""
-    n = len(ones)
-    return form_pair(ones, ones, ln, ld, un, ud), (n * un ** (n - 1), ud ** (n - 1))
-
-
-def _bounds_witness(ones, e) -> Witness | None:
+def _bounds_witness(sn_ev: MapEvaluator, e) -> Witness | None:
     """First failing denominator bound at one evaluated sample
-    e = (s, dens, _): the map's forms dens against Secant-Newton's at the
-    sample's (L, U).  ones is [1] * n."""
-    n = len(ones)
+    e = (s, dens, _): the map's forms dens against the secant form and the
+    Newton form at the sample's (L, U), from Secant-Newton's evaluator."""
+    n = sn_ev.map.n
     s, ((pn, pd), (qn, qd)), _ = e
     ln, ld, _, _, un, ud, _, _ = s
-    (sn, sd), (nn, nd) = _secant_newton_denominators(ones, ln, ld, un, ud)
+    (sn, sd), (nn, nd) = sn_ev.denominator_pairs(ln, ld, un, ud)
     if pn * sd < sn * pd:
         return _witness((ln, ld, ln, ld, un, ud, ln ** n, ld ** n),
                         "p-denominator >= secant form", (pn, pd), (sn, sd))
@@ -409,7 +395,8 @@ def check_denominator_bounds(m: MapCoefficients, cfg: SampleConfig) -> Verdict:
     """
     if not check_canonical(m).is_canonical:
         raise ValueError("denominator bounds apply to canonical maps only")
-    return _sample_scan(m, cfg, [partial(_bounds_witness, [1] * m.n)])[0]
+    bounds = partial(_bounds_witness, MapEvaluator(secant_newton(m.n)))
+    return _sample_scan(m, cfg, [bounds])[0]
 
 
 def check_map(m: MapCoefficients, cfg: SampleConfig) -> tuple[Verdict | None, Verdict]:
@@ -420,7 +407,7 @@ def check_map(m: MapCoefficients, cfg: SampleConfig) -> tuple[Verdict | None, Ve
     report = check_canonical(m)
     if not report.is_canonical:
         return None, _contraction_verdict(m, cfg, report)
-    bounds = partial(_bounds_witness, [1] * m.n)
+    bounds = partial(_bounds_witness, MapEvaluator(secant_newton(m.n)))
     return tuple(_sample_scan(m, cfg, [bounds, _contraction_witness]))
 
 
@@ -459,15 +446,14 @@ def check_dominance(m: MapCoefficients, cfg: SampleConfig) -> DominanceStats:
     endpoints are computed only for the others, and for non-canonical maps.
     """
     n = m.n
-    ones = [1] * n
     ev = MapEvaluator(m)
-    sn_pair = MapEvaluator(secant_newton(n)).canonical_pair
+    sn_ev = MapEvaluator(secant_newton(n))
     canonical = check_canonical(m).is_canonical
     equality = []
     violations = []
     for s in _sample_pairs(n, cfg):
         ln, ld, rn, rd, un, ud, xn, xd = s
-        sn_dens = _secant_newton_denominators(ones, ln, ld, un, ud)
+        sn_dens = sn_ev.denominator_pairs(ln, ld, un, ud)
         if canonical:
             dens = ev.denominator_pairs(ln, ld, un, ud)
             equal = _subset_by_denominators(s, dens, sn_dens)
@@ -481,7 +467,7 @@ def check_dominance(m: MapCoefficients, cfg: SampleConfig) -> DominanceStats:
         if status:
             violations.append(_witness(s, "denominator-zero", _ZERO_PAIR, _ZERO_PAIR))
             continue
-        _, sa, sb, sc, sd = sn_pair(sn_dens, ln, ld, un, ud, xn, xd)
+        _, sa, sb, sc, sd = sn_ev.canonical_pair(sn_dens, ln, ld, un, ud, xn, xd)
         if a * sb > sa * b:
             violations.append(_witness(s, "L' <= L*", (a, b), (sa, sb)))
         elif sc * d > c * sd:
@@ -510,15 +496,6 @@ class TrivariatePoly:
     def terms(self) -> dict:
         """Nonzero terms as {(L-exp, U-exp, x-exp): coefficient}."""
         return dict(self._terms)
-
-    def evaluate(self, L, U, x) -> Fraction:
-        L = as_rational(L)
-        U = as_rational(U)
-        x = as_rational(x)
-        total = Fraction(0)
-        for (i, j, k), c in self._terms.items():
-            total += c * pow_int(L, i) * pow_int(U, j) * pow_int(x, k)
-        return total
 
     def __eq__(self, other):
         if not isinstance(other, TrivariatePoly):
@@ -587,7 +564,9 @@ def equality_locus(m: MapCoefficients) -> tuple[TrivariatePoly, TrivariatePoly]:
 
 
 def evaluate_locus(m: MapCoefficients, L, U, x) -> tuple[Fraction, Fraction]:
-    """Evaluate both locus polynomials at (L, U, x).
+    """Evaluate both locus polynomials at (L, U, x), as
+    ((x - L^n)(Dp - S), (x - U^n)(Dq - N)) from the denominator forms Dp, Dq
+    of m and S, N of Secant-Newton at (L, U).
 
     Provided neither map hits a zero denominator there, the result is (0, 0)
     exactly when the checked map and Secant-Newton return the identical
@@ -598,14 +577,20 @@ def evaluate_locus(m: MapCoefficients, L, U, x) -> tuple[Fraction, Fraction]:
     x = as_rational(x)
     if not 0 < L <= U:
         raise ValueError(f"need 0 < L <= U, got ({L}, {U})")
-    if not pow_int(L, m.n) <= x <= pow_int(U, m.n):
+    low, high = pow_int(L, m.n), pow_int(U, m.n)
+    if not low <= x <= high:
         raise ValueError(f"need L^n <= x <= U^n, got x={x}")
-    f_p, f_q = equality_locus(m)
-    return f_p.evaluate(L, U, x), f_q.evaluate(L, U, x)
+    if not check_canonical(m).is_canonical:
+        raise ValueError("equality locus applies to canonical maps only")
+    (dp, dq), (s, nf) = denominators(m, L, U), denominators(secant_newton(m.n), L, U)
+    return (x - low) * (dp - s), (x - high) * (dq - nf)
 
 
 # ---------------------------------------------------------------------------
 # Map generators for randomized testing.
+
+GENERATOR_MAGNITUDE = 6  # bound on the parts of the generators' random coefficients
+
 
 def _as_rng(seed_or_rng) -> random.Random:
     if isinstance(seed_or_rng, random.Random):
@@ -613,9 +598,12 @@ def _as_rng(seed_or_rng) -> random.Random:
     return random.Random(seed_or_rng)
 
 
+def _random_positive(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(1, GENERATOR_MAGNITUDE), rng.randint(1, GENERATOR_MAGNITUDE))
+
+
 def perturbed_contracting_map(n: int, seed_or_rng, *, perturb_p: bool = True,
-                              perturb_q: bool = True,
-                              max_magnitude: int = 6) -> MapCoefficients:
+                              perturb_q: bool = True) -> MapCoefficients:
     """Secant-Newton plus non-negative denominator perturbations.
 
     The perturbed denominators dominate Secant-Newton's coefficientwise,
@@ -633,22 +621,22 @@ def perturbed_contracting_map(n: int, seed_or_rng, *, perturb_p: bool = True,
         bumped = False
         for i in range(n):
             if rng.random() < 0.6:
-                p[n + 1 + i] += _random_positive(rng, max_magnitude)
+                p[n + 1 + i] += _random_positive(rng)
                 bumped = True
         if not bumped:
-            p[n + 1 + rng.randrange(n)] += _random_positive(rng, max_magnitude)
+            p[n + 1 + rng.randrange(n)] += _random_positive(rng)
     if perturb_q:
         bumped = False
         for i in range(n):
             if rng.random() < 0.6:
-                q[n + 1 + i] += _random_positive(rng, max_magnitude)
+                q[n + 1 + i] += _random_positive(rng)
                 bumped = True
         if not bumped:
-            q[n + 1 + rng.randrange(n)] += _random_positive(rng, max_magnitude)
+            q[n + 1 + rng.randrange(n)] += _random_positive(rng)
     return MapCoefficients(n, tuple(p), tuple(q))
 
 
-def random_noncanonical_map(n: int, seed_or_rng, *, max_magnitude: int = 6) -> MapCoefficients:
+def random_noncanonical_map(n: int, seed_or_rng) -> MapCoefficients:
     """Secant-Newton with a nonzero perturbation of one or more head
     coefficients (p0..pn or q0..qn), i.e. a map that cannot be contracting."""
     rng = _as_rng(seed_or_rng)
@@ -658,7 +646,7 @@ def random_noncanonical_map(n: int, seed_or_rng, *, max_magnitude: int = 6) -> M
     side = rng.choice(("p", "q", "both"))
     def bump(vec):
         for i in rng.sample(range(n + 1), rng.randint(1, min(2, n + 1))):
-            delta = _random_positive(rng, max_magnitude)
+            delta = _random_positive(rng)
             if rng.random() < 0.5:
                 delta = -delta
             vec[i] += delta
@@ -669,8 +657,8 @@ def random_noncanonical_map(n: int, seed_or_rng, *, max_magnitude: int = 6) -> M
     return MapCoefficients(n, tuple(p), tuple(q))
 
 
-def random_canonical_map(n: int, seed_or_rng, *, positive_denominators: bool = False,
-                         max_magnitude: int = 6) -> MapCoefficients:
+def random_canonical_map(n: int, seed_or_rng, *,
+                         positive_denominators: bool = False) -> MapCoefficients:
     """Random canonical map: canonical head, arbitrary denominator tails.
 
     Not contracting in general.  With positive_denominators the tail
@@ -683,7 +671,7 @@ def random_canonical_map(n: int, seed_or_rng, *, positive_denominators: bool = F
     def tail():
         out = []
         for i in range(n):
-            c = _random_positive(rng, max_magnitude)
+            c = _random_positive(rng)
             if positive_denominators:
                 if i > 0 and rng.random() < 0.3:
                     c = Fraction(0)
@@ -694,7 +682,7 @@ def random_canonical_map(n: int, seed_or_rng, *, positive_denominators: bool = F
                     c = Fraction(0)
             out.append(c)
         if not positive_denominators and all(c == 0 for c in out):
-            out[rng.randrange(n)] = _random_positive(rng, max_magnitude)
+            out[rng.randrange(n)] = _random_positive(rng)
         return out
 
     p = head + tail()

@@ -58,8 +58,6 @@ def _parse_positive_rational(text: str) -> Fraction:
 
 
 def _load_map_argument(text: str) -> MapCoefficients:
-    if text == "secant-newton":
-        raise ValueError("secant-newton needs a degree; pass --n instead")
     if text == "counterexample":
         return counterexample_map()
     return load_map(text)

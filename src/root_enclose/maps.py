@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from ._kernels import apply_pairs, apply_reduced_pairs, form_pair
 from .numeric import Interval, as_rational, parse_rational
@@ -156,17 +157,27 @@ def canonicalize(m: MapCoefficients) -> MapCoefficients:
     return MapCoefficients(m.n, head + m.p[m.n + 1:], head + m.q[m.n + 1:])
 
 
+def _over_common_denominator(coeffs) -> tuple[list[int], int]:
+    """coeffs as integer numerators over the lcm of their denominators."""
+    den = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
 class MapEvaluator:
     """One map prepared for repeated exact evaluation.
 
-    Canonical maps are dispatched to the reduced-form fast path (numerators
-    x - L^n and x - U^n, over the denominator forms of the map's tails);
-    everything else goes through the general form.
-    The two are algebraically identical on canonical maps, which the test
-    suite checks against each other.
+    Each side's coefficients are held once as integer numerators over one
+    common denominator, the lcm of their denominators, which is the format
+    the kernels take.  Canonical maps are dispatched to the reduced-form
+    fast path (numerators x - L^n and x - U^n, over the denominator forms of
+    the map's tails, which are all it holds); everything else goes through
+    the general form.  The two are algebraically identical on canonical
+    maps, which the test suite checks against each other.
+    MapEvaluator(secant_newton(n)) is where every comparison with
+    Secant-Newton reads its secant form, its Newton form and its endpoints.
     """
 
-    __slots__ = ("map", "_n", "_pn", "_pd", "_qn", "_qd", "_canonical")
+    __slots__ = ("map", "_n", "_p", "_pden", "_q", "_qden", "_canonical")
 
     def __init__(self, m: MapCoefficients):
         self.map = m
@@ -176,10 +187,8 @@ class MapEvaluator:
             p, q = m.p[m.n + 1:], m.q[m.n + 1:]
         else:
             p, q = m.p, m.q
-        self._pn = [c.numerator for c in p]
-        self._pd = [c.denominator for c in p]
-        self._qn = [c.numerator for c in q]
-        self._qd = [c.denominator for c in q]
+        self._p, self._pden = _over_common_denominator(p)
+        self._q, self._qden = _over_common_denominator(q)
 
     def pair(self, lo: Fraction, hi: Fraction, x: Fraction) -> tuple[Fraction, Fraction]:
         """Raw refined endpoints at ([lo, hi], x); unclamped and unordered."""
@@ -208,7 +217,7 @@ class MapEvaluator:
         if self._canonical:
             dens = self.denominator_pairs(ln, ld, un, ud)
             return dens, self.canonical_pair(dens, ln, ld, un, ud, xn, xd)
-        return None, apply_pairs(self._n, self._pn, self._pd, self._qn, self._qd,
+        return None, apply_pairs(self._n, self._p, self._pden, self._q, self._qden,
                                  ln, ld, un, ud, xn, xd)
 
     def denominator_pairs(self, ln, ld, un, ud) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -217,8 +226,8 @@ class MapEvaluator:
         evaluator holds exactly the denominator tails."""
         if not self._canonical:
             raise ValueError("denominator_pairs needs a canonical map")
-        return (form_pair(self._pn, self._pd, ln, ld, un, ud),
-                form_pair(self._qn, self._qd, un, ud, ln, ld))
+        return (form_pair(self._p, self._pden, ln, ld, un, ud),
+                form_pair(self._q, self._qden, un, ud, ln, ld))
 
     def canonical_pair(self, dens, ln, ld, un, ud, xn, xd) -> tuple[int, int, int, int, int]:
         """evaluate's kernel result for a canonical map of this degree whose

@@ -510,6 +510,19 @@ def test_locus_zero_iff_outputs_coincide_on_grid():
     assert checked >= 100
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 5), st.integers(0, 2 ** 32), st.booleans(),
+       st.lists(st.builds(F, st.integers(1, 40), st.integers(1, 12)), min_size=2, max_size=2),
+       st.fractions(min_value=0, max_value=1, max_denominator=12))
+def test_evaluate_locus_equals_the_sum_over_its_terms(n, seed, positive, ends, t):
+    m = random_canonical_map(n, seed, positive_denominators=positive)
+    L, U = sorted(ends)
+    x = L ** n + t * (U ** n - L ** n)
+    expected = tuple(sum(c * L ** i * U ** j * x ** k for (i, j, k), c in f.terms().items())
+                     for f in equality_locus(m))
+    assert evaluate_locus(m, L, U, x) == expected
+
+
 # --- generators ---------------------------------------------------------------
 
 def test_perturbed_maps_are_certified_contracting():

@@ -17,30 +17,38 @@ REPO = Path(__file__).resolve().parents[1]
 class TestKernelContracts:
     # the kernels return unreduced pairs: the scans compare them by
     # cross-multiplication and the evaluator's Fractions reduce them, so the
-    # contract is a positive denominator and the exact value
+    # contract is a positive denominator and the exact value.  A coefficient
+    # vector is given as integer numerators over one common denominator.
 
     def test_form_pair_value(self):
-        num, den = _pure.form_pair([1, 2], [3, 5], 6, 4, 10, 15)
-        assert den > 0
-        assert F(num, den) == F(1, 3) * F(6, 4) + F(2, 5) * F(10, 15)
+        a, b = F(6, 4), F(10, 15)
+        # the tail (1/2, 1/3) over 6, and (1/2, 1/3, -3/4) over 12
+        for c, den, coeffs in (([3, 2], 6, (F(1, 2), F(1, 3))),
+                               ([6, 4, -9], 12, (F(1, 2), F(1, 3), F(-3, 4)))):
+            num, d = _pure.form_pair(c, den, 6, 4, 10, 15)
+            assert d > 0
+            k = len(coeffs)
+            assert F(num, d) == sum(ci * a ** (k - 1 - i) * b ** i
+                                    for i, ci in enumerate(coeffs))
 
     def test_map_outputs_match_fraction_reference(self):
-        # the tails make both denominator forms negative at (L, U) = (2/3, 5/4)
-        tail_n, tail_d = [-3, 1], [2, 6]
+        # the tail (-3/2, 1/6), held as [-9, 1] over 6, makes both
+        # denominator forms negative at (L, U) = (2/3, 5/4)
+        tail, den = [-9, 1], 6
         L, U, x = F(2, 3), F(5, 4), F(7, 5)
         pairs = (2, 3, 5, 4, 7, 5)
-        head_n, head_d = [-1, 0, 0], [1, 1, 1]
+        side = [-6, 0, 0] + tail  # the canonical head (-1, 0, 0) over 6
         a0, a1 = F(-3, 2), F(1, 6)
         dp, dq = a0 * L + a1 * U, a0 * U + a1 * L
         assert dp < 0 and dq < 0
         expected = (L + (x - L ** 2) / dp, U + (x - U ** 2) / dq)
-        (dpn, dpd), (dqn, dqd) = (_pure.form_pair(tail_n, tail_d, 2, 3, 5, 4),
-                                  _pure.form_pair(tail_n, tail_d, 5, 4, 2, 3))
+        (dpn, dpd), (dqn, dqd) = (_pure.form_pair(tail, den, 2, 3, 5, 4),
+                                  _pure.form_pair(tail, den, 5, 4, 2, 3))
+        assert dpd > 0 and dqd > 0
         assert (F(dpn, dpd), F(dqn, dqd)) == (dp, dq)
         results = (
             _pure.apply_reduced_pairs(2, dpn, dpd, dqn, dqd, *pairs),
-            _pure.apply_pairs(2, head_n + tail_n, head_d + tail_d,
-                             head_n + tail_n, head_d + tail_d, *pairs),
+            _pure.apply_pairs(2, side, den, side, den, *pairs),
         )
         for status, a, b, c, d in results:
             assert status == 0

@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -164,12 +165,15 @@ def test_scaling_equivariance(m, t, s):
     assert scaled == (s * base[0], s * base[1])
 
 
+def _over_lcm(coeffs):
+    den = lcm(*(c.denominator for c in coeffs))
+    return [int(c * den) for c in coeffs], den
+
+
 def _general_pair(m, lo, hi, x):
     """MapEvaluator.pair, but always through the general form."""
     status, a, b, c, d = apply_pairs(
-        m.n,
-        [c.numerator for c in m.p], [c.denominator for c in m.p],
-        [c.numerator for c in m.q], [c.denominator for c in m.q],
+        m.n, *_over_lcm(m.p), *_over_lcm(m.q),
         lo.numerator, lo.denominator,
         hi.numerator, hi.denominator,
         x.numerator, x.denominator,
@@ -191,6 +195,44 @@ def test_reduced_path_equals_general_form(m, t):
     except DenominatorZeroError:
         assume(False)
     assert fast == general
+
+
+@st.composite
+def general_maps(draw, min_n=2, max_n=5):
+    """Arbitrary coefficient vectors, whose heads and tails mix denominators."""
+    n = draw(st.integers(min_n, max_n))
+    p = draw(st.lists(small_rationals, min_size=2 * n + 1, max_size=2 * n + 1))
+    q = draw(st.lists(small_rationals, min_size=2 * n + 1, max_size=2 * n + 1))
+    return MapCoefficients(n, tuple(p), tuple(q))
+
+
+def _direct_forms(m, L, U, x):
+    """The map formula summed term by term in Fractions, as
+    ((lower numerator, lower denominator), (upper numerator, upper denominator))."""
+    n = m.n
+
+    def side(c, a, b):
+        num = x + sum(c[i] * a ** (n - i) * b ** i for i in range(n + 1))
+        den = sum(c[n + 1 + i] * a ** (n - 1 - i) * b ** i for i in range(n))
+        return num, den
+
+    return side(m.p, L, U), side(m.q, U, L)
+
+
+@given(st.one_of(canonical_maps(), general_maps()), triples())
+def test_evaluator_matches_the_map_formula(m, t):
+    # independent of the kernels' integer coefficient format: a wrongly
+    # scaled coefficient changes a form's value
+    L, r, U = t
+    x = pow_int(r, m.n)
+    (num_p, den_p), (num_q, den_q) = _direct_forms(m, L, U, x)
+    assert denominators(m, L, U) == (den_p, den_q)
+    if den_p == 0 or den_q == 0:
+        with pytest.raises(DenominatorZeroError) as exc:
+            MapEvaluator(m).pair(L, U, x)
+        assert exc.value.side == ("lower" if den_p == 0 else "upper")
+    else:
+        assert MapEvaluator(m).pair(L, U, x) == (L + num_p / den_p, U + num_q / den_q)
 
 
 def test_canonicalize_fixed_point():
