@@ -27,17 +27,27 @@ def form_pair(c, den, an, ad, bn, bd):
 
     This is the homogeneous degree-(k-1) form both map denominators use
     (and, with the leading x added by the caller, the numerators).
+    Trailing zero coefficients, such as the n-1 zeros of Secant-Newton's
+    Newton tail (n, 0, ..., 0), cost one power of a instead of a Horner
+    step each.
     """
     # Horner in a over the common denominator den*(ad*bd)**(k-1), where a
-    # and b become x = an*bd and y = bn*ad
+    # and b become x = an*bd and y = bn*ad; the loop stops at the last
+    # nonzero coefficient c[last], and x**(k-1-last) makes up the degree
+    k = len(c)
+    last = k - 1
+    while last and not c[last]:
+        last -= 1
     x = an * bd
     y = bn * ad
     sn = c[0]
     yi = 1
-    for i in range(1, len(c)):
+    for i in range(1, last + 1):
         yi *= y
         sn = sn * x + c[i] * yi
-    return sn, den * (ad * bd) ** (len(c) - 1)
+    if last < k - 1:
+        sn *= x ** (k - 1 - last)
+    return sn, den * (ad * bd) ** (k - 1)
 
 
 def _endpoint(an, ad, hn, hd, den_n, den_d, xn, xd):

@@ -28,7 +28,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from itertools import islice
 from math import gcd
 from typing import NamedTuple
@@ -128,34 +128,63 @@ class Verdict:
 class DominanceStats:
     """Subset statistics of Secant-Newton's output against another map's.
 
+    The results are held as rows of reduced ints with positive
+    denominators, so equal rows are equal values: equality_rows has
+    (Ln, Ld, rn, rd, Un, Ud) for each equality point, and violation_rows
+    has (sample, violated, lhs, rhs) for each violation, with the sample as
+    (Ln, Ld, rn, rd, Un, Ud, xn, xd) and each side as a (num, den) pair.
+    equality_points and violations are Fraction and Witness views of the
+    rows, built on first access; to_json writes the rows' ints directly.
+
     Every sample is either a violation or a subset, and a subset is either
     an equality point or a proper subset, so
-    subset_count = samples - len(violations) and
-    proper_subset_count = subset_count - len(equality_points).
+    subset_count = samples - len(violation_rows) and
+    proper_subset_count = subset_count - len(equality_rows).
     """
 
     samples: int
-    equality_points: tuple[tuple[Fraction, Fraction, Fraction], ...]
-    violations: tuple[Witness, ...]
+    equality_rows: tuple[tuple[int, int, int, int, int, int], ...]
+    violation_rows: tuple[tuple[tuple[int, ...], str, tuple[int, int], tuple[int, int]], ...]
 
     @property
     def subset_count(self) -> int:
-        return self.samples - len(self.violations)
+        return self.samples - len(self.violation_rows)
 
     @property
     def proper_subset_count(self) -> int:
-        return self.subset_count - len(self.equality_points)
+        return self.subset_count - len(self.equality_rows)
+
+    @cached_property
+    def equality_points(self) -> tuple[tuple[Fraction, Fraction, Fraction], ...]:
+        return tuple((Fraction(ln, ld), Fraction(rn, rd), Fraction(un, ud))
+                     for ln, ld, rn, rd, un, ud in self.equality_rows)
+
+    @cached_property
+    def violations(self) -> tuple[Witness, ...]:
+        return tuple(_witness(*row) for row in self.violation_rows)
 
     def to_json(self) -> dict:
+        f = _fraction_str
         return {
             "samples": self.samples,
             "subset_count": self.subset_count,
             "proper_subset_count": self.proper_subset_count,
             "equality_points": [
-                [str(L), str(r), str(U)] for L, r, U in self.equality_points
+                [f(ln, ld), f(rn, rd), f(un, ud)]
+                for ln, ld, rn, rd, un, ud in self.equality_rows
             ],
-            "violations": [w.to_json() for w in self.violations],
+            "violations": [
+                {"L": f(ln, ld), "r": f(rn, rd), "U": f(un, ud), "x": f(xn, xd),
+                 "violated": violated, "lhs": f(*lhs), "rhs": f(*rhs)}
+                for (ln, ld, rn, rd, un, ud, xn, xd), violated, lhs, rhs
+                in self.violation_rows
+            ],
         }
+
+
+def _fraction_str(num: int, den: int) -> str:
+    """str(Fraction(num, den)) of a reduced pair with den > 0."""
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
 # Fixed corner grid.  Each pair contributes probes at r = L, r = U, the
@@ -186,7 +215,8 @@ _CORNER_PAIRS = (
 # equal sample values are equal pairs.  The map's values at a sample come
 # from the kernels unreduced, with positive denominators, and are compared
 # by cross-multiplication.  Fractions are built only for what leaves the
-# module.
+# module, and check_dominance's results leave as reduced int rows
+# (DominanceStats).
 
 # (Ln, Ld, rn, rd, Un, Ud) of every corner probe, in sample order
 _CORNER_POINTS = tuple(
@@ -444,6 +474,7 @@ def check_dominance(m: MapCoefficients, cfg: SampleConfig) -> DominanceStats:
     For a canonical map the denominator forms decide every sample where
     Secant-Newton's interval is inside (see _subset_by_denominators);
     endpoints are computed only for the others, and for non-canonical maps.
+    Each violation's two sides are reduced once, as they are recorded.
     """
     n = m.n
     ev = MapEvaluator(m)
@@ -459,21 +490,21 @@ def check_dominance(m: MapCoefficients, cfg: SampleConfig) -> DominanceStats:
             equal = _subset_by_denominators(s, dens, sn_dens)
             if equal is not None:
                 if equal:
-                    equality.append((Fraction(ln, ld), Fraction(rn, rd), Fraction(un, ud)))
+                    equality.append((ln, ld, rn, rd, un, ud))
                 continue
             status, a, b, c, d = ev.canonical_pair(dens, ln, ld, un, ud, xn, xd)
         else:
             _, (status, a, b, c, d) = ev.evaluate(ln, ld, un, ud, xn, xd)
         if status:
-            violations.append(_witness(s, "denominator-zero", _ZERO_PAIR, _ZERO_PAIR))
+            violations.append((s, "denominator-zero", _ZERO_PAIR, _ZERO_PAIR))
             continue
         _, sa, sb, sc, sd = sn_ev.canonical_pair(sn_dens, ln, ld, un, ud, xn, xd)
         if a * sb > sa * b:
-            violations.append(_witness(s, "L' <= L*", (a, b), (sa, sb)))
+            violations.append((s, "L' <= L*", _reduced(a, b), _reduced(sa, sb)))
         elif sc * d > c * sd:
-            violations.append(_witness(s, "U* <= U'", (sc, sd), (c, d)))
+            violations.append((s, "U* <= U'", _reduced(sc, sd), _reduced(c, d)))
         elif a * sb == sa * b and c * sd == sc * d:
-            equality.append((Fraction(ln, ld), Fraction(rn, rd), Fraction(un, ud)))
+            equality.append((ln, ld, rn, rd, un, ud))
     return DominanceStats(cfg.count, tuple(equality), tuple(violations))
 
 

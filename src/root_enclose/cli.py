@@ -196,27 +196,31 @@ def cmd_compare(args) -> int:
     m = load_map(args.map_file)
     cfg = SampleConfig(args.seed, args.samples)
     stats = analysis.check_dominance(m, cfg)
+    # the exit code, the counts and the JSON come from the integer rows, so
+    # --json builds no Fraction or Witness
+    failed = 1 if stats.violation_rows else 0
     if args.json:
         _emit_json(args, stats.to_json())
-        return 1 if stats.violations else 0
+        return failed
     pct = lambda k: f"{100.0 * k / stats.samples:.1f}%"
+    equal = len(stats.equality_rows)
     lines = [
         f"samples: {stats.samples}",
         f"subset (secant-newton output inside map output): "
         f"{stats.subset_count} ({pct(stats.subset_count)})",
         f"proper subset: {stats.proper_subset_count} "
         f"({pct(stats.proper_subset_count)})",
-        f"equality points: {len(stats.equality_points)}",
+        f"equality points: {equal}",
     ]
     for L, r, U in stats.equality_points[:10]:
         lines.append(f"  (L, r, U) = ({L}, {r}, {U})")
-    if len(stats.equality_points) > 10:
-        lines.append(f"  ... {len(stats.equality_points) - 10} more")
-    lines.append(f"violations: {len(stats.violations)}")
-    if stats.violations:
+    if equal > 10:
+        lines.append(f"  ... {equal - 10} more")
+    lines.append(f"violations: {len(stats.violation_rows)}")
+    if failed:
         lines += ["  " + ln for ln in _witness_lines(m, stats.violations[0])]
     _write(args, "\n".join(lines))
-    return 1 if stats.violations else 0
+    return failed
 
 
 def cmd_locus(args) -> int:

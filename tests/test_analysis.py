@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from root_enclose.analysis import (
     MAX_MAGNITUDE,
-    DominanceStats,
     SampleConfig,
     Triple,
     Verdict,
@@ -307,8 +306,8 @@ def _reference_bounds(m, cfg):
 
 
 def _reference_dominance(m, cfg):
-    """check_dominance on Fractions, with the subset and proper-subset counts
-    it tallies itself: (stats, subset, proper)."""
+    """check_dominance on Fractions: (equality_points, violations, subset,
+    proper), with the subset and proper-subset counts it tallies itself."""
     sn = secant_newton(m.n)
     subset = proper = 0
     equality, violations = [], []
@@ -329,8 +328,25 @@ def _reference_dominance(m, cfg):
                 equality.append((L, r, U))
             else:
                 proper += 1
-    stats = DominanceStats(cfg.count, tuple(equality), tuple(violations))
-    return stats, subset, proper
+    return tuple(equality), tuple(violations), subset, proper
+
+
+def _assert_dominance_matches_reference(m, cfg):
+    """check_dominance's views, counts and JSON against the Fraction
+    reference, the JSON built with str(Fraction) and Witness.to_json."""
+    stats = check_dominance(m, cfg)
+    equality, violations, subset, proper = _reference_dominance(m, cfg)
+    assert stats.samples == cfg.count
+    assert stats.equality_points == equality
+    assert stats.violations == violations
+    assert (stats.subset_count, stats.proper_subset_count) == (subset, proper)
+    assert stats.to_json() == {
+        "samples": cfg.count,
+        "subset_count": subset,
+        "proper_subset_count": proper,
+        "equality_points": [[str(L), str(r), str(U)] for L, r, U in equality],
+        "violations": [w.to_json() for w in violations],
+    }
 
 
 _REFERENCE_MAPS = {
@@ -356,10 +372,7 @@ def test_scans_match_fraction_reference(name):
     cfg = SampleConfig(seed=13, count=300)
     contraction = falsify_contraction(m, cfg)
     assert contraction == _reference_contraction(m, cfg)
-    stats = check_dominance(m, cfg)
-    reference, subset, proper = _reference_dominance(m, cfg)
-    assert stats == reference
-    assert (stats.subset_count, stats.proper_subset_count) == (subset, proper)
+    _assert_dominance_matches_reference(m, cfg)
     if check_canonical(m).is_canonical:
         bounds = check_denominator_bounds(m, cfg)
         assert bounds == _reference_bounds(m, cfg)
@@ -384,7 +397,7 @@ def test_scans_match_fraction_reference_on_random_maps(kind, n, map_seed, seed):
     cfg = SampleConfig(seed=seed, count=120)
     contraction = falsify_contraction(m, cfg)
     assert contraction == _reference_contraction(m, cfg)
-    assert check_dominance(m, cfg) == _reference_dominance(m, cfg)[0]
+    _assert_dominance_matches_reference(m, cfg)
     if check_canonical(m).is_canonical:
         bounds = check_denominator_bounds(m, cfg)
         assert bounds == _reference_bounds(m, cfg)
@@ -414,12 +427,19 @@ def test_sampler_draws_what_randint_draws(seed):
 def test_reference_maps_cover_every_path():
     cfg = SampleConfig(seed=13, count=300)
     kinds = set()
+    sides = set()
     for m in _REFERENCE_MAPS.values():
         v = falsify_contraction(m, cfg)
         kinds.add(v.witness.violated if v.falsified else v.outcome)
-        kinds.update(w.violated for w in check_dominance(m, cfg).violations)
+        for w in check_dominance(m, cfg).violations:
+            kinds.add(w.violated)
+            for side in (w.lhs, w.rhs):
+                sides.add("zero" if side == 0 else "negative" if side < 0
+                          else "integer" if side.denominator == 1 else "fraction")
     assert {"passed-on-samples", "denominator-zero", "L <= L'", "L' <= r",
             "r <= U'", "U' <= U", "L' <= L*", "U* <= U'"} <= kinds
+    # every form the dominance JSON writes a side in
+    assert sides == {"zero", "negative", "integer", "fraction"}
 
 
 # --- equality locus ----------------------------------------------------------

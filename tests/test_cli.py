@@ -403,3 +403,21 @@ def test_output_is_pinned(argv, code, digest, write_map, capsys):
             del row["wall_time_ns"]
         out = json.dumps(rows, indent=2) + "\n"
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("spec,code", [("NONCANONICAL", 1), ("SN3", 0)])
+def test_compare_json_builds_no_witness(spec, code, write_map, capsys, monkeypatch):
+    # compare --json writes the dominance rows' ints directly: with Witness
+    # unbuildable it still gives the pinned output and exit code
+    from root_enclose import analysis, cli
+
+    def unbuildable(*args):
+        raise AssertionError("compare --json built a Witness")
+
+    monkeypatch.setattr(analysis, "Witness", unbuildable)
+    specs = {"NONCANONICAL": NONCANONICAL_SPEC, "SN3": SN3_SPEC}
+    argv = ("compare", spec, "--samples", "300", "--json")
+    digest = next(d for a, _, d in PINNED_OUTPUTS if a == argv)
+    assert cli.main(["compare", write_map(specs[spec]), *argv[2:]]) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -31,6 +31,19 @@ class TestKernelContracts:
             assert F(num, d) == sum(ci * a ** (k - 1 - i) * b ** i
                                     for i, ci in enumerate(coeffs))
 
+    def test_form_pair_trailing_zeros(self):
+        # the loop stops at the last nonzero coefficient and multiplies by
+        # a power of a for the zeros after it: Secant-Newton's Newton tail
+        # (n, 0, ..., 0), a zero in the last place only, and the zero form
+        a, b = F(-6, 4), F(10, 15)
+        for c in ([3, 0, 0], [5, 0, 0, 0, 0], [1, 2, 0], [2, 0, 3, 0, 0], [2, 0],
+                  [0, 0, 0], [7]):
+            num, d = _pure.form_pair(c, 3, -6, 4, 10, 15)
+            assert d > 0
+            k = len(c)
+            assert F(num, d) == sum(F(ci, 3) * a ** (k - 1 - i) * b ** i
+                                    for i, ci in enumerate(c)), c
+
     def test_map_outputs_match_fraction_reference(self):
         # the tail (-3/2, 1/6), held as [-9, 1] over 6, makes both
         # denominator forms negative at (L, U) = (2/3, 5/4)
