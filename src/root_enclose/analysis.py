@@ -25,6 +25,7 @@ The checks:
 
 from __future__ import annotations
 
+import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -134,7 +135,9 @@ class DominanceStats:
     has (sample, violated, lhs, rhs) for each violation, with the sample as
     (Ln, Ld, rn, rd, Un, Ud, xn, xd) and each side as a (num, den) pair.
     equality_points and violations are Fraction and Witness views of the
-    rows, built on first access; to_json writes the rows' ints directly.
+    rows, built on first access.  to_json_text writes the rows' ints
+    straight into the text json.dumps(..., indent=2, sort_keys=True) gives,
+    and to_json parses that text.
 
     Every sample is either a violation or a subset, and a subset is either
     an equality point or a proper subset, so
@@ -164,22 +167,42 @@ class DominanceStats:
         return tuple(_witness(*row) for row in self.violation_rows)
 
     def to_json(self) -> dict:
+        return json.loads(self.to_json_text())
+
+    def to_json_text(self) -> str:
+        """The JSON of the statistics, in json.dumps's indent=2,
+        sort_keys=True layout, without a final newline."""
         f = _fraction_str
-        return {
-            "samples": self.samples,
-            "subset_count": self.subset_count,
-            "proper_subset_count": self.proper_subset_count,
-            "equality_points": [
-                [f(ln, ld), f(rn, rd), f(un, ud)]
-                for ln, ld, rn, rd, un, ud in self.equality_rows
-            ],
-            "violations": [
-                {"L": f(ln, ld), "r": f(rn, rd), "U": f(un, ud), "x": f(xn, xd),
-                 "violated": violated, "lhs": f(*lhs), "rhs": f(*rhs)}
-                for (ln, ld, rn, rd, un, ud, xn, xd), violated, lhs, rhs
-                in self.violation_rows
-            ],
-        }
+        labels = {v: json.encoder.encode_basestring_ascii(v)
+                  for v in {row[1] for row in self.violation_rows}}
+        equality = ",\n".join([
+            _EQUALITY_ROW % (f(ln, ld), f(rn, rd), f(un, ud))
+            for ln, ld, rn, rd, un, ud in self.equality_rows
+        ])
+        violations = ",\n".join([
+            _VIOLATION_ROW % (f(ln, ld), f(un, ud), f(*lhs), f(rn, rd), f(*rhs),
+                              labels[violated], f(xn, xd))
+            for (ln, ld, rn, rd, un, ud, xn, xd), violated, lhs, rhs
+            in self.violation_rows
+        ])
+        return (f'{{\n  "equality_points": {_json_list(equality)},\n'
+                f'  "proper_subset_count": {self.proper_subset_count},\n'
+                f'  "samples": {self.samples},\n'
+                f'  "subset_count": {self.subset_count},\n'
+                f'  "violations": {_json_list(violations)}\n}}')
+
+
+# One row of each list of DominanceStats.to_json_text, keys in sorted order:
+# equality points as [L, r, U], violations as Witness.to_json objects.
+_EQUALITY_ROW = '    [\n      "%s",\n      "%s",\n      "%s"\n    ]'
+_VIOLATION_ROW = ('    {\n      "L": "%s",\n      "U": "%s",\n      "lhs": "%s",\n'
+                  '      "r": "%s",\n      "rhs": "%s",\n      "violated": %s,\n'
+                  '      "x": "%s"\n    }')
+
+
+def _json_list(rows: str) -> str:
+    """One list of to_json_text, given its rows joined by ",\\n"."""
+    return f"[\n{rows}\n  ]" if rows else "[]"
 
 
 def _fraction_str(num: int, den: int) -> str:

@@ -64,13 +64,14 @@ def _load_map_argument(text: str) -> MapCoefficients:
 
 
 def _write(args, text: str):
-    if not text.endswith("\n"):
-        text += "\n"
+    # the final newline is written on its own, so a multi-MB text is not
+    # copied to append it
+    end = "" if text.endswith("\n") else "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            print(text, end=end, file=fh)
     else:
-        sys.stdout.write(text)
+        print(text, end=end)
 
 
 def _emit_json(args, payload) -> None:
@@ -196,11 +197,12 @@ def cmd_compare(args) -> int:
     m = load_map(args.map_file)
     cfg = SampleConfig(args.seed, args.samples)
     stats = analysis.check_dominance(m, cfg)
-    # the exit code, the counts and the JSON come from the integer rows, so
-    # --json builds no Fraction or Witness
+    # the exit code, the counts and the output come from the integer rows:
+    # --json writes their text directly, and the text form builds only the
+    # equality points and the witness it prints
     failed = 1 if stats.violation_rows else 0
     if args.json:
-        _emit_json(args, stats.to_json())
+        _write(args, stats.to_json_text())
         return failed
     pct = lambda k: f"{100.0 * k / stats.samples:.1f}%"
     equal = len(stats.equality_rows)
@@ -212,13 +214,15 @@ def cmd_compare(args) -> int:
         f"({pct(stats.proper_subset_count)})",
         f"equality points: {equal}",
     ]
-    for L, r, U in stats.equality_points[:10]:
-        lines.append(f"  (L, r, U) = ({L}, {r}, {U})")
+    f = analysis._fraction_str
+    for ln, ld, rn, rd, un, ud in stats.equality_rows[:10]:
+        lines.append(f"  (L, r, U) = ({f(ln, ld)}, {f(rn, rd)}, {f(un, ud)})")
     if equal > 10:
         lines.append(f"  ... {equal - 10} more")
     lines.append(f"violations: {len(stats.violation_rows)}")
     if failed:
-        lines += ["  " + ln for ln in _witness_lines(m, stats.violations[0])]
+        witness = analysis._witness(*stats.violation_rows[0])
+        lines += ["  " + line for line in _witness_lines(m, witness)]
     _write(args, "\n".join(lines))
     return failed
 

@@ -1,11 +1,13 @@
+import json
 import random
 import tracemalloc
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from root_enclose.analysis import (
+    DominanceStats,
     MAX_MAGNITUDE,
     SampleConfig,
     Triple,
@@ -404,6 +406,54 @@ def test_scans_match_fraction_reference_on_random_maps(kind, n, map_seed, seed):
     else:
         bounds = None
     assert check_map(m, cfg) == (bounds, contraction)
+
+
+def _reference_stats_json(stats):
+    """DominanceStats.to_json as the dict it built before to_json_text."""
+    def f(num, den):
+        return str(num) if den == 1 else f"{num}/{den}"
+
+    return {
+        "samples": stats.samples,
+        "subset_count": stats.subset_count,
+        "proper_subset_count": stats.proper_subset_count,
+        "equality_points": [
+            [f(ln, ld), f(rn, rd), f(un, ud)]
+            for ln, ld, rn, rd, un, ud in stats.equality_rows
+        ],
+        "violations": [
+            {"L": f(ln, ld), "r": f(rn, rd), "U": f(un, ud), "x": f(xn, xd),
+             "violated": violated, "lhs": f(*lhs), "rhs": f(*rhs)}
+            for (ln, ld, rn, rd, un, ud, xn, xd), violated, lhs, rhs
+            in stats.violation_rows
+        ],
+    }
+
+
+# reduced (num, den) pairs, integers (den == 1) and negative numerators included
+_PAIRS = st.one_of(
+    st.integers(-10 ** 30, 10 ** 30).map(lambda n: (n, 1)),
+    st.fractions().map(lambda q: (q.numerator, q.denominator)),
+)
+_ROW_LISTS = st.tuples(
+    st.lists(st.tuples(_PAIRS, _PAIRS, _PAIRS).map(lambda t: sum(t, ())), max_size=6),
+    st.lists(st.tuples(st.tuples(_PAIRS, _PAIRS, _PAIRS, _PAIRS).map(lambda t: sum(t, ())),
+                       st.sampled_from(("denominator-zero", "L' <= L*", "U* <= U'")),
+                       _PAIRS, _PAIRS), max_size=6),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ROW_LISTS, st.integers(0, 10 ** 6))
+@example(([], []), 0)
+def test_dominance_json_text_is_the_stdlib_layout(rows, proper):
+    equality, violations = rows
+    stats = DominanceStats(len(equality) + len(violations) + proper,
+                           tuple(equality), tuple(violations))
+    reference = _reference_stats_json(stats)
+    text = stats.to_json_text()
+    assert text == json.dumps(reference, indent=2, sort_keys=True)
+    assert json.loads(text) == stats.to_json() == reference
 
 
 def _reference_draw(n, seed):

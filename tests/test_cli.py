@@ -405,19 +405,47 @@ def test_output_is_pinned(argv, code, digest, write_map, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("spec,code", [("NONCANONICAL", 1), ("SN3", 0)])
-def test_compare_json_builds_no_witness(spec, code, write_map, capsys, monkeypatch):
-    # compare --json writes the dominance rows' ints directly: with Witness
-    # unbuildable it still gives the pinned output and exit code
+@pytest.mark.parametrize("spec,code,no_to_json", [
+    pytest.param("NONCANONICAL", 1, False, id="NONCANONICAL-1"),
+    pytest.param("SN3", 0, False, id="SN3-0"),
+    pytest.param("NONCANONICAL", 1, True, id="NONCANONICAL-1-no-to_json"),
+])
+def test_compare_json_builds_no_witness(spec, code, no_to_json, write_map, capsys, monkeypatch):
+    # compare --json writes the dominance rows' ints straight to text: with
+    # Witness (and DominanceStats.to_json) unbuildable it still gives the
+    # pinned output and exit code
     from root_enclose import analysis, cli
 
     def unbuildable(*args):
-        raise AssertionError("compare --json built a Witness")
+        raise AssertionError("compare --json built a Witness or a JSON dict")
 
     monkeypatch.setattr(analysis, "Witness", unbuildable)
+    if no_to_json:
+        monkeypatch.setattr(analysis.DominanceStats, "to_json", unbuildable)
     specs = {"NONCANONICAL": NONCANONICAL_SPEC, "SN3": SN3_SPEC}
     argv = ("compare", spec, "--samples", "300", "--json")
     digest = next(d for a, _, d in PINNED_OUTPUTS if a == argv)
     assert cli.main(["compare", write_map(specs[spec]), *argv[2:]]) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_compare_text_builds_one_witness(write_map, capsys, monkeypatch):
+    # the text form prints the first violation only, so of the 300 it builds
+    # that one Witness
+    from root_enclose import analysis, cli
+
+    built = []
+    witness = analysis.Witness
+
+    def counting(*args):
+        built.append(args)
+        return witness(*args)
+
+    monkeypatch.setattr(analysis, "Witness", counting)
+    argv = ("compare", "NONCANONICAL", "--samples", "300")
+    digest = next(d for a, _, d in PINNED_OUTPUTS if a == argv)
+    assert cli.main(["compare", write_map(NONCANONICAL_SPEC), *argv[2:]]) == 1
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert len(built) == 1
