@@ -103,9 +103,5 @@ class Interval:
     def width(self) -> Fraction:
         return self.hi - self.lo
 
-    def scaled(self, s: Fraction) -> "Interval":
-        """[s*lo, s*hi] for s > 0."""
-        return Interval(self.lo * s, self.hi * s)
-
     def __str__(self) -> str:
         return f"[{self.lo}, {self.hi}]"

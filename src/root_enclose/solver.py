@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from ._kernels import refine_float_loop
 from .maps import DenominatorZeroError, MapCoefficients, MapEvaluator, secant_newton
@@ -46,15 +47,26 @@ class NotContractingError(RuntimeError):
 @dataclass(frozen=True)
 class RefineTrace:
     """Per-iteration record of a rational solver: the start interval and
-    every interval after it, and why the loop stopped.  The iteration count
-    and the widths follow from the intervals."""
+    every interval after it, and why the loop stopped.
 
-    intervals: tuple[Interval, ...]
+    Each interval is stored as an exact integer row
+    (lo_num, lo_den, hi_num, hi_den) with positive denominators, not
+    necessarily reduced.  The iteration count follows from the rows;
+    `intervals` is a view built on first access, `widths` reads it, and
+    `final` builds the last interval alone.
+    """
+
+    interval_rows: tuple[tuple[int, int, int, int], ...]
     terminated: str
 
     @property
     def iterations(self) -> int:
-        return len(self.intervals) - 1
+        return len(self.interval_rows) - 1
+
+    @cached_property
+    def intervals(self) -> tuple[Interval, ...]:
+        return tuple(Interval(Fraction(a, b), Fraction(c, d))
+                     for a, b, c, d in self.interval_rows)
 
     @property
     def widths(self) -> tuple[Fraction, ...]:
@@ -62,15 +74,16 @@ class RefineTrace:
 
     @property
     def final(self) -> Interval:
-        return self.intervals[-1]
+        a, b, c, d = self.interval_rows[-1]
+        return Interval(Fraction(a, b), Fraction(c, d))
 
     def to_json(self, include_intervals: bool = False) -> dict:
+        final = self.final
         out = {
             "iterations": self.iterations,
             "terminated": self.terminated,
-            "final_interval": [format_rational(self.final.lo),
-                               format_rational(self.final.hi)],
-            "final_width": format_rational(self.final.width),
+            "final_interval": [format_rational(final.lo), format_rational(final.hi)],
+            "final_width": format_rational(final.width),
         }
         if include_intervals:
             out["intervals"] = [[format_rational(iv.lo), format_rational(iv.hi)]
@@ -158,11 +171,11 @@ def refine_to_eps(x, n: int, eps, m: MapCoefficients | None = None,
     k = (eps.denominator // eps.numerator).bit_length() + 16
     ev = MapEvaluator(m)
     iv = initial_interval(x)
-    intervals = [iv]
+    rows = [(iv.lo.numerator, iv.lo.denominator, iv.hi.numerator, iv.hi.denominator)]
     it = 0
     while iv.width > eps:
         if it >= max_iter:
-            return RefineTrace(tuple(intervals), MAX_ITERATIONS)
+            return RefineTrace(tuple(rows), MAX_ITERATIONS)
         try:
             lo, hi = ev.pair(iv.lo, iv.hi, x)
         except DenominatorZeroError as exc:
@@ -175,8 +188,8 @@ def refine_to_eps(x, n: int, eps, m: MapCoefficients | None = None,
             raise NotContractingError(lo, hi, it, misses_root=True)
         iv = Interval(lo, hi)
         it += 1
-        intervals.append(iv)
-    return RefineTrace(tuple(intervals), WIDTH_REACHED)
+        rows.append((lo.numerator, lo.denominator, hi.numerator, hi.denominator))
+    return RefineTrace(tuple(rows), WIDTH_REACHED)
 
 
 def bisect_to_eps(x, n: int, eps, max_iter: int = DEFAULT_MAX_ITER) -> RefineTrace:
@@ -188,23 +201,23 @@ def bisect_to_eps(x, n: int, eps, max_iter: int = DEFAULT_MAX_ITER) -> RefineTra
     the first midpoint is 2/3).  A midpoint
     mid/(d*2**j) becomes the lower endpoint exactly when
     mid**n <= xn * d**(n-1) * 2**(n*j), and the width test compares
-    (b - a) * eps.den with eps.num * d * 2**j.  No Fraction arithmetic runs
-    per step: only the new endpoint is built as a Fraction, and the kept
-    endpoint is reused.  Every recorded interval satisfies
-    lo**n <= x <= hi**n exactly; the width halves each iteration.
+    (b - a) * eps.den with eps.num * d * 2**j.  Each step records its
+    interval as the unreduced row (a, d*2**j, b, d*2**j): no Fraction or
+    Interval is built in the loop, only by the trace's views.  Every recorded
+    interval satisfies lo**n <= x <= hi**n exactly; the width halves each
+    iteration.
     """
     x, eps = _validated(x, eps, max_iter, n)
-    iv = initial_interval(x)
     d = x.denominator
     a, b = sorted((x.numerator, d))
     span = b - a  # the width's numerator over d*2**j, the same at every j
     target = x.numerator * d ** (n - 1)  # x == target / d**n
     scale = d
-    intervals = [iv]
+    rows = [(a, scale, b, scale)]
     it = 0
     while span * eps.denominator > eps.numerator * scale:
         if it >= max_iter:
-            return RefineTrace(tuple(intervals), MAX_ITERATIONS)
+            return RefineTrace(tuple(rows), MAX_ITERATIONS)
         mid = a + b  # (a + b) / 2 on the next scale, d * 2**(j+1)
         a <<= 1
         b <<= 1
@@ -212,13 +225,11 @@ def bisect_to_eps(x, n: int, eps, max_iter: int = DEFAULT_MAX_ITER) -> RefineTra
         target <<= n
         if mid ** n <= target:
             a = mid
-            iv = Interval(Fraction(mid, scale), iv.hi)
         else:
             b = mid
-            iv = Interval(iv.lo, Fraction(mid, scale))
         it += 1
-        intervals.append(iv)
-    return RefineTrace(tuple(intervals), WIDTH_REACHED)
+        rows.append((a, scale, b, scale))
+    return RefineTrace(tuple(rows), WIDTH_REACHED)
 
 
 @dataclass(frozen=True)

@@ -449,3 +449,28 @@ def test_compare_text_builds_one_witness(write_map, capsys, monkeypatch):
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
     assert len(built) == 1
+
+
+def test_root_json_builds_one_interval(capsys, monkeypatch):
+    # root --json reads only the final interval of the 664 bisection steps
+    from fractions import Fraction as F
+
+    from root_enclose import cli
+    from root_enclose.numeric import Interval
+    from root_enclose.solver import bisect_to_eps
+
+    expected = bisect_to_eps(F(1, 3), 3, F(1, 10 ** 200)).intervals[-1]
+    built = []
+    post_init = Interval.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Interval, "__post_init__", counting)
+    argv = ["root", "--x", "1/3", "--n", "3", "--eps", "1e-200", "--map", "bisection", "--json"]
+    assert cli.main(argv) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["final_interval"] == [str(expected.lo), str(expected.hi)]
+    assert out["iterations"] == 664
+    assert len(built) <= 1

@@ -117,10 +117,6 @@ def test_interval_invariant():
         Interval(1.5, 2.0)  # floats are refused, exactness would be a lie
 
 
-def test_interval_scaled():
-    assert Interval(F(1), F(2)).scaled(F(3, 2)) == Interval(F(3, 2), F(3))
-
-
 @pytest.mark.parametrize("text,expected", [
     ("3", F(3)),
     ("-7/3", F(-7, 3)),

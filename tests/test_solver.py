@@ -221,15 +221,15 @@ def test_enclosure_and_nesting(n, x, eps):
 
 def _bisect_reference(x, n, eps, max_iter=DEFAULT_MAX_ITER):
     """The plain Fraction bisection loop the integer loop must reproduce:
-    (trace, iterations, widths), counting the iterations and the widths
-    itself."""
+    (trace, iterations, widths), the trace built from the rows of its
+    reduced intervals, counting the iterations and the widths itself."""
     iv = initial_interval(x)
     intervals = [iv]
     widths = [iv.width]
     it = 0
     while widths[-1] > eps:
         if it >= max_iter:
-            return RefineTrace(tuple(intervals), MAX_ITERATIONS), it, tuple(widths)
+            return _trace_of(intervals, MAX_ITERATIONS), it, tuple(widths)
         mid = (iv.lo + iv.hi) / 2
         if pow_int(mid, n) <= x:
             iv = Interval(mid, iv.hi)
@@ -238,14 +238,26 @@ def _bisect_reference(x, n, eps, max_iter=DEFAULT_MAX_ITER):
         it += 1
         intervals.append(iv)
         widths.append(iv.width)
-    return RefineTrace(tuple(intervals), WIDTH_REACHED), it, tuple(widths)
+    return _trace_of(intervals, WIDTH_REACHED), it, tuple(widths)
+
+
+def _trace_of(intervals, terminated):
+    return RefineTrace(tuple((iv.lo.numerator, iv.lo.denominator,
+                              iv.hi.numerator, iv.hi.denominator)
+                             for iv in intervals), terminated)
 
 
 def _assert_matches_bisect_reference(x, n, eps, max_iter=DEFAULT_MAX_ITER):
     trace = bisect_to_eps(x, n, eps, max_iter=max_iter)
     reference, iterations, widths = _bisect_reference(x, n, eps, max_iter)
-    assert trace == reference
+    # bisection's rows are not reduced, so the rows differ from the
+    # reference's while the intervals they stand for are equal
+    summary = trace.to_json()  # before the intervals view is built
+    assert (trace.intervals, trace.terminated) == (reference.intervals, reference.terminated)
     assert (trace.iterations, trace.widths) == (iterations, widths)
+    assert trace.final == trace.intervals[-1]
+    assert trace.to_json() == summary
+    assert trace.to_json(include_intervals=True) == reference.to_json(include_intervals=True)
 
 
 @pytest.mark.parametrize("n,eps_exp", sorted(DEEP_ITERATIONS))
@@ -265,6 +277,21 @@ def test_integer_bisection_matches_the_fraction_loop_on_deep_cases(n, eps_exp):
 @example(1, 3, 3, 1, 30, 5)
 def test_integer_bisection_matches_the_fraction_loop(a, b, n, c, e, max_iter):
     _assert_matches_bisect_reference(F(a, b), n, F(c, 10 ** e), max_iter)
+
+
+def test_bisection_builds_no_interval(monkeypatch):
+    # the loop records integer rows; Intervals are built only by the views
+    built = []
+    post_init = Interval.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Interval, "__post_init__", counting)
+    trace = bisect_to_eps(F(1, 3), 3, F(1, 10 ** 200))
+    assert (trace.iterations, trace.terminated) == (664, WIDTH_REACHED)
+    assert built == []
 
 
 def test_bisection_midpoints_need_not_be_dyadic():
