@@ -27,7 +27,6 @@ from .maps import (
     DenominatorZeroError,
     MapCoefficients,
     MapSpecError,
-    apply,
     apply_pair,
     canonicalize,
     check_canonical,
@@ -35,7 +34,7 @@ from .maps import (
     load_map,
     secant_newton,
 )
-from .numeric import Interval, Rational, geom_sum, parse_rational, pow_int
+from .numeric import Interval, geom_sum, parse_rational, pow_int
 from .solver import (
     FloatTrace,
     NotContractingError,
@@ -57,12 +56,10 @@ __all__ = [
     "MapCoefficients",
     "MapSpecError",
     "NotContractingError",
-    "Rational",
     "RefineTrace",
     "SampleConfig",
     "Verdict",
     "Witness",
-    "apply",
     "apply_pair",
     "bisect_to_eps",
     "canonicalize",

@@ -18,9 +18,10 @@ The checks:
                            canonical contracting maps
   * check_dominance      - Secant-Newton's output is a subset of the checked
                            map's output (and almost always a proper one)
-  * equality_locus       - the two polynomials in (L, U, x) whose common
-                           zero set is exactly where a canonical map's output
-                           coincides with Secant-Newton's
+  * equality_locus       - the two polynomials in (L, U, x), as dicts of
+                           their terms, whose common zero set is exactly
+                           where a canonical map's output coincides with
+                           Secant-Newton's; locus_text prints one
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from math import gcd
 from typing import NamedTuple
 
 from .maps import MapCoefficients, MapEvaluator, check_canonical, denominators, secant_newton
-from .numeric import as_rational, pow_int
+from .numeric import as_rational, format_rational, pow_int
 
 # Not used here; kept importable because perfbench/tracing.py wraps it at this
 # name.
@@ -90,14 +91,15 @@ class Witness:
             raise ValueError("witness must satisfy 0 < L <= r <= U")
 
     def to_json(self) -> dict:
+        f = format_rational
         return {
-            "L": str(self.L),
-            "r": str(self.r),
-            "U": str(self.U),
-            "x": str(self.x),
+            "L": f(self.L),
+            "r": f(self.r),
+            "U": f(self.U),
+            "x": f(self.x),
             "violated": self.violated,
-            "lhs": str(self.lhs),
-            "rhs": str(self.rhs),
+            "lhs": f(self.lhs),
+            "rhs": f(self.rhs),
         }
 
 
@@ -299,11 +301,6 @@ def _sample_pairs(n: int, cfg: SampleConfig):
 def _triple(s) -> Triple:
     ln, ld, rn, rd, un, ud, xn, xd = s
     return Triple(Fraction(ln, ld), Fraction(rn, rd), Fraction(un, ud), Fraction(xn, xd))
-
-
-def corner_triples(n: int) -> list[Triple]:
-    """The fixed head of every sample sequence."""
-    return [_triple(s) for s in _corner_samples(n)]
 
 
 def sample_triples(n: int, cfg: SampleConfig) -> list[Triple]:
@@ -531,63 +528,34 @@ def check_dominance(m: MapCoefficients, cfg: SampleConfig) -> DominanceStats:
     return DominanceStats(cfg.count, tuple(equality), tuple(violations))
 
 
-class TrivariatePoly:
-    """Sparse trivariate polynomial: {(i, j, k): c} for the terms c*L^i U^j x^k.
-
-    Only nonzero terms are stored, ordered by exponent, so structural
-    equality is semantic equality and the zero polynomial has no terms.
-    """
-
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms: dict):
-        self._terms = {key: as_rational(c) for key, c in sorted(terms.items()) if c != 0}
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def terms(self) -> dict:
-        """Nonzero terms as {(L-exp, U-exp, x-exp): coefficient}."""
-        return dict(self._terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, TrivariatePoly):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self):
-        return hash(tuple(self._terms.items()))
-
-    def __str__(self):
-        if self.is_zero:
-            return "0"
-        def monomial(i, j, k):
-            parts = []
-            for sym, e in (("L", i), ("U", j), ("x", k)):
-                if e == 1:
-                    parts.append(sym)
-                elif e > 1:
-                    parts.append(f"{sym}^{e}")
-            return "*".join(parts) if parts else "1"
-        pieces = []
-        for (i, j, k), c in sorted(self._terms.items(),
-                                   key=lambda kv: (-kv[0][2], -kv[0][0], -kv[0][1])):
-            mono = monomial(i, j, k)
-            mag = abs(c)
-            body = mono if mag == 1 and mono != "1" else (
-                f"{mag}" if mono == "1" else f"{mag}*{mono}")
-            if not pieces:
-                pieces.append(body if c > 0 else f"-{body}")
-            else:
-                pieces.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(pieces)
-
-    def __repr__(self):
-        return f"TrivariatePoly({self})"
+def locus_text(terms: dict) -> str:
+    """One polynomial of equality_locus as text: its terms by descending
+    x, then L, then U exponent, "0" if it has none."""
+    if not terms:
+        return "0"
+    def monomial(i, j, k):
+        parts = []
+        for sym, e in (("L", i), ("U", j), ("x", k)):
+            if e == 1:
+                parts.append(sym)
+            elif e > 1:
+                parts.append(f"{sym}^{e}")
+        return "*".join(parts) if parts else "1"
+    pieces = []
+    for (i, j, k), c in sorted(terms.items(),
+                               key=lambda kv: (-kv[0][2], -kv[0][0], -kv[0][1])):
+        mono = monomial(i, j, k)
+        mag = abs(c)
+        body = mono if mag == 1 and mono != "1" else (
+            format_rational(mag) if mono == "1" else f"{format_rational(mag)}*{mono}")
+        if not pieces:
+            pieces.append(body if c > 0 else f"-{body}")
+        else:
+            pieces.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(pieces)
 
 
-def equality_locus(m: MapCoefficients) -> tuple[TrivariatePoly, TrivariatePoly]:
+def equality_locus(m: MapCoefficients) -> tuple[dict, dict]:
     """The two polynomials whose simultaneous vanishing marks the points
     where a canonical map's output equals Secant-Newton's:
 
@@ -596,9 +564,10 @@ def equality_locus(m: MapCoefficients) -> tuple[TrivariatePoly, TrivariatePoly]:
         f_q = (x - U^n) * (coefficientwise excess of the q-denominator
                            over n*U^(n-1))
 
-    returned expanded as sparse polynomials over (L, U, x).  Both are
-    identically zero exactly for Secant-Newton itself; for any other
-    canonical map their common zero set has measure zero.
+    each returned expanded, as the dict {(L-exp, U-exp, x-exp): coefficient}
+    of its nonzero terms in exponent order; locus_text prints one.  Both
+    are empty exactly for Secant-Newton itself; for any other canonical map
+    their common zero set has measure zero.
     """
     if not check_canonical(m).is_canonical:
         raise ValueError("equality locus applies to canonical maps only")
@@ -611,9 +580,10 @@ def equality_locus(m: MapCoefficients) -> tuple[TrivariatePoly, TrivariatePoly]:
         terms = {}
         for i in range(n):
             c = coeffs[n + 1 + i] - ref_coeffs[n + 1 + i]
-            for ea, eb, ex, v in ((n - 1 - i, i, 1, c), (2 * n - 1 - i, i, 0, -c)):
-                terms[(ea, eb, ex) if a_first else (eb, ea, ex)] = v
-        polys.append(TrivariatePoly(terms))
+            if c:
+                for ea, eb, ex, v in ((n - 1 - i, i, 1, c), (2 * n - 1 - i, i, 0, -c)):
+                    terms[(ea, eb, ex) if a_first else (eb, ea, ex)] = v
+        polys.append(dict(sorted(terms.items())))
     return tuple(polys)
 
 

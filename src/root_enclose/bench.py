@@ -74,8 +74,8 @@ class BenchRow:
             "map": self.map_name,
             "backend": self.backend,
             "n": self.n,
-            "x": str(self.x),
-            "eps": str(self.eps),
+            "x": format_rational(self.x),
+            "eps": format_rational(self.eps),
             "iterations": self.iterations,
             "final_width": self.final_width,
             "wall_time_ns": self.wall_time_ns,

@@ -248,10 +248,10 @@ def cmd_locus(args) -> int:
         evaluation = (vp, vq, coincide)
     if args.json:
         payload = {
-            "f_p": str(f_p),
-            "f_q": str(f_q),
-            "f_p_terms": [[i, j, k, str(c)] for (i, j, k), c in sorted(f_p.terms().items())],
-            "f_q_terms": [[i, j, k, str(c)] for (i, j, k), c in sorted(f_q.terms().items())],
+            "f_p": analysis.locus_text(f_p),
+            "f_q": analysis.locus_text(f_q),
+            "f_p_terms": [[i, j, k, str(c)] for (i, j, k), c in f_p.items()],
+            "f_q_terms": [[i, j, k, str(c)] for (i, j, k), c in f_q.items()],
         }
         if evaluation:
             vp, vq, coincide = evaluation
@@ -262,7 +262,7 @@ def cmd_locus(args) -> int:
             }
         _emit_json(args, payload)
         return 0
-    lines = [f"f_p = {f_p}", f"f_q = {f_q}"]
+    lines = [f"f_p = {analysis.locus_text(f_p)}", f"f_q = {analysis.locus_text(f_q)}"]
     if evaluation:
         vp, vq, coincide = evaluation
         lines.append(f"at (L, U, x) = ({args.L}, {args.U}, {args.x}): "
@@ -325,9 +325,9 @@ def cmd_counterexample(args) -> int:
         "but only on a measure-zero set of points",
     ]
     if args.locus:
-        f_p, f_q = analysis.equality_locus(m)
-        payload["f_p"] = str(f_p)
-        payload["f_q"] = str(f_q)
+        f_p, f_q = map(analysis.locus_text, analysis.equality_locus(m))
+        payload["f_p"] = f_p
+        payload["f_q"] = f_q
         lines.append(f"f_p = {f_p}")
         lines.append(f"f_q = {f_q}")
     if args.json:

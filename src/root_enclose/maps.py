@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import lcm
 
 from ._kernels import apply_pairs, apply_reduced_pairs, form_pair
-from .numeric import Interval, as_rational, parse_rational
+from .numeric import as_rational, format_rational, parse_rational
 
 
 class DenominatorZeroError(ArithmeticError):
@@ -72,8 +72,8 @@ class MapCoefficients:
     def to_json(self) -> dict:
         return {
             "n": self.n,
-            "p": [str(c) for c in self.p],
-            "q": [str(c) for c in self.q],
+            "p": [format_rational(c) for c in self.p],
+            "q": [format_rational(c) for c in self.q],
         }
 
 
@@ -96,7 +96,8 @@ class CanonicalReport:
         return {
             "is_canonical": self.is_canonical,
             "violations": [
-                {"coefficient": name, "required": str(req), "actual": str(act)}
+                {"coefficient": name, "required": format_rational(req),
+                 "actual": format_rational(act)}
                 for name, req, act in self.violations
             ],
         }
@@ -247,16 +248,6 @@ def apply_pair(m: MapCoefficients, lo, hi, x) -> tuple[Fraction, Fraction]:
     exactly zero at (lo, hi).
     """
     return MapEvaluator(m).pair(as_rational(lo), as_rational(hi), as_rational(x))
-
-
-def apply(m: MapCoefficients, interval: Interval, x) -> Interval:
-    """Refine an interval once.
-
-    Raises ValueError if the refined pair is not a valid interval (possible
-    only for non-contracting maps; use apply_pair to inspect the raw pair).
-    """
-    lo, hi = apply_pair(m, interval.lo, interval.hi, x)
-    return Interval(lo, hi)
 
 
 def denominators(m: MapCoefficients, lo, hi) -> tuple[Fraction, Fraction]:

@@ -1,9 +1,9 @@
 """Exact rational scalars and intervals.
 
-The scalar type is the stdlib ``fractions.Fraction`` (re-exported as
-``Rational``): arbitrary precision, always stored reduced with a positive
-denominator, so equality is structural.  This module holds the Fraction-level
-helpers (parsing, formatting, powers, the geometric sum) and ``Interval``.
+The scalar type is the stdlib ``fractions.Fraction``: arbitrary precision,
+always stored reduced with a positive denominator, so equality is
+structural.  This module holds the Fraction-level helpers (parsing,
+formatting, powers, the geometric sum) and ``Interval``.
 The map kernels and the sampled scans work on (num, den) int pairs instead
 (``root_enclose._kernels``): the denominator is positive, but the kernels'
 results are not reduced, so values are compared by cross-multiplication,
@@ -17,8 +17,6 @@ import re
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-
-Rational = Fraction
 
 _RATIONAL_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?\Z")
 
@@ -104,4 +102,4 @@ class Interval:
         return self.hi - self.lo
 
     def __str__(self) -> str:
-        return f"[{self.lo}, {self.hi}]"
+        return f"[{format_rational(self.lo)}, {format_rational(self.hi)}]"

@@ -39,8 +39,8 @@ class NotContractingError(RuntimeError):
         self.iteration = iteration
         what = "an interval that misses the root" if misses_root else "a non-interval pair"
         super().__init__(
-            f"map produced {what} [{lo}, {hi}] at iteration "
-            f"{iteration}; it is not contracting"
+            f"map produced {what} [{format_rational(lo)}, {format_rational(hi)}] "
+            f"at iteration {iteration}; it is not contracting"
         )
 
 

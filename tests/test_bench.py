@@ -41,12 +41,16 @@ def test_deep_row_at_the_default_digit_limit():
     previous = sys.get_int_max_str_digits()
     try:
         sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
-        (row,) = run_bench(spec)
+        rows = run_bench(spec)
+        limited = emit(rows, "csv"), emit(rows, "json")
         sys.set_int_max_str_digits(0)
+        (row,) = rows
         assert F(row.final_width) == refine_to_eps(F(2), 2, F(1, 10 ** 10000)).widths[-1]
+        assert limited == (emit(rows, "csv"), emit(rows, "json"))
     finally:
         sys.set_int_max_str_digits(previous)
     assert len(row.final_width) > 12_500
+    assert json.loads(limited[1])[0]["eps"] == "1/1" + "0" * 10000
 
 
 def test_default_spec_iteration_counts():

@@ -347,7 +347,7 @@ def test_json_output_byte_identical_for_same_seed(write_map):
 
 # sha256 of the stdout of outputs that must not change byte for byte
 # (bench rows without their wall_time_ns); COUNTEREXAMPLE and SN3 stand for
-# map-spec files, and so do NONCANONICAL and ZERO_DENOMINATOR
+# map-spec files, and so do NONCANONICAL, ZERO_DENOMINATOR and PERTURBED
 PINNED_OUTPUTS = [
     (("check", "COUNTEREXAMPLE", "--samples", "300", "--json"), 1,
      "061c9e480fba2b2c824a0dcda9c1f32c29c353b939982fbfa32f839b267f0ae7"),
@@ -366,6 +366,13 @@ PINNED_OUTPUTS = [
      "62d5edd8a9c11343480a9108133c77fa7e834194c49e04f314edd0dc4eb72acc"),
     (("counterexample", "--json", "--locus"), 0,
      "b9e8738dbc157ee7285ed4fddbb030de2cb83c2608f456dac1adf94018d41e50"),
+    (("locus", "COUNTEREXAMPLE", "--L", "1", "--U", "3", "--x", "27"), 0,
+     "06df5a24d9cb170e0cc1fa30e01fb5cfdb793aa8149884714b1b0c037d6b3b4f"),
+    (("counterexample", "--locus"), 0,
+     "92401257973b958938e9d1151a8034b5325c48b69c808992cea15c2411c6b171"),
+    # nonzero excess on both sides: also pins the order of the q-side terms
+    (("locus", "PERTURBED", "--json"), 0,
+     "9d1351bca7275228d68489ce652d64c70a5efd61e7aa43f3bd5e67b94cc683fc"),
     (("bench", "--format", "json"), 0,
      "fdb6b2ffd79ed1ecaf986870109f70e29d249958d66e1764162272591f6203be"),
     (("check", "NONCANONICAL", "--samples", "300", "--json"), 1,
@@ -393,7 +400,8 @@ def test_output_is_pinned(argv, code, digest, write_map, capsys):
     from root_enclose import cli
 
     specs = {"COUNTEREXAMPLE": COUNTEREXAMPLE_SPEC, "SN3": SN3_SPEC,
-             "NONCANONICAL": NONCANONICAL_SPEC, "ZERO_DENOMINATOR": ZERO_DENOMINATOR_SPEC}
+             "NONCANONICAL": NONCANONICAL_SPEC, "ZERO_DENOMINATOR": ZERO_DENOMINATOR_SPEC,
+             "PERTURBED": PERTURBED_SPEC}
     argv = [write_map(specs[a]) if a in specs else a for a in argv]
     assert cli.main(argv) == code
     out = capsys.readouterr().out

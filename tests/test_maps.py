@@ -10,7 +10,6 @@ from root_enclose.maps import (
     MapCoefficients,
     MapEvaluator,
     MapSpecError,
-    apply,
     apply_pair,
     canonicalize,
     check_canonical,
@@ -20,7 +19,7 @@ from root_enclose.maps import (
     map_from_dict,
     secant_newton,
 )
-from root_enclose.numeric import Interval, geom_sum, pow_int
+from root_enclose.numeric import geom_sum, pow_int
 
 small_rationals = st.builds(F, st.integers(-12, 12), st.integers(1, 6))
 positive_rationals = st.builds(F, st.integers(1, 60), st.integers(1, 20))
@@ -99,14 +98,12 @@ def test_check_canonical_unrepaired_q0():
 
 def test_apply_secant_newton_hand_value():
     # x - L^3 = 19/8 over 1+2+4 = 7; x - U^3 = -37/8 over 3*4 = 12
-    result = apply(secant_newton(3), Interval(1, 2), F(27, 8))
-    assert result == Interval(F(75, 56), F(155, 96))
+    assert apply_pair(secant_newton(3), 1, 2, F(27, 8)) == (F(75, 56), F(155, 96))
 
 
 def test_apply_counterexample_map_same_point():
     # equality point: 2*1 + (1/2)*2 + 1*4 = 7 matches the secant denominator
-    result = apply(counterexample_map(), Interval(1, 2), F(27, 8))
-    assert result == Interval(F(75, 56), F(155, 96))
+    assert apply_pair(counterexample_map(), 1, 2, F(27, 8)) == (F(75, 56), F(155, 96))
 
 
 def test_apply_root_fixing_lower():

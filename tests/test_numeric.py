@@ -1,9 +1,12 @@
+import sys
 from fractions import Fraction as F
 from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
 
+from root_enclose.analysis import Witness, locus_text
+from root_enclose.maps import MapCoefficients, check_canonical
 from root_enclose.numeric import (
     Interval,
     as_rational,
@@ -12,6 +15,7 @@ from root_enclose.numeric import (
     parse_rational,
     pow_int,
 )
+from root_enclose.solver import NotContractingError
 
 rationals = st.builds(F, st.integers(-200, 200), st.integers(1, 60))
 positive_rationals = st.builds(F, st.integers(1, 200), st.integers(1, 60))
@@ -140,3 +144,31 @@ def test_parse_rational_rejects(bad):
 @given(rationals)
 def test_format_parse_round_trip(value):
     assert parse_rational(format_rational(value)) == value
+
+
+# a 5001-digit numerator or denominator, beyond the default limit of 4300
+HUGE = F(10 ** 5000)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no int-to-str digit limit on this interpreter")
+@pytest.mark.parametrize("write", [
+    lambda: str(NotContractingError(1 / HUGE, F(1), 3)),
+    lambda: MapCoefficients(2, (-1, 0, 0, HUGE, 1), (-1, 0, 0, 2, 0)).to_json(),
+    lambda: check_canonical(MapCoefficients(2, (-1, HUGE, 0, 1, 1), (-1, 0, 0, 2, 0))).to_json(),
+    lambda: Witness(F(1), F(1), HUGE, F(1), "U' <= U", HUGE, F(1)).to_json(),
+    lambda: locus_text({(1, 0, 1): 1 / HUGE, (2, 0, 0): -HUGE}),
+    lambda: str(Interval(1 / HUGE, F(1))),
+], ids=["NotContractingError", "MapCoefficients.to_json", "CanonicalReport.to_json",
+        "Witness.to_json", "locus_text", "Interval.__str__"])
+def test_writers_at_the_default_digit_limit(write):
+    previous = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+        limited = write()
+        sys.set_int_max_str_digits(0)
+        unlimited = write()
+        assert str(HUGE.numerator) in str(unlimited)
+    finally:
+        sys.set_int_max_str_digits(previous)
+    assert limited == unlimited

@@ -349,8 +349,10 @@ def test_deep_trace_json_at_the_default_digit_limit():
     try:
         sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
         limited = trace.to_json(include_intervals=True)
+        final = str(trace.final)
         sys.set_int_max_str_digits(0)
         unlimited = trace.to_json(include_intervals=True)
+        assert final == str(trace.final)
     finally:
         sys.set_int_max_str_digits(previous)
     assert limited == unlimited
