@@ -5,8 +5,8 @@ are checked on deterministic sample sets, and every failure comes back as a
 concrete rational witness that can be re-checked by hand.  Sample points are
 built as (L, r, U) with x = r**n, so the root of x is rational by
 construction and every comparison is exact; irrational values never arise.
-Each sample is evaluated once, on int pairs that are never reduced, and
-every test of a check reads that one evaluation.
+Each point is evaluated once, on int pairs that are never reduced, and a
+canonical map's endpoints only where a denominator bound fails.
 
 The checks:
 
@@ -14,8 +14,8 @@ The checks:
                            L <= L' <= r <= U' <= U, with corner probes at
                            x = L**n and x = U**n that catch any map whose
                            head coefficients are not canonical
-  * check_denominator_bounds - the two necessary denominator inequalities of
-                           canonical contracting maps
+  * check_denominator_bounds - the two denominator inequalities of canonical
+                           maps: necessary to contract, sufficient where held
   * check_dominance      - Secant-Newton's output is a subset of the checked
                            map's output (and almost always a proper one)
   * equality_locus       - the two polynomials in (L, U, x), as dicts of
@@ -30,13 +30,13 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
-from itertools import islice
+from functools import cached_property
+from itertools import chain, islice
 from math import gcd
 from typing import NamedTuple
 
 from .maps import MapCoefficients, MapEvaluator, check_canonical, denominators, secant_newton
-from .numeric import as_rational, format_rational, pow_int
+from .numeric import as_rational, format_pair, format_rational, pow_int
 
 # Not used here; kept importable because perfbench/tracing.py wraps it at this
 # name.
@@ -174,7 +174,7 @@ class DominanceStats:
     def to_json_text(self) -> str:
         """The JSON of the statistics, in json.dumps's indent=2,
         sort_keys=True layout, without a final newline."""
-        f = _fraction_str
+        f = format_pair
         labels = {v: json.encoder.encode_basestring_ascii(v)
                   for v in {row[1] for row in self.violation_rows}}
         equality = ",\n".join([
@@ -205,11 +205,6 @@ _VIOLATION_ROW = ('    {\n      "L": "%s",\n      "U": "%s",\n      "lhs": "%s",
 def _json_list(rows: str) -> str:
     """One list of to_json_text, given its rows joined by ",\\n"."""
     return f"[\n{rows}\n  ]" if rows else "[]"
-
-
-def _fraction_str(num: int, den: int) -> str:
-    """str(Fraction(num, den)) of a reduced pair with den > 0."""
-    return str(num) if den == 1 else f"{num}/{den}"
 
 
 # Fixed corner grid.  Each pair contributes probes at r = L, r = U, the
@@ -323,35 +318,8 @@ def _witness(s, violated: str, lhs: tuple[int, int], rhs: tuple[int, int]) -> Wi
     return Witness(L, r, U, x, violated, Fraction(*lhs), Fraction(*rhs))
 
 
-def _evaluations(ev: MapEvaluator, samples):
-    """Each sample with the map's one evaluation there, as (s, dens, result)
-    from ev.evaluate: the canonical map's denominator forms (or None) and
-    the kernel result.  Lazy, like samples."""
-    evaluate = ev.evaluate
-    for s in samples:
-        ln, ld, _, _, un, ud, xn, xd = s
-        yield s, *evaluate(ln, ld, un, ud, xn, xd)
-
-
-def _scan(tests, evaluations, checked: int = 0) -> list[Verdict]:
-    """Verdicts of per-sample tests ((s, dens, result) -> Witness or None)
-    from one lazy pass over the evaluations.  Each test stops at its own
-    first witness and the pass stops once every test has; samples_checked
-    counts the samples a test saw, on top of the given checked."""
-    verdicts = [None] * len(tests)
-    for e in evaluations:
-        checked += 1
-        for i, test in enumerate(tests):
-            if verdicts[i] is None and (w := test(e)) is not None:
-                verdicts[i] = Verdict(w, checked)
-        if all(verdicts):
-            break
-    return [v or Verdict(None, checked) for v in verdicts]
-
-
-def _contraction_witness(e) -> Witness | None:
-    """First failing inequality of L <= L' <= r <= U' <= U at one sample."""
-    s, _, (status, a, b, c, d) = e
+def _contraction_witness(s, status, a, b, c, d) -> Witness | None:
+    """First failing inequality of L <= L' <= r <= U' <= U at sample s."""
     ln, ld, rn, rd, un, ud, _, _ = s
     if status:
         return _witness(s, "denominator-zero", _ZERO_PAIR, _ZERO_PAIR)
@@ -366,12 +334,12 @@ def _contraction_witness(e) -> Witness | None:
     return None
 
 
-def _corner_probes(m: MapCoefficients, cfg: SampleConfig, report):
+def _corner_probes(m: MapCoefficients, cfg: SampleConfig):
     """At each distinct sampled (L, U): the probe x = L**n (r = L) if a p-side
     head coefficient is not canonical, and x = U**n (r = U) if a q-side one
     is not.  The samples are read lazily."""
     n = m.n
-    sides = {name[0] for name, _, _ in report.violations}
+    sides = {name[0] for name, _, _ in check_canonical(m).violations}
     seen = set()
     for ln, ld, _, _, un, ud, _, _ in _sample_pairs(n, cfg):
         if (ln, ld, un, ud) not in seen:
@@ -381,18 +349,40 @@ def _corner_probes(m: MapCoefficients, cfg: SampleConfig, report):
                     yield ln, ld, rn, rd, un, ud, rn ** n, rd ** n
 
 
-def _contraction_verdict(m: MapCoefficients, cfg: SampleConfig, report) -> Verdict:
-    """falsify_contraction(m, cfg), given report = check_canonical(m)."""
+def _witnesses(m: MapCoefficients, cfg: SampleConfig):
+    """(bounds witness, contraction witness) at each point the checks read,
+    lazily, None where a test holds.  A canonical map's points are the
+    samples; if Dp >= S > 0 and Dq >= N > 0 there, then (r^n - L^n)/(r - L)
+    <= S puts L' in [L, r] and (U^n - r^n)/(U - r) <= N puts U' in [r, U],
+    so its endpoints are computed only where a bound fails.  A non-canonical
+    map's points are its corner probes, then the samples, with no bounds."""
+    n = m.n
     ev = MapEvaluator(m)
+    if not check_canonical(m).is_canonical:
+        for s in chain(_corner_probes(m, cfg), _sample_pairs(n, cfg)):
+            ln, ld, _, _, un, ud, xn, xd = s
+            yield None, _contraction_witness(s, *ev.evaluate(ln, ld, un, ud, xn, xd))
+        return
+    sn_forms = MapEvaluator(secant_newton(n)).denominator_pairs
+    for s in _sample_pairs(n, cfg):
+        ln, ld, _, _, un, ud, xn, xd = s
+        dens = ev.denominator_pairs(ln, ld, un, ud)
+        bounds = _bounds_witness(n, s, dens, sn_forms(ln, ld, un, ud))
+        if bounds is None:
+            yield None, None
+        else:
+            result = ev.canonical_pair(dens, ln, ld, un, ud, xn, xd)
+            yield bounds, _contraction_witness(s, *result)
+
+
+def _first_witness(points, slot: int) -> Verdict:
+    """The verdict of one slot of _witnesses: its first witness and the
+    points read up to it."""
     checked = 0
-    if not report.is_canonical:
-        probes = _evaluations(ev, _corner_probes(m, cfg, report))
-        probed = _scan([_contraction_witness], probes)[0]
-        if probed.falsified:
-            return probed
-        checked = probed.samples_checked
-    samples = _evaluations(ev, _sample_pairs(m.n, cfg))
-    return _scan([_contraction_witness], samples, checked)[0]
+    for checked, found in enumerate(points, 1):
+        if found[slot] is not None:
+            return Verdict(found[slot], checked)
+    return Verdict(None, checked)
 
 
 def falsify_contraction(m: MapCoefficients, cfg: SampleConfig) -> Verdict:
@@ -409,17 +399,15 @@ def falsify_contraction(m: MapCoefficients, cfg: SampleConfig) -> Verdict:
 
     samples_checked counts evaluated points, probes included.
     """
-    return _contraction_verdict(m, cfg, check_canonical(m))
+    return _first_witness(_witnesses(m, cfg), 1)
 
 
-def _bounds_witness(sn_ev: MapEvaluator, e) -> Witness | None:
-    """First failing denominator bound at one evaluated sample
-    e = (s, dens, _): the map's forms dens against the secant form and the
-    Newton form at the sample's (L, U), from Secant-Newton's evaluator."""
-    n = sn_ev.map.n
-    s, ((pn, pd), (qn, qd)), _ = e
+def _bounds_witness(n: int, s, dens, sn_dens) -> Witness | None:
+    """First failing denominator bound at sample s: the map's forms dens
+    against Secant-Newton's secant and Newton forms sn_dens at the sample's
+    (L, U)."""
     ln, ld, _, _, un, ud, _, _ = s
-    (sn, sd), (nn, nd) = sn_ev.denominator_pairs(ln, ld, un, ud)
+    ((pn, pd), (qn, qd)), ((sn, sd), (nn, nd)) = dens, sn_dens
     if pn * sd < sn * pd:
         return _witness((ln, ld, ln, ld, un, ud, ln ** n, ld ** n),
                         "p-denominator >= secant form", (pn, pd), (sn, sd))
@@ -427,11 +415,6 @@ def _bounds_witness(sn_ev: MapEvaluator, e) -> Witness | None:
         return _witness((ln, ld, ln, ld, un, ud, ln ** n, ld ** n),
                         "q-denominator >= n*U^(n-1)", (qn, qd), (nn, nd))
     return None
-
-
-def _sample_scan(m: MapCoefficients, cfg: SampleConfig, tests) -> list[Verdict]:
-    """_scan of tests over the evaluations of m at the samples of cfg."""
-    return _scan(tests, _evaluations(MapEvaluator(m), _sample_pairs(m.n, cfg)))
 
 
 def check_denominator_bounds(m: MapCoefficients, cfg: SampleConfig) -> Verdict:
@@ -445,20 +428,23 @@ def check_denominator_bounds(m: MapCoefficients, cfg: SampleConfig) -> Verdict:
     """
     if not check_canonical(m).is_canonical:
         raise ValueError("denominator bounds apply to canonical maps only")
-    bounds = partial(_bounds_witness, MapEvaluator(secant_newton(m.n)))
-    return _sample_scan(m, cfg, [bounds])[0]
+    return _first_witness(_witnesses(m, cfg), 0)
 
 
 def check_map(m: MapCoefficients, cfg: SampleConfig) -> tuple[Verdict | None, Verdict]:
-    """(check_denominator_bounds(m, cfg), falsify_contraction(m, cfg)); for a
-    canonical map both tests run on one evaluation per sample, in one pass
-    over the samples.  The bounds verdict is None for non-canonical maps,
-    which the bounds do not apply to."""
-    report = check_canonical(m)
-    if not report.is_canonical:
-        return None, _contraction_verdict(m, cfg, report)
-    bounds = partial(_bounds_witness, MapEvaluator(secant_newton(m.n)))
-    return tuple(_sample_scan(m, cfg, [bounds, _contraction_witness]))
+    """(check_denominator_bounds(m, cfg), falsify_contraction(m, cfg)) from
+    one pass, which stops at the first contraction witness: a canonical map
+    fails a bound wherever it fails to contract (see _witnesses).  The
+    bounds verdict is None for non-canonical maps."""
+    if not check_canonical(m).is_canonical:
+        return None, _first_witness(_witnesses(m, cfg), 1)
+    bounds = Verdict(None, cfg.count)
+    for checked, (bound, contraction) in enumerate(_witnesses(m, cfg), 1):
+        if bound is not None and not bounds.falsified:
+            bounds = Verdict(bound, checked)
+        if contraction is not None:
+            return bounds, Verdict(contraction, checked)
+    return bounds, Verdict(None, cfg.count)
 
 
 def _subset_by_denominators(s, dens, sn_dens) -> bool | None:
@@ -514,7 +500,7 @@ def check_dominance(m: MapCoefficients, cfg: SampleConfig) -> DominanceStats:
                 continue
             status, a, b, c, d = ev.canonical_pair(dens, ln, ld, un, ud, xn, xd)
         else:
-            _, (status, a, b, c, d) = ev.evaluate(ln, ld, un, ud, xn, xd)
+            status, a, b, c, d = ev.evaluate(ln, ld, un, ud, xn, xd)
         if status:
             violations.append((s, "denominator-zero", _ZERO_PAIR, _ZERO_PAIR))
             continue

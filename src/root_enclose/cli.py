@@ -28,7 +28,7 @@ from .maps import (
     load_map,
     secant_newton,
 )
-from .numeric import parse_rational
+from .numeric import format_pair, parse_rational
 from .solver import (
     DEFAULT_MAX_ITER,
     NotContractingError,
@@ -214,7 +214,7 @@ def cmd_compare(args) -> int:
         f"({pct(stats.proper_subset_count)})",
         f"equality points: {equal}",
     ]
-    f = analysis._fraction_str
+    f = format_pair
     for ln, ld, rn, rd, un, ud in stats.equality_rows[:10]:
         lines.append(f"  (L, r, U) = ({f(ln, ld)}, {f(rn, rd)}, {f(un, ud)})")
     if equal > 10:

@@ -197,7 +197,7 @@ class MapEvaluator:
             raise ValueError(f"need 0 < lo <= hi, got [{lo}, {hi}]")
         if x <= 0:
             raise ValueError(f"need x > 0, got {x}")
-        _, (status, a, b, c, d) = self.evaluate(
+        status, a, b, c, d = self.evaluate(
             lo.numerator, lo.denominator,
             hi.numerator, hi.denominator,
             x.numerator, x.denominator,
@@ -209,17 +209,15 @@ class MapEvaluator:
         return Fraction(a, b), Fraction(c, d)
 
     def evaluate(self, ln, ld, un, ud, xn, xd):
-        """pair() on int pairs with positive denominators, unchecked, as
-        (dens, (status, lo_num, lo_den, hi_num, hi_den)): the kernel's
-        result, status 1 or 2 for a zero lower or upper denominator, with
-        the endpoints' denominators positive but not reduced.  dens is what
-        denominator_pairs gives for a canonical map, whose endpoints divide
-        by those forms, and None for any other map."""
+        """pair() on int pairs with positive denominators, unchecked: the
+        kernel's result (status, lo_num, lo_den, hi_num, hi_den), status 1
+        or 2 for a zero lower or upper denominator, with the endpoints'
+        denominators positive but not reduced."""
         if self._canonical:
-            dens = self.denominator_pairs(ln, ld, un, ud)
-            return dens, self.canonical_pair(dens, ln, ld, un, ud, xn, xd)
-        return None, apply_pairs(self._n, self._p, self._pden, self._q, self._qden,
-                                 ln, ld, un, ud, xn, xd)
+            return self.canonical_pair(self.denominator_pairs(ln, ld, un, ud),
+                                       ln, ld, un, ud, xn, xd)
+        return apply_pairs(self._n, self._p, self._pden, self._q, self._qden,
+                           ln, ld, un, ud, xn, xd)
 
     def denominator_pairs(self, ln, ld, un, ud) -> tuple[tuple[int, int], tuple[int, int]]:
         """Both denominator forms at (L, U) = (ln/ld, un/ud) as pairs with

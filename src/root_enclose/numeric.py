@@ -36,19 +36,20 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(int(text))
 
 
-def format_rational(value: Fraction) -> str:
-    """Reduced text form with positive denominator ('a' or 'a/b').
-
-    Exact at any size: parts longer than the interpreter's int-to-str digit
-    limit are written through ``Decimal``, which converts ints exactly and is
-    not subject to that limit.
-    """
-    value = Fraction(value)
+def format_pair(num: int, den: int) -> str:
+    """Text form 'a' or 'a/b' of a reduced pair num/den with den > 0, exact
+    at any size: parts longer than the interpreter's int-to-str digit limit
+    are written through ``Decimal``, which converts ints exactly."""
     try:
-        return str(value)
-    except ValueError:
-        num, den = Decimal(value.numerator), Decimal(value.denominator)
         return str(num) if den == 1 else f"{num}/{den}"
+    except ValueError:
+        return format_pair(Decimal(num), Decimal(den))
+
+
+def format_rational(value: Fraction) -> str:
+    """Reduced text form with positive denominator, as format_pair writes it."""
+    value = Fraction(value)
+    return format_pair(value.numerator, value.denominator)
 
 
 def as_rational(value) -> Fraction:

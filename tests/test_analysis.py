@@ -1,7 +1,9 @@
 import json
 import random
+import sys
 import tracemalloc
 from fractions import Fraction as F
+from functools import partial
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -25,6 +27,7 @@ from root_enclose.analysis import (
     random_noncanonical_map,
     sample_triples,
 )
+from root_enclose import maps
 from root_enclose.maps import (
     DenominatorZeroError,
     MapCoefficients,
@@ -190,6 +193,39 @@ def test_bounds_reject_noncanonical():
     m = MapCoefficients(2, (F(0), 0, 0, 1, 1), (F(-1), 0, 0, 2, 0))
     with pytest.raises(ValueError):
         check_denominator_bounds(m, CFG)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["canonical", "positive", "perturbed"]), st.integers(2, 5),
+       st.integers(0, 2 ** 32), st.integers(0, 2 ** 64 - 1))
+def test_bounds_held_at_a_sample_imply_contraction_there(kind, n, map_seed, seed):
+    # the fact that lets the checks skip the endpoints where both bounds
+    # hold, checked on Fractions at every sample
+    m = {"canonical": random_canonical_map,
+         "positive": partial(random_canonical_map, positive_denominators=True),
+         "perturbed": perturbed_contracting_map}[kind](n, map_seed)
+    for t in sample_triples(n, SampleConfig(seed=seed, count=120)):
+        dp, dq = denominators(m, t.L, t.U)
+        if dp >= geom_sum(t.L, t.U, n) and dq >= n * t.U ** (n - 1):
+            assert _reference_witness(m, *t) is None, t
+
+
+@pytest.mark.parametrize("m", [secant_newton(3), perturbed_contracting_map(4, 3)],
+                         ids=["secant-newton-3", "perturbed-4"])
+def test_check_map_computes_no_endpoint_where_the_bounds_hold(m, monkeypatch):
+    calls = []
+
+    def counting(kernel):
+        def wrapped(*args):
+            calls.append(kernel.__name__)
+            return kernel(*args)
+        return wrapped
+
+    for name in ("apply_pairs", "apply_reduced_pairs"):
+        monkeypatch.setattr(maps, name, counting(getattr(maps, name)))
+    bounds, contraction = check_map(m, SampleConfig())
+    assert not bounds.falsified and not contraction.falsified
+    assert calls == []
 
 
 # --- dominance ---------------------------------------------------------------
@@ -456,6 +492,28 @@ def test_dominance_json_text_is_the_stdlib_layout(rows, proper):
     text = stats.to_json_text()
     assert text == json.dumps(reference, indent=2, sort_keys=True)
     assert json.loads(text) == stats.to_json() == reference
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no int-to-str digit limit on this interpreter")
+@pytest.mark.parametrize("write", ["to_json_text", "to_json"])
+def test_dominance_json_at_the_default_digit_limit(write):
+    # at the first seeded sample, the 76th, x = r^n has a 4377-digit
+    # numerator and both sides of the violation 12,361-digit numerators,
+    # beyond the default limit of 4300
+    sn = secant_newton(800)
+    stats = check_dominance(MapCoefficients(800, (-1, 1) + sn.p[2:], sn.q),
+                            SampleConfig(count=76))
+    previous = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+        limited = getattr(stats, write)()
+        sys.set_int_max_str_digits(0)
+        unlimited = getattr(stats, write)()
+        assert len(max(stats.to_json_text().split('"'), key=len)) > 4300
+    finally:
+        sys.set_int_max_str_digits(previous)
+    assert limited == unlimited
 
 
 def _reference_draw(n, seed):

@@ -88,7 +88,11 @@ def test_tracer_wraps_the_kernels_at_their_lookup_names(tmp_path):
         tracing.install(tracer)
         tracer.begin_pass()
         tracer.active = True
-        analysis.falsify_contraction(maps.secant_newton(2), analysis.SampleConfig(count=10))
+        cfg = analysis.SampleConfig(count=10)
+        analysis.falsify_contraction(maps.secant_newton(2), cfg)
+        # p-denominator (L + U)/2, below the secant form: endpoints are computed
+        analysis.falsify_contraction(
+            maps.MapCoefficients(2, (-1, 0, 0, "1/2", "1/2"), (-1, 0, 0, 2, 0)), cfg)
         tracer.begin_pass()
         cli.main(["root", "--x", "2", "--n", "2", "--eps", "1e-30", "--map", "bisection",
                   "--json", "--out", os.devnull])
@@ -105,9 +109,13 @@ def test_tracer_wraps_the_kernels_at_their_lookup_names(tmp_path):
     assert out.returncode == 0, out.stderr
     backend, (metrics, cli_metrics) = json.loads(out.stdout)
     assert backend == "pure"
-    assert metrics["kernels.apply_reduced_pairs.calls"] == 10
-    assert metrics["kernels.form_pair.calls"] == 20
-    assert metrics["analysis.points_checked"] == 10
+    # Secant-Newton holds both bounds at its 10 samples, so only the four
+    # denominator forms (its own two, compared with themselves) are
+    # evaluated there; the second map fails the p bound at every sample and
+    # first fails to contract at its 7th
+    assert metrics["kernels.apply_reduced_pairs.calls"] == 7
+    assert metrics["kernels.form_pair.calls"] == 4 * (10 + 7)
+    assert metrics["analysis.points_checked"] == 10 + 7
     # the tracer reads trace.iterations and stats.samples from the results;
     # a record that stopped answering either would lose these counts
     assert cli_metrics["cli.main.calls"] == 2
