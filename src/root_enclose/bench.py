@@ -27,7 +27,7 @@ from .maps import (
     counterexample_map,
     load_map,
 )
-from .numeric import format_rational, parse_rational
+from .numeric import format_rational, parse_int, parse_rational
 from .solver import (
     DEFAULT_MAX_ITER,
     NotContractingError,
@@ -94,6 +94,14 @@ def default_spec() -> BenchSpec:
     )
 
 
+def _spec_rational(value) -> Fraction:
+    """An xs or epses entry: a rational string, or a JSON integer of any
+    size (which str() could not write past the int-to-str digit limit)."""
+    if type(value) is int:
+        return Fraction(value)
+    return parse_rational(str(value))
+
+
 def spec_from_dict(data) -> BenchSpec:
     if not isinstance(data, dict):
         raise BenchSpecError("bench spec must be a JSON object")
@@ -108,8 +116,8 @@ def spec_from_dict(data) -> BenchSpec:
         return value
 
     try:
-        xs = tuple(parse_rational(str(v)) for v in listing("xs"))
-        epses = tuple(parse_rational(str(v)) for v in listing("epses"))
+        xs = tuple(_spec_rational(v) for v in listing("xs"))
+        epses = tuple(_spec_rational(v) for v in listing("epses"))
     except ValueError as exc:
         raise BenchSpecError(str(exc)) from None
     if any(x <= 0 for x in xs):
@@ -141,7 +149,7 @@ def spec_from_dict(data) -> BenchSpec:
 def load_spec(path) -> BenchSpec:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(fh, parse_int=parse_int)
     except OSError as exc:
         raise BenchSpecError(f"cannot read bench spec {path}: {exc}") from None
     except json.JSONDecodeError as exc:

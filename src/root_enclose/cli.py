@@ -5,12 +5,15 @@ Subcommands: root, check, compare, locus, counterexample, bench.
 Exit codes: 0 success / property held, 1 property falsified (a witness is
 printed), 2 usage or input error.  All rationals are read and written in the
 exact "a/b" text form; eps additionally accepts the shorthand "1e-k" which
-expands to the exact rational 1/10**k.
+expands to the exact rational 1/10**k.  Every rational is written through
+``format_rational``, so no process-wide setting (such as the int-to-str
+digit limit) is touched, and the argument parser is built once per process.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -28,7 +31,7 @@ from .maps import (
     load_map,
     secant_newton,
 )
-from .numeric import format_pair, parse_rational
+from .numeric import format_pair, format_rational, parse_rational
 from .solver import (
     DEFAULT_MAX_ITER,
     NotContractingError,
@@ -80,7 +83,8 @@ def _emit_json(args, payload) -> None:
 
 def _witness_lines(m: MapCoefficients, w) -> list[str]:
     """Print a witness with everything needed to re-check it by hand."""
-    lines = [f"witness: L={w.L}  r={w.r}  U={w.U}  x={w.x}"]
+    f = format_rational
+    lines = [f"witness: L={f(w.L)}  r={f(w.r)}  U={f(w.U)}  x={f(w.x)}"]
     if w.violated == "denominator-zero":
         try:
             apply_pair(m, w.L, w.U, w.x)
@@ -91,14 +95,14 @@ def _witness_lines(m: MapCoefficients, w) -> list[str]:
     if w.violated in ("L' <= L*", "U* <= U'"):
         mlo, mhi = apply_pair(m, w.L, w.U, w.x)
         slo, shi = apply_pair(secant_newton(m.n), w.L, w.U, w.x)
-        lines.append(f"  map output:           [{mlo}, {mhi}]")
-        lines.append(f"  secant-newton output: [{slo}, {shi}]")
+        lines.append(f"  map output:           [{f(mlo)}, {f(mhi)}]")
+        lines.append(f"  secant-newton output: [{f(slo)}, {f(shi)}]")
     elif w.violated in ("L <= L'", "L' <= r", "r <= U'", "U' <= U"):
         lo, hi = apply_pair(m, w.L, w.U, w.x)
-        lines.append(f"  L={w.L}  L'={lo}  r={w.r}  U'={hi}  U={w.U}")
+        lines.append(f"  L={f(w.L)}  L'={f(lo)}  r={f(w.r)}  U'={f(hi)}  U={f(w.U)}")
     # otherwise a denominator bound: lhs and rhs are the two forms it
     # compares, and the map may have no output at that point
-    lines.append(f"  violated: {w.violated}  with lhs={w.lhs}, rhs={w.rhs}")
+    lines.append(f"  violated: {w.violated}  with lhs={f(w.lhs)}, rhs={f(w.rhs)}")
     return lines
 
 
@@ -129,7 +133,8 @@ def cmd_root(args) -> int:
         if args.json:
             payload = trace.to_json()
             payload.update({"backend": "float", "map": map_name,
-                            "n": args.n, "x": str(x), "eps": str(args.eps)})
+                            "n": args.n, "x": format_rational(x),
+                            "eps": format_rational(args.eps)})
             _emit_json(args, payload)
         else:
             _write(args, f"[{trace.lo!r}, {trace.hi!r}]\n"
@@ -145,14 +150,15 @@ def cmd_root(args) -> int:
     if args.json:
         payload = trace.to_json(include_intervals=args.trace)
         payload.update({"backend": "rational", "map": map_name,
-                        "n": args.n, "x": str(x), "eps": str(args.eps)})
+                        "n": args.n, "x": format_rational(x),
+                        "eps": format_rational(args.eps)})
         _emit_json(args, payload)
     else:
         lines = [str(trace.final),
                  f"iterations: {trace.iterations}",
                  f"terminated: {trace.terminated}"]
         if args.trace:
-            lines += [f"  iter {i}: {iv} width={w}"
+            lines += [f"  iter {i}: {iv} width={format_rational(w)}"
                       for i, (iv, w) in enumerate(zip(trace.intervals, trace.widths))]
         _write(args, "\n".join(lines))
     return 0 if ok else 1
@@ -183,7 +189,8 @@ def cmd_check(args) -> int:
     else:
         lines.append("canonical form: NO")
         for name, req, actual in report.violations:
-            lines.append(f"  {name} must be {req}, got {actual}")
+            lines.append(f"  {name} must be {format_rational(req)}, "
+                         f"got {format_rational(actual)}")
         lines.append("denominator bounds: skipped (map is not canonical)")
     lines.append(f"contraction: {verdict.outcome} "
                  f"({verdict.samples_checked} points)")
@@ -246,18 +253,19 @@ def cmd_locus(args) -> int:
         except DenominatorZeroError:
             pass
         evaluation = (vp, vq, coincide)
+    f = format_rational
     if args.json:
         payload = {
             "f_p": analysis.locus_text(f_p),
             "f_q": analysis.locus_text(f_q),
-            "f_p_terms": [[i, j, k, str(c)] for (i, j, k), c in f_p.items()],
-            "f_q_terms": [[i, j, k, str(c)] for (i, j, k), c in f_q.items()],
+            "f_p_terms": [[i, j, k, f(c)] for (i, j, k), c in f_p.items()],
+            "f_q_terms": [[i, j, k, f(c)] for (i, j, k), c in f_q.items()],
         }
         if evaluation:
             vp, vq, coincide = evaluation
             payload["evaluation"] = {
-                "L": str(args.L), "U": str(args.U), "x": str(args.x),
-                "f_p": str(vp), "f_q": str(vq),
+                "L": f(args.L), "U": f(args.U), "x": f(args.x),
+                "f_p": f(vp), "f_q": f(vq),
                 "outputs_coincide": coincide,
             }
         _emit_json(args, payload)
@@ -265,8 +273,8 @@ def cmd_locus(args) -> int:
     lines = [f"f_p = {analysis.locus_text(f_p)}", f"f_q = {analysis.locus_text(f_q)}"]
     if evaluation:
         vp, vq, coincide = evaluation
-        lines.append(f"at (L, U, x) = ({args.L}, {args.U}, {args.x}): "
-                     f"f_p = {vp}, f_q = {vq}")
+        lines.append(f"at (L, U, x) = ({f(args.L)}, {f(args.U)}, {f(args.x)}): "
+                     f"f_p = {f(vp)}, f_q = {f(vq)}")
         if coincide is None:
             lines.append("outputs: a denominator is zero here, nothing to compare")
         else:
@@ -305,21 +313,22 @@ def cmd_counterexample(args) -> int:
     theirs = apply_pair(sn, L, U, x)
     vp, vq = analysis.evaluate_locus(m, L, U, x)
     equal = ours == theirs and (vp, vq) == (0, 0)
+    f = format_rational
     payload = {
         "map": m.to_json(),
-        "point": {"L": str(L), "U": str(U), "x": str(x)},
-        "map_output": [str(ours[0]), str(ours[1])],
-        "secant_newton_output": [str(theirs[0]), str(theirs[1])],
-        "locus": [str(vp), str(vq)],
+        "point": {"L": f(L), "U": f(U), "x": f(x)},
+        "map_output": [f(ours[0]), f(ours[1])],
+        "secant_newton_output": [f(theirs[0]), f(theirs[1])],
+        "locus": [f(vp), f(vq)],
         "identical": equal,
     }
     lines = [
-        f"map:            p = ({', '.join(str(c) for c in m.p)})",
-        f"                q = ({', '.join(str(c) for c in m.q)})",
-        f"at ([{L}, {U}], x = {x}):",
-        f"  map output:           [{ours[0]}, {ours[1]}]",
-        f"  secant-newton output: [{theirs[0]}, {theirs[1]}]",
-        f"  equality locus value: ({vp}, {vq})",
+        f"map:            p = ({', '.join(map(f, m.p))})",
+        f"                q = ({', '.join(map(f, m.q))})",
+        f"at ([{f(L)}, {f(U)}], x = {f(x)}):",
+        f"  map output:           [{f(ours[0])}, {f(ours[1])}]",
+        f"  secant-newton output: [{f(theirs[0])}, {f(theirs[1])}]",
+        f"  equality locus value: ({f(vp)}, {f(vq)})",
         f"  identical: {'yes' if equal else 'NO'}",
         "a map other than secant-newton can reproduce its interval exactly, "
         "but only on a measure-zero set of points",
@@ -350,7 +359,13 @@ def cmd_bench(args) -> int:
 # ---------------------------------------------------------------------------
 # Parser.
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on first use and shared by every later call.
+
+    Reuse is safe: no option has a mutable default, each parse fills a new
+    namespace, and a usage error leaves the parser as it was.
+    """
     parser = argparse.ArgumentParser(
         prog="root-enclose",
         description="Guaranteed rational enclosures of nth roots via interval "
@@ -428,23 +443,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # deep exact refinements print endpoints with more digits than the
-    # interpreter's default int-to-str conversion guard allows; the guard is
-    # raised for this call only, and never lowered
-    previous = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if previous:
-        sys.set_int_max_str_digits(max(previous, 2_000_000))
     try:
-        return _run(argv)
-    finally:
-        if previous:
-            sys.set_int_max_str_digits(previous)
-
-
-def _run(argv) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -25,15 +25,27 @@ def parse_rational(text: str) -> Fraction:
     """Parse the strict text form: optional '-', digits, optional '/digits'.
 
     No whitespace, no '+', no decimals; a zero denominator is rejected.
+    Literals of any length are read exactly.
     """
     if not isinstance(text, str) or not _RATIONAL_RE.match(text):
         raise ValueError(f"not a rational literal: {text!r}")
     if "/" in text:
         num, _, den = text.partition("/")
-        if int(den) == 0:
+        den = parse_int(den)
+        if den == 0:
             raise ValueError(f"zero denominator: {text!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
+        return Fraction(parse_int(num), den)
+    return Fraction(parse_int(text))
+
+
+def parse_int(digits: str) -> int:
+    """int(digits) for an optional '-' and decimal digits, exact at any
+    size: past the interpreter's int-to-str digit limit the digits are read
+    through ``Decimal``, which converts to int exactly."""
+    try:
+        return int(digits)
+    except ValueError:
+        return int(Decimal(digits))
 
 
 def format_pair(num: int, den: int) -> str:

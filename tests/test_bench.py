@@ -10,6 +10,7 @@ from root_enclose.bench import (
     CSV_HEADER,
     default_spec,
     emit,
+    load_spec,
     run_bench,
     spec_from_dict,
 )
@@ -182,3 +183,21 @@ def test_spec_from_dict_validation():
         spec_from_dict({**good, **bad})
         with pytest.raises(BenchSpecError, match="positive finite floats"):
             spec_from_dict({**good, **bad, "backend": "float"})
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no int-to-str digit limit on this interpreter")
+def test_spec_file_numbers_at_the_default_digit_limit(tmp_path):
+    # xs and epses may be JSON integers; a 5001-digit one is read exactly
+    huge = "1" + "0" * 5000
+    path = tmp_path / "spec.json"
+    path.write_text('{"maps": ["secant-newton"], "xs": [%s, "%s"], "ns": [2],'
+                    ' "epses": [%s]}' % (huge, huge, huge))
+    previous = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+        spec = load_spec(str(path))
+    finally:
+        sys.set_int_max_str_digits(previous)
+    assert spec.xs == (10 ** 5000, 10 ** 5000)
+    assert spec.epses == (10 ** 5000,)

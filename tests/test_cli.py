@@ -32,6 +32,13 @@ PERTURBED_SPEC = {
     "p": ["-1", "0", "0", "0", "2", "1", "1"],
     "q": ["-1", "0", "0", "0", "4", "0", "0"],
 }
+# passes at the fixed corner block, so check's witnesses (bounds at point 76,
+# contraction at point 99, for seed 0 and 200 samples) depend on the seed
+SEED_SENSITIVE_SPEC = {
+    "n": 2,
+    "p": ["-1", "0", "0", "5/2", "3/4"],
+    "q": ["-1", "0", "0", "5/2", "5/3"],
+}
 
 
 def run_cli(*argv):
@@ -482,3 +489,125 @@ def test_root_json_builds_one_interval(capsys, monkeypatch):
     assert out["final_interval"] == [str(expected.lo), str(expected.hi)]
     assert out["iterations"] == 664
     assert len(built) <= 1
+
+
+def test_main_builds_one_parser_per_process(write_map, capsys, monkeypatch):
+    # the parser is built on the first call and reused; building it makes
+    # 11 ArgumentParsers, the subcommands' included
+    import argparse
+
+    from root_enclose import cli
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    path = write_map(SN3_SPEC)
+    calls = [
+        ["root", "--x", "2", "--n", "3", "--eps", "1e-20", "--json"],
+        ["root", "--x", "2", "--n", "3", "--eps", "1e-20", "--map", "bisection"],
+        ["check", path, "--samples", "50"],
+        ["root", "--x", "0", "--n", "3", "--eps", "1"],
+        ["compare", path, "--samples", "50", "--json"],
+    ]
+    codes, built_after = [], []
+    for argv in calls:
+        codes.append(cli.main(argv))
+        built_after.append(len(built))
+    capsys.readouterr()
+    assert codes == [0, 0, 0, 2, 0]
+    assert built.count("root-enclose") <= 1
+    # the first call may build the parser; no later one builds any
+    assert built_after == built_after[:1] * len(calls)
+
+
+# in-process calls that follow one another, each to be byte-identical with a
+# fresh process: an option set in one call, or a usage error, must not reach
+# the next call through the shared parser
+REUSE_SEQUENCES = [
+    pytest.param([
+        ("root", "--x", "2", "--n", "3", "--eps", "1e-50", "--json", "--trace"),
+        ("root", "--x", "2", "--n", "3", "--eps", "1e-50"),
+    ], id="json-trace-then-plain"),
+    pytest.param([
+        ("root", "--x", "0", "--n", "3", "--eps", "1"),
+        ("root", "--x", "2", "--n", "2", "--eps", "1/6"),
+        ("root", "--x", "2", "--n", "2", "--eps", "1/6", "--bogus"),
+        ("root", "--x", "2", "--n", "2", "--eps", "1/6", "--json"),
+        ("frobnicate",),
+        ("root", "--x", "2", "--n", "2", "--eps", "1/6"),
+    ], id="usage-errors-then-valid"),
+    pytest.param([
+        ("check", "MAP", "--samples", "200", "--seed", "3", "--json"),
+        ("check", "MAP", "--samples", "200", "--json"),
+        ("check", "MAP", "--samples", "200", "--seed", "3"),
+        ("check", "MAP", "--samples", "200"),
+        ("compare", "MAP", "--samples", "200", "--seed", "3", "--json"),
+        ("compare", "MAP", "--samples", "200", "--json"),
+    ], id="seeded-then-default-seed"),
+]
+
+
+@pytest.mark.parametrize("sequence", REUSE_SEQUENCES)
+def test_parser_reuse_leaks_no_state(sequence, write_map, capsys, monkeypatch):
+    from root_enclose import cli
+
+    # usage messages are wrapped to the terminal width: fix it for both sides
+    monkeypatch.setenv("COLUMNS", "80")
+    path = write_map(SEED_SENSITIVE_SPEC)
+    for argv in sequence:
+        argv = [path if arg == "MAP" else arg for arg in argv]
+        code = cli.main(argv)
+        out, err = capsys.readouterr()
+        fresh = run_cli(*argv)
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+
+
+def test_an_omitted_seed_is_zero_after_a_seeded_call(write_map, capsys):
+    from root_enclose import cli
+
+    path = write_map(SEED_SENSITIVE_SPEC)
+    outputs = []
+    for seed in (["--seed", "3"], [], ["--seed", "0"]):
+        assert cli.main(["check", path, "--samples", "200", "--json", *seed]) == 1
+        outputs.append(capsys.readouterr().out)
+    seeded, omitted, zero = outputs
+    assert omitted == zero != seeded
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no int-to-str digit limit on this interpreter")
+def test_cli_works_at_the_default_digit_limit(capsys, monkeypatch):
+    # a 4400-digit x is read and written exactly, in JSON and in the text
+    # trace (whose first width has 4400 digits), without the CLI touching the
+    # process-wide digit limit
+    from root_enclose import cli
+    from root_enclose.numeric import parse_rational
+
+    x = "1" + "0" * 4399
+    argv = ["root", "--x", x, "--n", "2", "--eps", "1", "--max-iter", "1"]
+    set_limit = sys.set_int_max_str_digits
+    previous = sys.get_int_max_str_digits()
+
+    def untouchable(*args):
+        raise AssertionError("the CLI changed the int-to-str digit limit")
+
+    try:
+        set_limit(sys.int_info.default_max_str_digits)
+        monkeypatch.setattr(sys, "set_int_max_str_digits", untouchable)
+        assert cli.main([*argv, "--json"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert cli.main([*argv, "--trace"]) == 1
+        text = capsys.readouterr().out
+        assert sys.get_int_max_str_digits() == sys.int_info.default_max_str_digits
+    finally:
+        set_limit(previous)
+    assert payload["terminated"] == "max-iterations"
+    assert payload["x"] == x
+    lo, hi = (parse_rational(v) for v in payload["final_interval"])
+    assert lo ** 2 <= parse_rational(x) <= hi ** 2
+    assert f"  iter 0: [1, {x}] width={'9' * 4399}\n" in text

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from root_enclose.analysis import Witness, locus_text
-from root_enclose.maps import MapCoefficients, check_canonical
+from root_enclose.bench import spec_from_dict
+from root_enclose.maps import MapCoefficients, check_canonical, map_from_dict
 from root_enclose.numeric import (
     Interval,
     as_rational,
@@ -172,3 +173,34 @@ def test_writers_at_the_default_digit_limit(write):
     finally:
         sys.set_int_max_str_digits(previous)
     assert limited == unlimited
+
+
+HUGE_TEXT = "1" + "0" * 5000
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no int-to-str digit limit on this interpreter")
+@pytest.mark.parametrize("read,expected", [
+    (lambda: parse_rational(HUGE_TEXT), HUGE),
+    (lambda: parse_rational(f"-3/{HUGE_TEXT}"), -3 / HUGE),
+    (lambda: parse_rational(f"{HUGE_TEXT}7/{HUGE_TEXT}"), (10 * HUGE + 7) / HUGE),
+    (lambda: map_from_dict({"n": 2, "p": ["-1", "0", "0", HUGE_TEXT, "1"],
+                            "q": ["-1", "0", "0", "2", "0"]}).p[3], HUGE),
+    (lambda: spec_from_dict({"maps": ["secant-newton"], "xs": [f"1/{HUGE_TEXT}"],
+                             "ns": [2], "epses": ["1"]}).xs[0], 1 / HUGE),
+], ids=["integer", "fraction", "long-numerator", "map_from_dict", "spec_from_dict"])
+def test_readers_at_the_default_digit_limit(read, expected):
+    previous = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+        value = read()
+        text = format_rational(value)
+    finally:
+        sys.set_int_max_str_digits(previous)
+    assert value == expected
+    assert parse_rational(text) == value
+
+
+def test_parse_rational_rejects_a_long_zero_denominator():
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_rational("1/" + "0" * 5000)
