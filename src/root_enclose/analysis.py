@@ -5,8 +5,9 @@ are checked on deterministic sample sets, and every failure comes back as a
 concrete rational witness that can be re-checked by hand.  Sample points are
 built as (L, r, U) with x = r**n, so the root of x is rational by
 construction and every comparison is exact; irrational values never arise.
-Each point is evaluated once, on int pairs that are never reduced, and a
-canonical map's endpoints only where a denominator bound fails.
+Each point is evaluated once, on int pairs that are never reduced; a
+canonical map is compared with Secant-Newton through _excess(m) alone, and
+its own forms and endpoints are computed only where an excess is negative.
 
 The checks:
 
@@ -349,13 +350,30 @@ def _corner_probes(m: MapCoefficients, cfg: SampleConfig):
                     yield ln, ld, rn, rd, un, ud, rn ** n, rd ** n
 
 
+def _excess(m: MapCoefficients) -> MapCoefficients:
+    """The canonical map whose denominator tails are m's minus
+    Secant-Newton's, for canonical m: its forms at (L, U) are the excess
+    Dp - S and Dq - N of m's forms over the secant form S and the Newton form
+    N = n*U^(n-1).  Every coefficient keeps its denominator, so MapEvaluator
+    gives a form and its excess over the same denominator."""
+    if not check_canonical(m).is_canonical:
+        raise ValueError("the excess over Secant-Newton and the equality locus "
+                         "apply to canonical maps only")
+    n = m.n
+    sn = secant_newton(n)
+    head = sn.p[:n + 1]
+    return MapCoefficients(n, head + tuple(a - b for a, b in zip(m.p[n + 1:], sn.p[n + 1:])),
+                           head + tuple(a - b for a, b in zip(m.q[n + 1:], sn.q[n + 1:])))
+
+
 def _witnesses(m: MapCoefficients, cfg: SampleConfig):
     """(bounds witness, contraction witness) at each point the checks read,
     lazily, None where a test holds.  A canonical map's points are the
-    samples; if Dp >= S > 0 and Dq >= N > 0 there, then (r^n - L^n)/(r - L)
-    <= S puts L' in [L, r] and (U^n - r^n)/(U - r) <= N puts U' in [r, U],
-    so its endpoints are computed only where a bound fails.  A non-canonical
-    map's points are its corner probes, then the samples, with no bounds."""
+    samples; if Dp - S >= 0 and Dq - N >= 0 there, then (r^n - L^n)/(r - L)
+    <= S <= Dp puts L' in [L, r] and (U^n - r^n)/(U - r) <= N <= Dq puts
+    U' in [r, U], so its forms and endpoints are computed only where an
+    excess is negative.  A non-canonical map's points are its corner
+    probes, then the samples, with no bounds."""
     n = m.n
     ev = MapEvaluator(m)
     if not check_canonical(m).is_canonical:
@@ -363,16 +381,23 @@ def _witnesses(m: MapCoefficients, cfg: SampleConfig):
             ln, ld, _, _, un, ud, xn, xd = s
             yield None, _contraction_witness(s, *ev.evaluate(ln, ld, un, ud, xn, xd))
         return
-    sn_forms = MapEvaluator(secant_newton(n)).denominator_pairs
+    excess = MapEvaluator(_excess(m)).denominator_pairs
     for s in _sample_pairs(n, cfg):
         ln, ld, _, _, un, ud, xn, xd = s
-        dens = ev.denominator_pairs(ln, ld, un, ud)
-        bounds = _bounds_witness(n, s, dens, sn_forms(ln, ld, un, ud))
-        if bounds is None:
+        ex = excess(ln, ld, un, ud)
+        if ex[0][0] >= 0 and ex[1][0] >= 0:
             yield None, None
-        else:
-            result = ev.canonical_pair(dens, ln, ld, un, ud, xn, xd)
-            yield bounds, _contraction_witness(s, *result)
+            continue
+        # the bound on the first side whose excess is negative: the map's
+        # form there against Secant-Newton's, which is the form less the excess
+        dens = ev.denominator_pairs(ln, ld, un, ud)
+        side = 0 if ex[0][0] < 0 else 1
+        (fn, fd), (gn, _) = dens[side], ex[side]
+        bounds = _witness((ln, ld, ln, ld, un, ud, ln ** n, ld ** n),
+                          ("p-denominator >= secant form", "q-denominator >= n*U^(n-1)")[side],
+                          (fn, fd), (fn - gn, fd))
+        result = ev.canonical_pair(dens, ln, ld, un, ud, xn, xd)
+        yield bounds, _contraction_witness(s, *result)
 
 
 def _first_witness(points, slot: int) -> Verdict:
@@ -400,21 +425,6 @@ def falsify_contraction(m: MapCoefficients, cfg: SampleConfig) -> Verdict:
     samples_checked counts evaluated points, probes included.
     """
     return _first_witness(_witnesses(m, cfg), 1)
-
-
-def _bounds_witness(n: int, s, dens, sn_dens) -> Witness | None:
-    """First failing denominator bound at sample s: the map's forms dens
-    against Secant-Newton's secant and Newton forms sn_dens at the sample's
-    (L, U)."""
-    ln, ld, _, _, un, ud, _, _ = s
-    ((pn, pd), (qn, qd)), ((sn, sd), (nn, nd)) = dens, sn_dens
-    if pn * sd < sn * pd:
-        return _witness((ln, ld, ln, ld, un, ud, ln ** n, ld ** n),
-                        "p-denominator >= secant form", (pn, pd), (sn, sd))
-    if qn * nd < nn * qd:
-        return _witness((ln, ld, ln, ld, un, ud, ln ** n, ld ** n),
-                        "q-denominator >= n*U^(n-1)", (qn, qd), (nn, nd))
-    return None
 
 
 def check_denominator_bounds(m: MapCoefficients, cfg: SampleConfig) -> Verdict:
@@ -447,64 +457,44 @@ def check_map(m: MapCoefficients, cfg: SampleConfig) -> tuple[Verdict | None, Ve
     return bounds, Verdict(None, cfg.count)
 
 
-def _subset_by_denominators(s, dens, sn_dens) -> bool | None:
-    """At sample s of a canonical map whose denominator forms are
-    dens = (Dp, Dq), against Secant-Newton's sn_dens = (S, N): True if the
-    two intervals are equal, False if the map's holds Secant-Newton's
-    properly, and None where a witness needs the endpoints (Secant-Newton's
-    interval sticks out, or Dp or Dq is zero).
-
-    Both maps share the numerators x - L^n >= 0 >= x - U^n, so
-    L' - L* = (x - L^n)(1/Dp - 1/S) and U' - U* = (x - U^n)(1/Dq - 1/N),
-    with x = L^n exactly when r = L and x = U^n exactly when r = U.
-    """
-    ln, ld, rn, rd, un, ud, _, _ = s
-    ((pn, pd), (qn, qd)), ((sn, sd), (nn, nd)) = dens, sn_dens
-    if pn == 0 or qn == 0:
-        return None
-    at_l = rn == ln and rd == ld
-    at_u = rn == un and rd == ud
-    if not (at_l or pn < 0 or pn * sd >= sn * pd):  # L* < L'
-        return None
-    if not (at_u or qn < 0 or qn * nd >= nn * qd):  # U' < U*
-        return None
-    return (at_l or pn * sd == sn * pd) and (at_u or qn * nd == nn * qd)
-
-
 def check_dominance(m: MapCoefficients, cfg: SampleConfig) -> DominanceStats:
     """Compare the checked map's output interval against Secant-Newton's on
     every sampled triple: a sample is a violation unless [L*, U*] lies inside
     [L', U'] exactly, and an equality point if the two intervals coincide.
     Zero denominators in the checked map count as violations.
 
-    For a canonical map the denominator forms decide every sample where
-    Secant-Newton's interval is inside (see _subset_by_denominators);
-    endpoints are computed only for the others, and for non-canonical maps.
-    Each violation's two sides are reduced once, as they are recorded.
+    A canonical map shares the numerators x - L^n >= 0 >= x - U^n, so where
+    neither excess Dp - S, Dq - N is negative (see _excess), Dp and Dq are
+    positive and Secant-Newton's interval is inside, equal exactly where
+    each side has excess 0 or r at that end.  Endpoints are computed only
+    elsewhere.  Each violation's two sides are reduced once, as recorded.
     """
     n = m.n
     ev = MapEvaluator(m)
-    sn_ev = MapEvaluator(secant_newton(n))
     canonical = check_canonical(m).is_canonical
+    # a canonical map's excess forms, or Secant-Newton's forms for any other
+    forms = MapEvaluator(_excess(m) if canonical else secant_newton(n)).denominator_pairs
     equality = []
     violations = []
     for s in _sample_pairs(n, cfg):
         ln, ld, rn, rd, un, ud, xn, xd = s
-        sn_dens = sn_ev.denominator_pairs(ln, ld, un, ud)
         if canonical:
-            dens = ev.denominator_pairs(ln, ld, un, ud)
-            equal = _subset_by_denominators(s, dens, sn_dens)
-            if equal is not None:
-                if equal:
+            (gp, _), (gq, _) = forms(ln, ld, un, ud)
+            if gp >= 0 and gq >= 0:
+                if ((gp == 0 or (rn == ln and rd == ld))
+                        and (gq == 0 or (rn == un and rd == ud))):
                     equality.append((ln, ld, rn, rd, un, ud))
                 continue
+            (pn, pd), (qn, qd) = dens = ev.denominator_pairs(ln, ld, un, ud)
+            sn_dens = (pn - gp, pd), (qn - gq, qd)
             status, a, b, c, d = ev.canonical_pair(dens, ln, ld, un, ud, xn, xd)
         else:
+            sn_dens = forms(ln, ld, un, ud)
             status, a, b, c, d = ev.evaluate(ln, ld, un, ud, xn, xd)
         if status:
             violations.append((s, "denominator-zero", _ZERO_PAIR, _ZERO_PAIR))
             continue
-        _, sa, sb, sc, sd = sn_ev.canonical_pair(sn_dens, ln, ld, un, ud, xn, xd)
+        _, sa, sb, sc, sd = ev.canonical_pair(sn_dens, ln, ld, un, ud, xn, xd)
         if a * sb > sa * b:
             violations.append((s, "L' <= L*", _reduced(a, b), _reduced(sa, sb)))
         elif sc * d > c * sd:
@@ -555,17 +545,14 @@ def equality_locus(m: MapCoefficients) -> tuple[dict, dict]:
     are empty exactly for Secant-Newton itself; for any other canonical map
     their common zero set has measure zero.
     """
-    if not check_canonical(m).is_canonical:
-        raise ValueError("equality locus applies to canonical maps only")
     n = m.n
-    ref = secant_newton(n)
+    e = _excess(m)
     polys = []
-    # each side is (x - a^n) * sum_i c_i a^(n-1-i) b^i, c_i the excess of the
-    # map's tail over Secant-Newton's and (a, b) = (L, U) for p, (U, L) for q
-    for coeffs, ref_coeffs, a_first in ((m.p, ref.p, True), (m.q, ref.q, False)):
+    # each side is (x - a^n) * sum_i c_i a^(n-1-i) b^i, c_i the excess's tail
+    # and (a, b) = (L, U) for p, (U, L) for q
+    for coeffs, a_first in ((e.p, True), (e.q, False)):
         terms = {}
-        for i in range(n):
-            c = coeffs[n + 1 + i] - ref_coeffs[n + 1 + i]
+        for i, c in enumerate(coeffs[n + 1:]):
             if c:
                 for ea, eb, ex, v in ((n - 1 - i, i, 1, c), (2 * n - 1 - i, i, 0, -c)):
                     terms[(ea, eb, ex) if a_first else (eb, ea, ex)] = v
@@ -575,8 +562,8 @@ def equality_locus(m: MapCoefficients) -> tuple[dict, dict]:
 
 def evaluate_locus(m: MapCoefficients, L, U, x) -> tuple[Fraction, Fraction]:
     """Evaluate both locus polynomials at (L, U, x), as
-    ((x - L^n)(Dp - S), (x - U^n)(Dq - N)) from the denominator forms Dp, Dq
-    of m and S, N of Secant-Newton at (L, U).
+    ((x - L^n)(Dp - S), (x - U^n)(Dq - N)) from the two forms of _excess(m)
+    at (L, U).
 
     Provided neither map hits a zero denominator there, the result is (0, 0)
     exactly when the checked map and Secant-Newton return the identical
@@ -590,10 +577,8 @@ def evaluate_locus(m: MapCoefficients, L, U, x) -> tuple[Fraction, Fraction]:
     low, high = pow_int(L, m.n), pow_int(U, m.n)
     if not low <= x <= high:
         raise ValueError(f"need L^n <= x <= U^n, got x={x}")
-    if not check_canonical(m).is_canonical:
-        raise ValueError("equality locus applies to canonical maps only")
-    (dp, dq), (s, nf) = denominators(m, L, U), denominators(secant_newton(m.n), L, U)
-    return (x - low) * (dp - s), (x - high) * (dq - nf)
+    gp, gq = denominators(_excess(m), L, U)
+    return (x - low) * gp, (x - high) * gq
 
 
 # ---------------------------------------------------------------------------

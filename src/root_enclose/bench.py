@@ -24,10 +24,11 @@ from fractions import Fraction
 from .maps import (
     DenominatorZeroError,
     MapCoefficients,
+    check_degree,
     counterexample_map,
     load_map,
 )
-from .numeric import format_rational, parse_int, parse_rational
+from .numeric import describe, format_rational, parse_int, parse_rational
 from .solver import (
     DEFAULT_MAX_ITER,
     NotContractingError,
@@ -95,11 +96,10 @@ def default_spec() -> BenchSpec:
 
 
 def _spec_rational(value) -> Fraction:
-    """An xs or epses entry: a rational string, or a JSON integer of any
-    size (which str() could not write past the int-to-str digit limit)."""
+    """An xs or epses entry: a rational string or a JSON integer of any size."""
     if type(value) is int:
         return Fraction(value)
-    return parse_rational(str(value))
+    return parse_rational(value)
 
 
 def spec_from_dict(data) -> BenchSpec:
@@ -118,21 +118,21 @@ def spec_from_dict(data) -> BenchSpec:
     try:
         xs = tuple(_spec_rational(v) for v in listing("xs"))
         epses = tuple(_spec_rational(v) for v in listing("epses"))
+        ns = listing("ns")
+        for n in ns:
+            check_degree(n)
     except ValueError as exc:
         raise BenchSpecError(str(exc)) from None
     if any(x <= 0 for x in xs):
         raise BenchSpecError("xs must be positive")
     if any(e <= 0 for e in epses):
         raise BenchSpecError("epses must be positive")
-    ns = listing("ns")
-    if not all(isinstance(n, int) and not isinstance(n, bool) and n >= 2 for n in ns):
-        raise BenchSpecError("ns must be integers >= 2")
     maps = listing("maps")
     if not all(isinstance(name, str) for name in maps):
         raise BenchSpecError("maps must be names or file paths")
     backend = data.get("backend", "rational")
     if backend not in BACKENDS:
-        raise BenchSpecError(f"backend must be one of {BACKENDS}, got {backend!r}")
+        raise BenchSpecError(f"backend must be one of {BACKENDS}, got {describe(backend)}")
     if backend == "float":
         try:
             finite = all(0 < float(v) < float("inf") for v in xs + epses)
@@ -142,7 +142,7 @@ def spec_from_dict(data) -> BenchSpec:
             raise BenchSpecError("float backend: xs and epses must be positive finite floats")
     reps = data.get("reps", 5)
     if isinstance(reps, bool) or not isinstance(reps, int) or reps < 1:
-        raise BenchSpecError(f"reps must be a positive integer, got {reps!r}")
+        raise BenchSpecError(f"reps must be a positive integer, got {describe(reps)}")
     return BenchSpec(tuple(maps), xs, tuple(ns), epses, backend, reps)
 
 

@@ -236,8 +236,6 @@ def cmd_compare(args) -> int:
 
 def cmd_locus(args) -> int:
     m = load_map(args.map_file)
-    if not check_canonical(m).is_canonical:
-        raise ValueError("the equality locus is defined for canonical maps only")
     f_p, f_q = analysis.equality_locus(m)
     point = [v is not None for v in (args.L, args.U, args.x)]
     if any(point) and not all(point):

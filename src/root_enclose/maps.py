@@ -20,12 +20,13 @@ verbatim and canonicalization is always explicit.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
 from ._kernels import apply_pairs, apply_reduced_pairs, form_pair
-from .numeric import as_rational, format_rational, parse_rational
+from .numeric import as_rational, describe, format_rational, parse_int, parse_rational
 
 
 class DenominatorZeroError(ArithmeticError):
@@ -48,6 +49,13 @@ class MapSpecError(ValueError):
     """Malformed map specification (file or dict)."""
 
 
+def check_degree(n) -> None:
+    """Raise ValueError unless n is an integer 2 <= n <= sys.maxsize, the
+    largest sequence length: no map of a larger degree can be built."""
+    if isinstance(n, bool) or not isinstance(n, int) or not 2 <= n <= sys.maxsize:
+        raise ValueError(f"n must be an integer from 2 to {sys.maxsize}, got {describe(n)}")
+
+
 @dataclass(frozen=True)
 class MapCoefficients:
     """One member of the family: degree n plus vectors p, q of length 2n+1."""
@@ -57,8 +65,7 @@ class MapCoefficients:
     q: tuple[Fraction, ...]
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 2:
-            raise ValueError(f"map degree must be an integer >= 2, got {self.n!r}")
+        check_degree(self.n)
         object.__setattr__(self, "p", tuple(as_rational(c) for c in self.p))
         object.__setattr__(self, "q", tuple(as_rational(c) for c in self.q))
         want = 2 * self.n + 1
@@ -110,8 +117,7 @@ def secant_newton(n: int) -> MapCoefficients:
     q = (-1, 0 x n, n, 0 x (n-1)) gives the Newton tangent at U for the
     upper one.
     """
-    if not isinstance(n, int) or n < 2:
-        raise ValueError(f"need integer n >= 2, got {n!r}")
+    check_degree(n)
     zero = Fraction(0)
     one = Fraction(1)
     p = (Fraction(-1),) + (zero,) * n + (one,) * n
@@ -174,14 +180,11 @@ class MapEvaluator:
     the map's tails, which are all it holds); everything else goes through
     the general form.  The two are algebraically identical on canonical
     maps, which the test suite checks against each other.
-    MapEvaluator(secant_newton(n)) is where every comparison with
-    Secant-Newton reads its secant form, its Newton form and its endpoints.
     """
 
-    __slots__ = ("map", "_n", "_p", "_pden", "_q", "_qden", "_canonical")
+    __slots__ = ("_n", "_p", "_pden", "_q", "_qden", "_canonical")
 
     def __init__(self, m: MapCoefficients):
-        self.map = m
         self._n = m.n
         self._canonical = check_canonical(m).is_canonical
         if self._canonical:
@@ -269,8 +272,10 @@ def map_from_dict(data) -> MapCoefficients:
     if missing:
         raise MapSpecError(f"missing fields in map spec: {', '.join(missing)}")
     n = data["n"]
-    if isinstance(n, bool) or not isinstance(n, int) or n < 2:
-        raise MapSpecError(f"n must be an integer >= 2, got {n!r}")
+    try:
+        check_degree(n)
+    except ValueError as exc:
+        raise MapSpecError(str(exc)) from None
     want = 2 * n + 1
     vectors = {}
     for name in ("p", "q"):
@@ -293,7 +298,7 @@ def load_map(path) -> MapCoefficients:
     """Load a map specification from a JSON file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(fh, parse_int=parse_int)
     except OSError as exc:
         raise MapSpecError(f"cannot read map spec {path}: {exc}") from None
     except json.JSONDecodeError as exc:

@@ -28,7 +28,7 @@ def parse_rational(text: str) -> Fraction:
     Literals of any length are read exactly.
     """
     if not isinstance(text, str) or not _RATIONAL_RE.match(text):
-        raise ValueError(f"not a rational literal: {text!r}")
+        raise ValueError(f"not a rational literal: {describe(text)}")
     if "/" in text:
         num, _, den = text.partition("/")
         den = parse_int(den)
@@ -46,6 +46,14 @@ def parse_int(digits: str) -> int:
         return int(digits)
     except ValueError:
         return int(Decimal(digits))
+
+
+def describe(value) -> str:
+    """repr(value), or its type where repr passes the int-to-str digit limit."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"<{type(value).__name__} too long to print>"
 
 
 def format_pair(num: int, den: int) -> str:

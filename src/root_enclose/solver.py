@@ -18,7 +18,8 @@ from fractions import Fraction
 from functools import cached_property
 
 from ._kernels import refine_float_loop
-from .maps import DenominatorZeroError, MapCoefficients, MapEvaluator, secant_newton
+from .maps import (DenominatorZeroError, MapCoefficients, MapEvaluator, check_degree,
+                   secant_newton)
 from .numeric import Interval, as_rational, format_rational, pow_int
 
 WIDTH_REACHED = "width-reached"
@@ -104,8 +105,7 @@ def initial_interval(x) -> Interval:
 def _check_n_and_max_iter(n, max_iter):
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    if not isinstance(n, int) or n < 2:
-        raise ValueError(f"need integer n >= 2, got {n!r}")
+    check_degree(n)
 
 
 def _validated(x, eps, max_iter, n):

@@ -15,6 +15,7 @@ from root_enclose.analysis import (
     Triple,
     Verdict,
     Witness,
+    _excess,
     check_denominator_bounds,
     check_dominance,
     check_map,
@@ -210,6 +211,24 @@ def test_bounds_held_at_a_sample_imply_contraction_there(kind, n, map_seed, seed
             assert _reference_witness(m, *t) is None, t
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["canonical", "positive", "perturbed"]), st.integers(2, 5),
+       st.integers(0, 2 ** 32),
+       st.lists(st.builds(F, st.integers(1, 40), st.integers(1, 12)), min_size=2, max_size=2))
+def test_excess_forms_are_the_map_forms_less_secant_newtons(kind, n, map_seed, ends):
+    m = {"canonical": random_canonical_map,
+         "positive": partial(random_canonical_map, positive_denominators=True),
+         "perturbed": perturbed_contracting_map}[kind](n, map_seed)
+    L, U = sorted(ends)
+    dp, dq = denominators(m, L, U)
+    assert denominators(_excess(m), L, U) == (dp - geom_sum(L, U, n), dq - n * U ** (n - 1))
+    # the checks subtract an excess from a form as pairs over one denominator
+    pairs = [maps.MapEvaluator(e).denominator_pairs(L.numerator, L.denominator,
+                                                    U.numerator, U.denominator)
+             for e in (m, _excess(m))]
+    assert [d for _, d in pairs[0]] == [d for _, d in pairs[1]]
+
+
 @pytest.mark.parametrize("m", [secant_newton(3), perturbed_contracting_map(4, 3)],
                          ids=["secant-newton-3", "perturbed-4"])
 def test_check_map_computes_no_endpoint_where_the_bounds_hold(m, monkeypatch):
@@ -225,6 +244,10 @@ def test_check_map_computes_no_endpoint_where_the_bounds_hold(m, monkeypatch):
         monkeypatch.setattr(maps, name, counting(getattr(maps, name)))
     bounds, contraction = check_map(m, SampleConfig())
     assert not bounds.falsified and not contraction.falsified
+    # neither excess over Secant-Newton is negative at any sample, so
+    # compare decides every sample from the excess forms alone
+    stats = check_dominance(m, SampleConfig())
+    assert stats.violation_rows == ()
     assert calls == []
 
 

@@ -193,10 +193,18 @@ def test_spec_file_numbers_at_the_default_digit_limit(tmp_path):
     path = tmp_path / "spec.json"
     path.write_text('{"maps": ["secant-newton"], "xs": [%s, "%s"], "ns": [2],'
                     ' "epses": [%s]}' % (huge, huge, huge))
+    # and a 5001-digit reps, backend or degree is an error naming its field
+    bad = tmp_path / "bad.json"
     previous = sys.get_int_max_str_digits()
     try:
         sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
         spec = load_spec(str(path))
+        for field, text in (("reps", '"ns": [2], "reps": -%s' % huge),
+                            ("backend", '"ns": [2], "backend": %s' % huge),
+                            ("n", '"ns": [%s]' % huge)):
+            bad.write_text('{"maps": ["secant-newton"], "xs": ["2"], "epses": ["1"], %s}' % text)
+            with pytest.raises(BenchSpecError, match=f"^{field} must be .*, got <int too long"):
+                load_spec(str(bad))
     finally:
         sys.set_int_max_str_digits(previous)
     assert spec.xs == (10 ** 5000, 10 ** 5000)

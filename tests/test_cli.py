@@ -611,3 +611,48 @@ def test_cli_works_at_the_default_digit_limit(capsys, monkeypatch):
     lo, hi = (parse_rational(v) for v in payload["final_interval"])
     assert lo ** 2 <= parse_rational(x) <= hi ** 2
     assert f"  iter 0: [1, {x}] width={'9' * 4399}\n" in text
+
+
+_HUGE = "1" + "0" * 5000
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no int-to-str digit limit on this interpreter")
+@pytest.mark.parametrize("text, message", [
+    ('{"n": 2, "p": ["-1", "0", "0", HUGE, "1"], "q": ["-1", "0", "0", "2", "0"]}',
+     "error: bad entry in p: not a rational literal: <int too long to print>"),
+    ('{"n": HUGE, "p": [], "q": []}', "error: n must be an integer from 2 to "),
+    ('{"n": -HUGE, "p": [], "q": []}', "error: n must be an integer from 2 to "),
+], ids=["p-entry", "n", "minus-n"])
+def test_map_spec_integers_past_the_digit_limit_are_input_errors(text, message, tmp_path,
+                                                                   capsys):
+    # a 5001-digit JSON integer is read, and the error naming its field is
+    # written, at the default int-to-str digit limit
+    from root_enclose import cli
+
+    path = tmp_path / "map.json"
+    path.write_text(text.replace("HUGE", _HUGE))
+    previous = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+        codes = [cli.main([cmd, str(path)]) for cmd in ("check", "compare", "locus")]
+    finally:
+        sys.set_int_max_str_digits(previous)
+    assert codes == [2, 2, 2]
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 3 and all(line.startswith(message) for line in lines)
+
+
+def test_a_degree_too_large_to_index_is_an_input_error(tmp_path, capsys):
+    from root_enclose import cli
+
+    huge = str(2 ** 64)
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"maps": ["secant-newton"], "xs": ["2"], "ns": [%s], "epses": ["1/10"],'
+                    ' "reps": 1}' % huge)
+    for argv in (["root", "--x", "2", "--n", huge, "--eps", "1/10"],
+                 ["root", "--x", "2", "--n", huge, "--eps", "1/10", "--backend", "float"],
+                 ["bench", str(spec)]):
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: n must be an integer from 2 to {sys.maxsize}, got {huge}\n")

@@ -473,3 +473,11 @@ def test_bisect_float_matches_rational_iterations():
     fast = bisect_float(2.0, 2, 1e-3)
     exact = bisect_to_eps(F(2), 2, F(1, 1000))
     assert fast.iterations == exact.iterations == 10
+
+
+@pytest.mark.parametrize("solve", [refine_to_eps, bisect_to_eps, refine_float, bisect_float])
+def test_a_degree_too_large_to_index_is_rejected(solve):
+    # at x = 1 no step runs, so nothing but the check stands between the
+    # degree and the solver
+    with pytest.raises(ValueError, match="n must be an integer from 2"):
+        solve(1, 2 ** 64, 1)
