@@ -573,10 +573,10 @@ def evaluate_locus(m: MapCoefficients, L, U, x) -> tuple[Fraction, Fraction]:
     U = as_rational(U)
     x = as_rational(x)
     if not 0 < L <= U:
-        raise ValueError(f"need 0 < L <= U, got ({L}, {U})")
+        raise ValueError(f"need 0 < L <= U, got ({format_rational(L)}, {format_rational(U)})")
     low, high = pow_int(L, m.n), pow_int(U, m.n)
     if not low <= x <= high:
-        raise ValueError(f"need L^n <= x <= U^n, got x={x}")
+        raise ValueError(f"need L^n <= x <= U^n, got x={format_rational(x)}")
     gp, gq = denominators(_excess(m), L, U)
     return (x - low) * gp, (x - high) * gq
 

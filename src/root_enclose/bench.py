@@ -7,9 +7,10 @@ counts are deterministic per configuration; wall times are reported for
 every repetition, never averaged.
 
 Rational-backend timings are arithmetic-bound: big-integer products on
-endpoints of about bits(1/eps) bits (the refinement loop rounds onto a
-lattice of that size, and bisection's endpoints grow one bit a step), which
-is why the float backend exists alongside.
+endpoints of at most about bits(1/eps) bits (the refinement loop rounds onto
+a lattice of k_j = min(bits(1/eps) + 16, 2*bits(1/width_j) + 32) bits,
+which follows the width of step j, and bisection's endpoints grow one bit a
+step), which is why the float backend exists alongside.
 """
 
 from __future__ import annotations

@@ -197,9 +197,10 @@ class MapEvaluator:
     def pair(self, lo: Fraction, hi: Fraction, x: Fraction) -> tuple[Fraction, Fraction]:
         """Raw refined endpoints at ([lo, hi], x); unclamped and unordered."""
         if not 0 < lo <= hi:
-            raise ValueError(f"need 0 < lo <= hi, got [{lo}, {hi}]")
+            raise ValueError(
+                f"need 0 < lo <= hi, got [{format_rational(lo)}, {format_rational(hi)}]")
         if x <= 0:
-            raise ValueError(f"need x > 0, got {x}")
+            raise ValueError(f"need x > 0, got {format_rational(x)}")
         status, a, b, c, d = self.evaluate(
             lo.numerator, lo.denominator,
             hi.numerator, hi.denominator,

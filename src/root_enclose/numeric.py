@@ -116,7 +116,7 @@ class Interval:
         object.__setattr__(self, "lo", as_rational(self.lo))
         object.__setattr__(self, "hi", as_rational(self.hi))
         if not 0 < self.lo <= self.hi:
-            raise ValueError(f"invalid interval [{self.lo}, {self.hi}]")
+            raise ValueError(f"invalid interval {self}")
 
     @property
     def width(self) -> Fraction:

@@ -3,12 +3,16 @@ width bound is met.
 
 Two rigorous solvers share the exact rational arithmetic (the chosen
 refinement map, and a bisection baseline on y**n - x), plus one explicitly
-non-rigorous double-precision fast path for speed comparisons.  Every interval
-either rational solver records satisfies lo**n <= x <= hi**n, checked
-exactly: bisection keeps the sign-bracketing half, testing each midpoint
-on one integer numerator over x.den * 2**j, and the map loop checks each
-step.  The map loop also bounds its endpoints' size, rounding them
-outward onto a dyadic lattice tied to eps once they outgrow it.
+non-rigorous double-precision fast path for speed comparisons.  Both
+rational solvers loop on integer rows (num, den, num, den) and build no
+Fraction per step.  Every interval either rational solver records
+satisfies lo**n <= x <= hi**n, checked exactly: bisection keeps the
+sign-bracketing half, testing each midpoint on one integer numerator over
+x.den * 2**j, and the map loop checks each step by cross-multiplication.
+The map loop also bounds its endpoints' size, rounding them outward onto a
+dyadic lattice 2**-k_j once they outgrow it, where
+k_j = min(bits(1/eps) + 16, 2*bits(1/width_j) + 32) follows the width of
+the interval the step starts from.
 """
 
 from __future__ import annotations
@@ -20,7 +24,9 @@ from functools import cached_property
 from ._kernels import refine_float_loop
 from .maps import (DenominatorZeroError, MapCoefficients, MapEvaluator, check_degree,
                    secant_newton)
-from .numeric import Interval, as_rational, format_rational, pow_int
+from .numeric import Interval, as_rational, describe, format_rational
+# Not used here; kept importable because perfbench/tracing.py wraps it at this name.
+from .numeric import pow_int  # noqa: F401
 
 WIDTH_REACHED = "width-reached"
 MAX_ITERATIONS = "max-iterations"
@@ -28,6 +34,9 @@ STALLED = "stalled"
 NON_FINITE = "non-finite"
 
 DEFAULT_MAX_ITER = 10_000
+
+# bits refine_to_eps's lattice keeps beyond twice the bits of 1/width
+_GUARD_BITS = 32
 
 
 class NotContractingError(RuntimeError):
@@ -97,14 +106,14 @@ def initial_interval(x) -> Interval:
     """[min(1,x), max(1,x)]; contains the nth root of x for every n >= 1."""
     x = as_rational(x)
     if x <= 0:
-        raise ValueError(f"x must be positive, got {x}")
+        raise ValueError(f"x must be positive, got {format_rational(x)}")
     one = Fraction(1)
     return Interval(min(one, x), max(one, x))
 
 
 def _check_n_and_max_iter(n, max_iter):
     if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+        raise ValueError(f"max_iter must be >= 1, got {describe(max_iter)}")
     check_degree(n)
 
 
@@ -112,9 +121,9 @@ def _validated(x, eps, max_iter, n):
     x = as_rational(x)
     eps = as_rational(eps)
     if x <= 0:
-        raise ValueError(f"x must be positive, got {x}")
+        raise ValueError(f"x must be positive, got {format_rational(x)}")
     if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+        raise ValueError(f"eps must be positive, got {format_rational(eps)}")
     _check_n_and_max_iter(n, max_iter)
     return x, eps
 
@@ -132,21 +141,6 @@ def _validated_float(x, eps, max_iter, n):
     return x, eps
 
 
-def _round_outward(lo: Fraction, hi: Fraction, prev: Interval, k: int):
-    """Round an endpoint whose denominator has more than k bits outward onto
-    the 2**-k lattice (lo down, hi up) and clamp it to the previous interval.
-
-    Widening keeps the root inside and the clamp intersects two enclosures,
-    so the interval stays nested with lo > 0.  Endpoints that fit the
-    lattice are kept exact.
-    """
-    if lo.denominator.bit_length() > k:
-        lo = max(Fraction((lo.numerator << k) // lo.denominator, 1 << k), prev.lo)
-    if hi.denominator.bit_length() > k:
-        hi = min(Fraction(-((-hi.numerator << k) // hi.denominator), 1 << k), prev.hi)
-    return lo, hi
-
-
 def refine_to_eps(x, n: int, eps, m: MapCoefficients | None = None,
                   max_iter: int = DEFAULT_MAX_ITER) -> RefineTrace:
     """Iterate the map from the initial interval until width <= eps.
@@ -155,81 +149,93 @@ def refine_to_eps(x, n: int, eps, m: MapCoefficients | None = None,
     Secant-Newton of degree n; a zero denominator mid-loop propagates as
     DenominatorZeroError with the offending iteration index attached.
 
-    After each application an endpoint whose denominator has more than
-    k = bits(1/eps) + 16 bits is rounded outward onto the 2**-k lattice and
-    clamped to the previous interval, so endpoints stay near k bits instead
-    of growing about 2n-1-fold per iteration; smaller endpoints are the
-    map's exact output.  Every recorded interval is then checked exactly to
-    satisfy lo**n <= x <= hi**n; a disordered pair, or an interval that
-    misses the root, raises NotContractingError.
+    The loop runs on integers: each interval is held as the unreduced row
+    (lo_num, lo_den, hi_num, hi_den) the map's kernel returns, and every
+    comparison is a cross-multiplication.  Step j, from an interval of
+    width w_j, uses the lattice k_j = min(k, 2*bits(1/w_j) + 32), with
+    k = bits(1/eps) + 16: an endpoint whose unreduced denominator has more
+    than k_j bits is rounded outward onto the 2**-k_j lattice (lo down, hi
+    up) and clamped to the previous interval.  Secant-Newton converges
+    about quadratically, so a step from width w_j cannot use much more than
+    2*bits(1/w_j) bits, and the endpoints of a wide interval stay short
+    (increasing-precision Newton, as in Brent & Zimmermann, Modern Computer
+    Arithmetic, ch. 4); smaller endpoints are the map's exact output.  Every
+    recorded interval is then checked exactly to satisfy
+    lo**n <= x <= hi**n; a disordered pair, or an interval that misses the
+    root, raises NotContractingError.
     """
     x, eps = _validated(x, eps, max_iter, n)
     if m is None:
         m = secant_newton(n)
     elif m.n != n:
         raise ValueError(f"map degree {m.n} does not match n={n}")
-    k = (eps.denominator // eps.numerator).bit_length() + 16
-    ev = MapEvaluator(m)
+    en, ed = eps.numerator, eps.denominator
+    k = (ed // en).bit_length() + 16
+    evaluate = MapEvaluator(m).evaluate
+    xn, xd = x.numerator, x.denominator
     iv = initial_interval(x)
-    rows = [(iv.lo.numerator, iv.lo.denominator, iv.hi.numerator, iv.hi.denominator)]
+    ln, ld, un, ud = iv.lo.numerator, iv.lo.denominator, iv.hi.numerator, iv.hi.denominator
+    rows = [(ln, ld, un, ud)]
     it = 0
-    while iv.width > eps:
+    while True:
+        wn, wd = un * ld - ln * ud, ld * ud  # the width, wn/wd
+        if wn * ed <= en * wd:
+            return RefineTrace(tuple(rows), WIDTH_REACHED)
         if it >= max_iter:
             return RefineTrace(tuple(rows), MAX_ITERATIONS)
-        try:
-            lo, hi = ev.pair(iv.lo, iv.hi, x)
-        except DenominatorZeroError as exc:
-            exc.iteration = it
-            raise
-        if not 0 < lo <= hi:
-            raise NotContractingError(lo, hi, it)
-        lo, hi = _round_outward(lo, hi, iv, k)
-        if not pow_int(lo, n) <= x <= pow_int(hi, n):
-            raise NotContractingError(lo, hi, it, misses_root=True)
-        iv = Interval(lo, hi)
+        status, a, b, c, d = evaluate(ln, ld, un, ud, xn, xd)
+        if status:
+            raise DenominatorZeroError("lower" if status == 1 else "upper", it)
+        if not (0 < a and a * d <= c * b):
+            raise NotContractingError(Fraction(a, b), Fraction(c, d), it)
+        kj = min(k, 2 * (wd // wn).bit_length() + _GUARD_BITS)
+        if b.bit_length() > kj:
+            a, b = (a << kj) // b, 1 << kj
+            if a * ld < ln * b:
+                a, b = ln, ld
+        if d.bit_length() > kj:
+            c, d = -((-c << kj) // d), 1 << kj
+            if c * ud > un * d:
+                c, d = un, ud
+        if not (a ** n * xd <= xn * b ** n and xn * d ** n <= c ** n * xd):
+            raise NotContractingError(Fraction(a, b), Fraction(c, d), it, misses_root=True)
+        ln, ld, un, ud = a, b, c, d
         it += 1
-        rows.append((lo.numerator, lo.denominator, hi.numerator, hi.denominator))
-    return RefineTrace(tuple(rows), WIDTH_REACHED)
+        rows.append((a, b, c, d))
 
 
 def bisect_to_eps(x, n: int, eps, max_iter: int = DEFAULT_MAX_ITER) -> RefineTrace:
     """Bisection baseline on y**n - x, keeping the sign-bracketing half.
 
     The loop runs on integers.  With x = xn/d the start interval is
-    [a/d, b/d] for a, b = min(xn, d), max(xn, d), and after step j every
-    endpoint is an integer over d*2**j (not dyadic in general: for x = 1/3
-    the first midpoint is 2/3).  A midpoint
-    mid/(d*2**j) becomes the lower endpoint exactly when
-    mid**n <= xn * d**(n-1) * 2**(n*j), and the width test compares
-    (b - a) * eps.den with eps.num * d * 2**j.  Each step records its
-    interval as the unreduced row (a, d*2**j, b, d*2**j): no Fraction or
-    Interval is built in the loop, only by the trace's views.  Every recorded
-    interval satisfies lo**n <= x <= hi**n exactly; the width halves each
-    iteration.
+    [a/d, (a + span)/d] for a = min(xn, d) and span = |xn - d|, and after
+    step j every endpoint is an integer over d*2**j (not dyadic in general:
+    for x = 1/3 the first midpoint is 2/3) while the width stays span over
+    that scale.  So the number of steps is known before the loop: the least
+    j with span/(d*2**j) <= eps.  A midpoint mid/(d*2**j) becomes the
+    lower endpoint exactly when mid**n <= xn * d**(n-1) * 2**(n*j).  Each
+    step records its interval as the unreduced row (a, d*2**j, a + span,
+    d*2**j): no Fraction or Interval is built in the loop, only by the
+    trace's views.  Every recorded interval satisfies lo**n <= x <= hi**n
+    exactly; the width halves each iteration.
     """
     x, eps = _validated(x, eps, max_iter, n)
     d = x.denominator
     a, b = sorted((x.numerator, d))
     span = b - a  # the width's numerator over d*2**j, the same at every j
+    # the least j with 2**j >= (start width / eps) = over / under
+    over, under = span * eps.denominator, eps.numerator * d
+    need = (-(-over // under) - 1).bit_length() if over > under else 0
     target = x.numerator * d ** (n - 1)  # x == target / d**n
     scale = d
     rows = [(a, scale, b, scale)]
-    it = 0
-    while span * eps.denominator > eps.numerator * scale:
-        if it >= max_iter:
-            return RefineTrace(tuple(rows), MAX_ITERATIONS)
-        mid = a + b  # (a + b) / 2 on the next scale, d * 2**(j+1)
-        a <<= 1
-        b <<= 1
+    for _ in range(min(need, max_iter)):
+        mid = (a << 1) + span  # the midpoint on the next scale, d * 2**(j+1)
         scale <<= 1
         target <<= n
-        if mid ** n <= target:
-            a = mid
-        else:
-            b = mid
-        it += 1
-        rows.append((a, scale, b, scale))
-    return RefineTrace(tuple(rows), WIDTH_REACHED)
+        a = mid if mid ** n <= target else a << 1
+        rows.append((a, scale, a + span, scale))
+    return RefineTrace(tuple(rows), MAX_ITERATIONS if need > max_iter else WIDTH_REACHED)
 
 
 @dataclass(frozen=True)

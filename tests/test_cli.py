@@ -365,7 +365,7 @@ PINNED_OUTPUTS = [
     (("compare", "SN3", "--samples", "300", "--json"), 0,
      "f90098fda271491c339215f2d60372c1de96ad474727d04857e6ebc1bb1f64d7"),
     (("root", "--x", "2", "--n", "3", "--eps", "1e-50", "--json", "--trace"), 0,
-     "d98bcb0a35ac6d9322897f188ab2d8bec19ec2ad35896f88a49f040f13d51e99"),
+     "806fc4c378df75af7f89c44e461c10c898787a15892b3309aaa0b4b92af27f42"),
     (("root", "--x", "2", "--n", "3", "--eps", "1e-50", "--map", "bisection",
       "--json", "--trace"), 0,
      "a2441c5c4a6326e3a5c13819e87f1b2faa8f1dc1e5320a79c39482c5f50f14d3"),
@@ -381,7 +381,7 @@ PINNED_OUTPUTS = [
     (("locus", "PERTURBED", "--json"), 0,
      "9d1351bca7275228d68489ce652d64c70a5efd61e7aa43f3bd5e67b94cc683fc"),
     (("bench", "--format", "json"), 0,
-     "fdb6b2ffd79ed1ecaf986870109f70e29d249958d66e1764162272591f6203be"),
+     "fed76c6eb2affcfe5ecdb016218a9b50588352c6ef781e1e077e0b6280fe0299"),
     (("check", "NONCANONICAL", "--samples", "300", "--json"), 1,
      "263c8e582c375d61b959adb615e028fec197bf151ca4501a532d4c99f62e4f38"),
     (("check", "NONCANONICAL", "--samples", "300"), 1,
@@ -641,6 +641,29 @@ def test_map_spec_integers_past_the_digit_limit_are_input_errors(text, message, 
     assert codes == [2, 2, 2]
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 3 and all(line.startswith(message) for line in lines)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no int-to-str digit limit on this interpreter")
+@pytest.mark.parametrize("point,message", [
+    ((_HUGE, "1", "1"), f"error: need 0 < L <= U, got ({_HUGE}, 1)\n"),
+    (("1", "2", _HUGE), f"error: need L^n <= x <= U^n, got x={_HUGE}\n"),
+], ids=["L", "x"])
+def test_locus_points_past_the_digit_limit_are_input_errors(point, message, write_map,
+                                                            capsys):
+    from root_enclose import cli
+
+    argv = ["locus", write_map(COUNTEREXAMPLE_SPEC), "--L", point[0], "--U", point[1],
+            "--x", point[2]]
+    previous = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+        code = cli.main(argv)
+        err = capsys.readouterr().err
+    finally:
+        sys.set_int_max_str_digits(previous)
+    assert code == 2
+    assert err == message
 
 
 def test_a_degree_too_large_to_index_is_an_input_error(tmp_path, capsys):

@@ -5,9 +5,16 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
-from root_enclose.analysis import Witness, locus_text
+from root_enclose.analysis import Witness, evaluate_locus, locus_text
 from root_enclose.bench import spec_from_dict
-from root_enclose.maps import MapCoefficients, check_canonical, map_from_dict
+from root_enclose.maps import (
+    MapCoefficients,
+    MapEvaluator,
+    check_canonical,
+    counterexample_map,
+    map_from_dict,
+    secant_newton,
+)
 from root_enclose.numeric import (
     Interval,
     as_rational,
@@ -16,7 +23,12 @@ from root_enclose.numeric import (
     parse_rational,
     pow_int,
 )
-from root_enclose.solver import NotContractingError
+from root_enclose.solver import (
+    NotContractingError,
+    bisect_to_eps,
+    initial_interval,
+    refine_to_eps,
+)
 
 rationals = st.builds(F, st.integers(-200, 200), st.integers(1, 60))
 positive_rationals = st.builds(F, st.integers(1, 200), st.integers(1, 60))
@@ -173,6 +185,34 @@ def test_writers_at_the_default_digit_limit(write):
     finally:
         sys.set_int_max_str_digits(previous)
     assert limited == unlimited
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no int-to-str digit limit on this interpreter")
+@pytest.mark.parametrize("call,message", [
+    (lambda: refine_to_eps(-HUGE, 2, F(1, 10)), "x must be positive, got -"),
+    (lambda: bisect_to_eps(F(2), 2, -HUGE), "eps must be positive, got -"),
+    (lambda: initial_interval(-HUGE), "x must be positive, got -"),
+    (lambda: MapEvaluator(secant_newton(2)).pair(HUGE, F(1), F(2)), "need 0 < lo <= hi, got ["),
+    (lambda: MapEvaluator(secant_newton(2)).pair(F(1), F(2), -HUGE), "need x > 0, got -"),
+    (lambda: evaluate_locus(counterexample_map(), HUGE, F(1), F(1)), "need 0 < L <= U, got ("),
+    (lambda: evaluate_locus(counterexample_map(), F(1), F(2), HUGE), "need L^n <= x <= U^n, got x="),
+    (lambda: Interval(HUGE, F(1)), "invalid interval ["),
+], ids=["refine_to_eps-x", "bisect_to_eps-eps", "initial_interval", "MapEvaluator.pair-ends",
+        "MapEvaluator.pair-x", "evaluate_locus-ends", "evaluate_locus-x", "Interval"])
+def test_errors_at_the_default_digit_limit(call, message):
+    # the message names the offending 5001-digit value instead of raising
+    # the interpreter's int-to-str limit error
+    previous = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+        with pytest.raises(ValueError) as exc:
+            call()
+        text = str(exc.value)
+    finally:
+        sys.set_int_max_str_digits(previous)
+    assert text.startswith(message)
+    assert HUGE_TEXT in text
 
 
 HUGE_TEXT = "1" + "0" * 5000

@@ -219,6 +219,39 @@ def test_enclosure_and_nesting(n, x, eps):
     _assert_enclosing_and_nested(refine_to_eps(x, n, eps, perturbed, max_iter=4), x, n)
 
 
+def _refine_reference(x, n, eps, m, max_iter=DEFAULT_MAX_ITER):
+    """The Fraction loop with one lattice 2**-k, k = bits(1/eps) + 16, from
+    the first step, whose iteration counts the integer loop must keep:
+    (iterations, terminated)."""
+    k = (eps.denominator // eps.numerator).bit_length() + 16
+    ev = MapEvaluator(m)
+    iv = initial_interval(x)
+    it = 0
+    while iv.width > eps:
+        if it >= max_iter:
+            return it, MAX_ITERATIONS
+        lo, hi = ev.pair(iv.lo, iv.hi, x)
+        assert 0 < lo <= hi
+        if lo.denominator.bit_length() > k:
+            lo = max(F((lo.numerator << k) // lo.denominator, 1 << k), iv.lo)
+        if hi.denominator.bit_length() > k:
+            hi = min(F(-((-hi.numerator << k) // hi.denominator), 1 << k), iv.hi)
+        assert pow_int(lo, n) <= x <= pow_int(hi, n)
+        iv = Interval(lo, hi)
+        it += 1
+    return it, WIDTH_REACHED
+
+
+def _is_rounded_from(value, exact, previous, k, outward):
+    """value is exact, the clamp's previous endpoint, or exact rounded one
+    step of a lattice 2**-j, j <= k, outward (outward = -1 down, +1 up)."""
+    if value in (exact, previous):
+        return True
+    den = value.denominator
+    return (den & (den - 1) == 0 and den <= 1 << k
+            and 0 < outward * (value - exact) < F(1, den))
+
+
 def _bisect_reference(x, n, eps, max_iter=DEFAULT_MAX_ITER):
     """The plain Fraction bisection loop the integer loop must reproduce:
     (trace, iterations, widths), the trace built from the rows of its
@@ -260,6 +293,58 @@ def _assert_matches_bisect_reference(x, n, eps, max_iter=DEFAULT_MAX_ITER):
     assert trace.to_json(include_intervals=True) == reference.to_json(include_intervals=True)
 
 
+bumps = st.lists(st.one_of(st.just(0), st.integers(0, 60),
+                           st.builds(F, st.integers(1, 60), st.integers(1, 7))),
+                 min_size=5, max_size=5)
+
+
+# tail bumps dominate Secant-Newton's denominators coefficientwise, so every
+# map here contracts; large bumps make the convergence linear and slow
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 5), bumps, bumps, st.integers(1, 50), st.integers(1, 50),
+       st.sampled_from((10, 30, 80)))
+@example(2, [50, 0, 0, 0, 0], [0] * 5, 2, 1, 30)
+@example(3, [0] * 5, [0] * 5, 1, 5, 80)
+@example(5, [0] * 5, [0, 0, 0, 0, 60], 7, 3, 80)
+def test_width_following_lattice_keeps_the_fixed_lattice_iterations(n, p_bumps, q_bumps,
+                                                                   a, b, eps_exp):
+    sn = secant_newton(n)
+    m = MapCoefficients(n, sn.p[:n + 1] + tuple(c + d for c, d in zip(sn.p[n + 1:], p_bumps)),
+                        sn.q[:n + 1] + tuple(c + d for c, d in zip(sn.q[n + 1:], q_bumps)))
+    x, eps, max_iter = F(a, b), F(1, 10 ** eps_exp), 120
+    k = (10 ** eps_exp).bit_length() + 16
+    trace = refine_to_eps(x, n, eps, m, max_iter)
+    assert (trace.iterations, trace.terminated) == _refine_reference(x, n, eps, m, max_iter)
+    _assert_enclosing_and_nested(trace, x, n)
+    ev = MapEvaluator(m)
+    for prev, cur in zip(trace.intervals, trace.intervals[1:]):
+        lo, hi = ev.pair(prev.lo, prev.hi, x)
+        assert _is_rounded_from(cur.lo, lo, prev.lo, k, -1)
+        assert _is_rounded_from(cur.hi, hi, prev.hi, k, 1)
+    # a kept kernel denominator has at most k_j <= k bits, a rounded one is
+    # 2**k_j, and a clamped one is the previous row's
+    assert all(0 < den <= 1 << k for row in trace.interval_rows[1:] for den in row[1::2])
+
+
+@pytest.mark.parametrize("x,n,eps", [
+    (F(2), 2, F(1, 1000)),
+    (F(2), 2, F(1, 1024)),
+    (F(1, 3), 3, F(1, 10 ** 30)),
+    (F(1, 3), 3, F(1, 3 * 2 ** 40)),
+    (F(10 ** 300), 2, F(1, 10 ** 50)),
+    (F(1, 10 ** 300), 5, F(1, 10 ** 50)),
+], ids=["2", "2-width-hits-eps", "1/3", "1/3-width-hits-eps", "1e300", "1e-300"])
+def test_bisection_stops_at_the_step_count_it_computes(x, n, eps):
+    # the loop runs a step count fixed before it starts; max_iter one below
+    # it is the only one of the three that stops short
+    _, need, _ = _bisect_reference(x, n, eps)
+    assert need >= 2
+    for max_iter in (need - 1, need, need + 1):
+        _assert_matches_bisect_reference(x, n, eps, max_iter)
+    assert bisect_to_eps(x, n, eps, max_iter=need - 1).terminated == MAX_ITERATIONS
+    assert bisect_to_eps(x, n, eps, max_iter=need).terminated == WIDTH_REACHED
+
+
 @pytest.mark.parametrize("n,eps_exp", sorted(DEEP_ITERATIONS))
 def test_integer_bisection_matches_the_fraction_loop_on_deep_cases(n, eps_exp):
     eps = F(1, 10 ** eps_exp)
@@ -267,14 +352,19 @@ def test_integer_bisection_matches_the_fraction_loop_on_deep_cases(n, eps_exp):
         _assert_matches_bisect_reference(x, n, eps)
 
 
-# x = 9 hits its root 3 as the second midpoint, x = 1 needs no step, and
-# max_iter = 5 stops 1/3 at eps = 1e-30 short of the width
+# x = 9 hits its root 3 as the second midpoint, x = 1 needs no step,
+# max_iter = 5 stops 1/3 at eps = 1e-30 short of the width, and the last
+# four start at or within eps, so they take no step
 @settings(max_examples=150, deadline=None)
 @given(st.integers(1, 10 ** 6), st.integers(1, 10 ** 6), st.integers(2, 7),
        st.integers(1, 10 ** 3), st.integers(0, 30), st.integers(1, 120))
 @example(9, 1, 2, 1, 6, 120)
 @example(7, 7, 3, 1, 6, 120)
 @example(1, 3, 3, 1, 30, 5)
+@example(2, 1, 3, 1, 0, 1)
+@example(1, 3, 3, 1, 0, 5)
+@example(10 ** 300, 1, 3, 10 ** 300, 0, 1)
+@example(1, 10 ** 300, 5, 1, 0, 1)
 def test_integer_bisection_matches_the_fraction_loop(a, b, n, c, e, max_iter):
     _assert_matches_bisect_reference(F(a, b), n, F(c, 10 ** e), max_iter)
 
@@ -343,7 +433,7 @@ def test_trace_json():
                     reason="no int-to-str digit limit on this interpreter")
 def test_deep_trace_json_at_the_default_digit_limit():
     # a width of 10^-10000 needs endpoints of thousands of digits, whatever
-    # the rounding: here 6,272-digit parts, beyond the default limit of 4300
+    # the rounding: here 10,005-digit parts, beyond the default limit of 4300
     trace = refine_to_eps(F(2), 2, F(1, 10 ** 10000))
     previous = sys.get_int_max_str_digits()
     try:
@@ -473,6 +563,20 @@ def test_bisect_float_matches_rational_iterations():
     fast = bisect_float(2.0, 2, 1e-3)
     exact = bisect_to_eps(F(2), 2, F(1, 1000))
     assert fast.iterations == exact.iterations == 10
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no int-to-str digit limit on this interpreter")
+@pytest.mark.parametrize("solve", [refine_to_eps, bisect_to_eps, refine_float, bisect_float])
+def test_a_max_iter_past_the_digit_limit_is_rejected(solve):
+    previous = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+        with pytest.raises(ValueError) as exc:
+            solve(2, 2, 1, max_iter=-10 ** 5000)
+    finally:
+        sys.set_int_max_str_digits(previous)
+    assert str(exc.value) == "max_iter must be >= 1, got <int too long to print>"
 
 
 @pytest.mark.parametrize("solve", [refine_to_eps, bisect_to_eps, refine_float, bisect_float])
