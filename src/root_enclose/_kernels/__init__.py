@@ -1,4 +1,4 @@
-"""The arithmetic kernels: exact pair arithmetic and the float refinement loop.
+"""The exact arithmetic kernels: map evaluation on integer pairs.
 
 They are implemented once, in pure Python (``_pure``); this module re-exports
 the names the rest of the package calls.
@@ -9,5 +9,4 @@ from ._pure import (
     apply_pairs,
     apply_reduced_pairs,
     form_pair,
-    refine_float_loop,
 )

@@ -1,12 +1,12 @@
-"""The arithmetic kernels, in pure Python.
+"""The exact arithmetic kernels, in pure Python.
 
-These are the hot inner loops of the whole package: evaluating one member of
-the refinement-map family at one (L, U, x) point, and the double-precision
-refinement loop.  ``form_pair`` is the one evaluator of the homogeneous forms
-sum_i c_i * a**(k-1-i) * b**i that every map numerator and denominator is
-built from (with unit coefficients it is the secant form); both map kernels
-finish each endpoint through one routine, ``_endpoint``.  This is their only
-implementation; the package imports them through ``root_enclose._kernels``.
+These are the hot inner loops of the exact arithmetic: evaluating one member
+of the refinement-map family at one (L, U, x) point.  ``form_pair`` is the
+one evaluator of the homogeneous forms sum_i c_i * a**(k-1-i) * b**i that
+every map numerator and denominator is built from (with unit coefficients
+it is the secant form); both map kernels finish each endpoint through one
+routine, ``_endpoint``.  This is their only implementation; the package
+imports them through ``root_enclose._kernels``.
 
 A coefficient vector is passed as a list of integer numerators over one
 positive common denominator, which ``maps.MapEvaluator`` computes once per
@@ -98,57 +98,3 @@ def apply_reduced_pairs(n, dpn, dpd, dqn, dqd, ln, ld, un, ud, xn, xd):
     if hi is None:
         return 2, 0, 1, 0, 1
     return (0, *lo, *hi)
-
-
-def _float_endpoint(coeffs, n, a, b, base, x):
-    """base + (x + form(c[0..n])) / form(c[n+1..2n]) in doubles, or None when
-    the denominator form is exactly 0.0."""
-    ap = [1.0] * (n + 1)
-    bp = [1.0] * (n + 1)
-    for i in range(1, n + 1):
-        ap[i] = ap[i - 1] * a
-        bp[i] = bp[i - 1] * b
-    num = x
-    for i in range(n + 1):
-        num += coeffs[i] * ap[n - i] * bp[i]
-    den = 0.0
-    for i in range(n):
-        den += coeffs[n + 1 + i] * ap[n - 1 - i] * bp[i]
-    if den == 0.0:
-        return None
-    return base + num / den
-
-
-def refine_float_loop(x, n, p, q, eps, max_iter):
-    """Double-precision refinement loop from [min(1,x), max(1,x)].
-
-    Returns (status, lo, hi, iterations) with status 0 width reached, 1 max
-    iterations, 2 stalled (an application failed to strictly shrink the
-    width, e.g. endpoints oscillating by one ulp), 3 non-finite value or
-    zero denominator (the last finite interval is reported).  Rounding can
-    make converged endpoints cross by one ulp; the pair is reported as-is.
-    """
-    lo = x if x < 1.0 else 1.0
-    hi = x if x > 1.0 else 1.0
-    it = 0
-    prev_w = float("inf")
-    while True:
-        w = hi - lo
-        if w != w or w == float("inf"):
-            return 3, lo, hi, it
-        if w <= eps:
-            return 0, lo, hi, it
-        if it >= max_iter:
-            return 1, lo, hi, it
-        if w >= prev_w:
-            return 2, lo, hi, it
-        nlo = _float_endpoint(p, n, lo, hi, lo, x)
-        nhi = _float_endpoint(q, n, hi, lo, hi, x)
-        if nlo is None or nhi is None:
-            return 3, lo, hi, it
-        if nlo != nlo or nhi != nhi or nlo == float("-inf") or nhi == float("inf"):
-            return 3, lo, hi, it
-        prev_w = w
-        lo = nlo
-        hi = nhi
-        it += 1

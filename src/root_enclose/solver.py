@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from ._kernels import refine_float_loop
 from .maps import (DenominatorZeroError, MapCoefficients, MapEvaluator, check_degree,
                    secant_newton)
 from .numeric import Interval, as_rational, describe, format_rational
@@ -260,7 +259,59 @@ class FloatTrace:
         }
 
 
-_FLOAT_STATUS = {0: WIDTH_REACHED, 1: MAX_ITERATIONS, 2: STALLED, 3: NON_FINITE}
+def _float_endpoint(coeffs, n, a, b, base, x):
+    """base + (x + form(c[0..n])) / form(c[n+1..2n]) in doubles, or None when
+    the denominator form is exactly 0.0."""
+    ap = [1.0] * (n + 1)
+    bp = [1.0] * (n + 1)
+    for i in range(1, n + 1):
+        ap[i] = ap[i - 1] * a
+        bp[i] = bp[i - 1] * b
+    num = x
+    for i in range(n + 1):
+        num += coeffs[i] * ap[n - i] * bp[i]
+    den = 0.0
+    for i in range(n):
+        den += coeffs[n + 1 + i] * ap[n - 1 - i] * bp[i]
+    if den == 0.0:
+        return None
+    return base + num / den
+
+
+def refine_float_loop(x, n, p, q, eps, max_iter) -> FloatTrace:
+    """Double-precision refinement loop from [min(1,x), max(1,x)], with the
+    map's coefficients given as lists of floats p and q.
+
+    Stops at "width-reached", "max-iterations", "stalled" (an application
+    failed to strictly shrink the width, e.g. endpoints oscillating by one
+    ulp) or "non-finite" (a NaN or infinite value, or a zero denominator;
+    the last finite interval is reported).  Rounding can make converged
+    endpoints cross by one ulp; the pair is reported as-is.
+    """
+    lo = x if x < 1.0 else 1.0
+    hi = x if x > 1.0 else 1.0
+    it = 0
+    prev_w = float("inf")
+    while True:
+        w = hi - lo
+        if w != w or w == float("inf"):
+            return FloatTrace(it, lo, hi, NON_FINITE)
+        if w <= eps:
+            return FloatTrace(it, lo, hi, WIDTH_REACHED)
+        if it >= max_iter:
+            return FloatTrace(it, lo, hi, MAX_ITERATIONS)
+        if w >= prev_w:
+            return FloatTrace(it, lo, hi, STALLED)
+        nlo = _float_endpoint(p, n, lo, hi, lo, x)
+        nhi = _float_endpoint(q, n, hi, lo, hi, x)
+        if nlo is None or nhi is None:
+            return FloatTrace(it, lo, hi, NON_FINITE)
+        if nlo != nlo or nhi != nhi or nlo == float("-inf") or nhi == float("inf"):
+            return FloatTrace(it, lo, hi, NON_FINITE)
+        prev_w = w
+        lo = nlo
+        hi = nhi
+        it += 1
 
 
 def refine_float(x: float, n: int, eps: float, m: MapCoefficients | None = None,
@@ -280,8 +331,7 @@ def refine_float(x: float, n: int, eps: float, m: MapCoefficients | None = None,
         raise ValueError(f"map degree {m.n} does not match n={n}")
     p = [float(c) for c in m.p]
     q = [float(c) for c in m.q]
-    status, lo, hi, iterations = refine_float_loop(x, n, p, q, eps, max_iter)
-    return FloatTrace(iterations, lo, hi, _FLOAT_STATUS[status])
+    return refine_float_loop(x, n, p, q, eps, max_iter)
 
 
 def bisect_float(x: float, n: int, eps: float,

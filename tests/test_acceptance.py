@@ -9,15 +9,14 @@ import random
 import time
 from fractions import Fraction as F
 
+from map_generators import (perturbed_contracting_map, random_canonical_map,
+                            random_noncanonical_map)
 from root_enclose.analysis import (
     SampleConfig,
     check_denominator_bounds,
     check_dominance,
     evaluate_locus,
     falsify_contraction,
-    perturbed_contracting_map,
-    random_canonical_map,
-    random_noncanonical_map,
     sample_triples,
 )
 from root_enclose.maps import (

@@ -8,6 +8,8 @@ from functools import partial
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from map_generators import (perturbed_contracting_map, random_canonical_map,
+                            random_noncanonical_map)
 from root_enclose.analysis import (
     DominanceStats,
     MAX_MAGNITUDE,
@@ -23,9 +25,6 @@ from root_enclose.analysis import (
     evaluate_locus,
     falsify_contraction,
     locus_text,
-    perturbed_contracting_map,
-    random_canonical_map,
-    random_noncanonical_map,
     sample_triples,
 )
 from root_enclose import maps

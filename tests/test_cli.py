@@ -241,6 +241,15 @@ def test_counterexample_unrepaired_q0():
     assert out.returncode == 1
     assert "corner" in out.stdout
     assert "witness" in out.stdout
+    # the probe fails at its first point, the fixed corner (1, 1, 1), before
+    # any seeded sample is drawn
+    out = run_cli("counterexample", "--unrepaired-q0", "--json")
+    assert out.returncode == 1
+    verdict = json.loads(out.stdout)["contraction"]
+    assert verdict["samples_checked"] == 1
+    witness = verdict["witness"]
+    assert witness["L"] == witness["r"] == witness["U"] == witness["x"] == "1"
+    assert witness["violated"] == "U' <= U"
 
 
 def test_bench_default_csv():
@@ -279,6 +288,8 @@ def test_bench_json_format_and_out_file(tmp_path):
     ("bench", "--json"),
     ("check", "m.json", "--jobs", "2"),
     ("compare", "m.json", "--jobs", "2"),
+    # the --unrepaired-q0 probe draws no seeded sample
+    ("counterexample", "--seed", "1"),
 ])
 def test_options_a_subcommand_does_not_read_are_rejected(argv):
     out = run_cli(*argv)

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from root_enclose.analysis import perturbed_contracting_map, random_canonical_map
+from map_generators import perturbed_contracting_map, random_canonical_map
 from root_enclose.maps import (
     DenominatorZeroError,
     MapCoefficients,
