@@ -8,5 +8,6 @@ from ._pure import (
     BACKEND_NAME,
     apply_pairs,
     apply_reduced_pairs,
+    endpoint_pair,
     form_pair,
 )

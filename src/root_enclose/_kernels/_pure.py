@@ -5,7 +5,7 @@ of the refinement-map family at one (L, U, x) point.  ``form_pair`` is the
 one evaluator of the homogeneous forms sum_i c_i * a**(k-1-i) * b**i that
 every map numerator and denominator is built from (with unit coefficients
 it is the secant form); both map kernels finish each endpoint through one
-routine, ``_endpoint``.  This is their only implementation; the package
+routine, ``endpoint_pair``.  This is their only implementation; the package
 imports them through ``root_enclose._kernels``.
 
 A coefficient vector is passed as a list of integer numerators over one
@@ -50,9 +50,10 @@ def form_pair(c, den, an, ad, bn, bd):
     return sn, den * (ad * bd) ** (k - 1)
 
 
-def _endpoint(an, ad, hn, hd, den_n, den_d, xn, xd):
+def endpoint_pair(an, ad, hn, hd, den_n, den_d, xn, xd):
     """a + (x + h) / den as a pair with a positive denominator, or None when
-    the form den = den_n/den_d is exactly zero."""
+    the form den = den_n/den_d is exactly zero: one endpoint of a map, given
+    its numerator form h and denominator form den at (L, U)."""
     if den_n == 0:
         return None
     num_n = hn * xd + xn * hd
@@ -72,13 +73,13 @@ def apply_pairs(n, p, pden, q, qden, ln, ld, un, ud, xn, xd):
     upper one is (the pair slots are 0/1 placeholders then).
     """
     # lower endpoint: L + (x + sum_{i<=n} p_i L^(n-i) U^i) / (sum_i p_{n+1+i} L^(n-1-i) U^i)
-    lo = _endpoint(ln, ld, *form_pair(p[: n + 1], pden, ln, ld, un, ud),
-                   *form_pair(p[n + 1:], pden, ln, ld, un, ud), xn, xd)
+    lo = endpoint_pair(ln, ld, *form_pair(p[: n + 1], pden, ln, ld, un, ud),
+                        *form_pair(p[n + 1:], pden, ln, ld, un, ud), xn, xd)
     if lo is None:
         return 1, 0, 1, 0, 1
     # upper endpoint: same shape with the roles of L and U swapped
-    hi = _endpoint(un, ud, *form_pair(q[: n + 1], qden, un, ud, ln, ld),
-                   *form_pair(q[n + 1:], qden, un, ud, ln, ld), xn, xd)
+    hi = endpoint_pair(un, ud, *form_pair(q[: n + 1], qden, un, ud, ln, ld),
+                        *form_pair(q[n + 1:], qden, un, ud, ln, ld), xn, xd)
     if hi is None:
         return 2, 0, 1, 0, 1
     return (0, *lo, *hi)
@@ -91,10 +92,10 @@ def apply_reduced_pairs(n, dpn, dpd, dqn, dqd, ln, ld, un, ud, xn, xd):
     denominator forms, which the caller evaluates with form_pair (and may
     use again).  Same return convention as apply_pairs.
     """
-    lo = _endpoint(ln, ld, -ln ** n, ld ** n, dpn, dpd, xn, xd)
+    lo = endpoint_pair(ln, ld, -ln ** n, ld ** n, dpn, dpd, xn, xd)
     if lo is None:
         return 1, 0, 1, 0, 1
-    hi = _endpoint(un, ud, -un ** n, ud ** n, dqn, dqd, xn, xd)
+    hi = endpoint_pair(un, ud, -un ** n, ud ** n, dqn, dqd, xn, xd)
     if hi is None:
         return 2, 0, 1, 0, 1
     return (0, *lo, *hi)

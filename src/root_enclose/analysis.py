@@ -1,13 +1,23 @@
 """Exact, sampled verification of the refinement-map family's properties.
 
-Nothing here is proved.  Statements quantified over all 0 < L <= root <= U
-are checked on deterministic sample sets, and every failure comes back as a
-concrete rational witness that can be re-checked by hand.  Sample points are
-built as (L, r, U) with x = r**n, so the root of x is rational by
-construction and every comparison is exact; irrational values never arise.
-Each point is evaluated once, on int pairs that are never reduced; a
-canonical map is compared with Secant-Newton through _excess(m) alone, and
-its own forms and endpoints are computed only where an excess is negative.
+Statements quantified over all 0 < L <= root <= U are checked on
+deterministic sample sets, and every failure comes back as a concrete
+rational witness that can be re-checked by hand.  Sample points are built
+as (L, r, U) with x = r**n, so the root of x is rational by construction
+and every comparison is exact; irrational values never arise.  Each point
+is evaluated once, on int pairs that are never reduced; a canonical map is
+compared with Secant-Newton through _excess(m) alone, and its own forms and
+endpoints are computed only where an excess is negative.  A non-canonical
+map is compared on only the forms where it differs from Secant-Newton.
+
+One case is decided once per map rather than per sample: a canonical map
+whose excess tails over Secant-Newton have no negative coefficient
+(_dominating) has both denominator bounds, and so contraction, at every
+0 < L <= U.  Its check verdicts are passed-on-samples without a sample
+being drawn, and compare reads only each sample's (L, r, U) to find the
+equality points.  That is a proof for the map, not for the samples alone,
+though the verdicts still say passed-on-samples with cfg.count points.
+Every other verdict is sampled, and nothing else here is proved.
 
 The checks:
 
@@ -32,7 +42,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from math import gcd
 from typing import NamedTuple
 
@@ -366,13 +376,22 @@ def _excess(m: MapCoefficients) -> MapCoefficients:
                            head + tuple(a - b for a, b in zip(m.q[n + 1:], sn.q[n + 1:])))
 
 
+def _dominating(e: MapCoefficients) -> bool:
+    """Whether no tail coefficient of the excess map e is negative.  Then
+    both excess forms are sums of non-negative terms, so Dp - S >= 0 and
+    Dq - N >= 0 at every 0 < L <= U, and each is 0 there exactly when its
+    tail is all zero: the map dominates Secant-Newton coefficientwise."""
+    return all(c >= 0 for c in chain(e.p[e.n + 1:], e.q[e.n + 1:]))
+
+
 def _witnesses(m: MapCoefficients, cfg: SampleConfig):
     """(bounds witness, contraction witness) at each point the checks read,
     lazily, None where a test holds.  A canonical map's points are the
     samples; if Dp - S >= 0 and Dq - N >= 0 there, then (r^n - L^n)/(r - L)
     <= S <= Dp puts L' in [L, r] and (U^n - r^n)/(U - r) <= N <= Dq puts
     U' in [r, U], so its forms and endpoints are computed only where an
-    excess is negative.  A non-canonical map's points are its corner
+    excess is negative, and a coefficientwise dominating map (_dominating)
+    draws no sample at all.  A non-canonical map's points are its corner
     probes, then the samples, with no bounds."""
     n = m.n
     ev = MapEvaluator(m)
@@ -381,7 +400,11 @@ def _witnesses(m: MapCoefficients, cfg: SampleConfig):
             ln, ld, _, _, un, ud, xn, xd = s
             yield None, _contraction_witness(s, *ev.evaluate(ln, ld, un, ud, xn, xd))
         return
-    excess = MapEvaluator(_excess(m)).denominator_pairs
+    e = _excess(m)
+    if _dominating(e):
+        yield from repeat((None, None), cfg.count)
+        return
+    excess = MapEvaluator(e).denominator_pairs
     for s in _sample_pairs(n, cfg):
         ln, ld, _, _, un, ud, xn, xd = s
         ex = excess(ln, ld, un, ud)
@@ -466,35 +489,54 @@ def check_dominance(m: MapCoefficients, cfg: SampleConfig) -> DominanceStats:
     A canonical map shares the numerators x - L^n >= 0 >= x - U^n, so where
     neither excess Dp - S, Dq - N is negative (see _excess), Dp and Dq are
     positive and Secant-Newton's interval is inside, equal exactly where
-    each side has excess 0 or r at that end.  Endpoints are computed only
-    elsewhere.  Each violation's two sides are reduced once, as recorded.
+    each side has excess 0 or r at that end.  For a coefficientwise
+    dominating map (_dominating) that holds at every sample, and an excess
+    is 0 exactly when its tail is; for any other canonical map endpoints
+    are computed only where an excess is negative.  A non-canonical map is
+    evaluated beside Secant-Newton (MapEvaluator.beside), on only the forms
+    where the two differ.  Each violation's two sides are reduced once, as
+    recorded.
     """
     n = m.n
     ev = MapEvaluator(m)
     canonical = check_canonical(m).is_canonical
-    # a canonical map's excess forms, or Secant-Newton's forms for any other
-    forms = MapEvaluator(_excess(m) if canonical else secant_newton(n)).denominator_pairs
     equality = []
     violations = []
+    if canonical:
+        e = _excess(m)
+        if _dominating(e):
+            p_equal, q_equal = not any(e.p[n + 1:]), not any(e.q[n + 1:])
+            equality = tuple(
+                (ln, ld, rn, rd, un, ud)
+                for ln, ld, rn, rd, un, ud, _, _ in _sample_pairs(n, cfg)
+                if ((p_equal or (rn == ln and rd == ld))
+                    and (q_equal or (rn == un and rd == ud))))
+            return DominanceStats(cfg.count, equality, ())
+        excess = MapEvaluator(e).denominator_pairs
+    else:
+        sn = MapEvaluator(secant_newton(n))
     for s in _sample_pairs(n, cfg):
         ln, ld, rn, rd, un, ud, xn, xd = s
         if canonical:
-            (gp, _), (gq, _) = forms(ln, ld, un, ud)
+            (gp, _), (gq, _) = excess(ln, ld, un, ud)
             if gp >= 0 and gq >= 0:
                 if ((gp == 0 or (rn == ln and rd == ld))
                         and (gq == 0 or (rn == un and rd == ud))):
                     equality.append((ln, ld, rn, rd, un, ud))
                 continue
+            # Secant-Newton's forms are the map's less the excess
             (pn, pd), (qn, qd) = dens = ev.denominator_pairs(ln, ld, un, ud)
-            sn_dens = (pn - gp, pd), (qn - gq, qd)
+            sn_result = ev.canonical_pair(((pn - gp, pd), (qn - gq, qd)),
+                                          ln, ld, un, ud, xn, xd)
             status, a, b, c, d = ev.canonical_pair(dens, ln, ld, un, ud, xn, xd)
         else:
-            sn_dens = forms(ln, ld, un, ud)
-            status, a, b, c, d = ev.evaluate(ln, ld, un, ud, xn, xd)
+            sn_dens = sn.denominator_pairs(ln, ld, un, ud)
+            sn_result = sn.canonical_pair(sn_dens, ln, ld, un, ud, xn, xd)
+            status, a, b, c, d = ev.beside(sn_dens, sn_result, ln, ld, un, ud, xn, xd)
         if status:
             violations.append((s, "denominator-zero", _ZERO_PAIR, _ZERO_PAIR))
             continue
-        _, sa, sb, sc, sd = ev.canonical_pair(sn_dens, ln, ld, un, ud, xn, xd)
+        _, sa, sb, sc, sd = sn_result
         if a * sb > sa * b:
             violations.append((s, "L' <= L*", _reduced(a, b), _reduced(sa, sb)))
         elif sc * d > c * sd:

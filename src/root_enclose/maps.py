@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from ._kernels import apply_pairs, apply_reduced_pairs, form_pair
+from ._kernels import apply_pairs, apply_reduced_pairs, endpoint_pair, form_pair
 from .numeric import as_rational, describe, format_rational, parse_int, parse_rational
 
 
@@ -170,6 +170,25 @@ def _over_common_denominator(coeffs) -> tuple[list[int], int]:
     return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
+def _differing_forms(n, c, den, sn_tail) -> tuple[list[int] | None, list[int] | None]:
+    """(head, tail) of one side's numerators c over den, each None where it
+    is the canonical head or Secant-Newton's tail sn_tail."""
+    head, tail = c[:n + 1], c[n + 1:]
+    return (None if head == [-den] + [0] * n else head,
+            None if tail == sn_tail else tail)
+
+
+def _side_beside(n, forms, den, sn_den, sn_end, an, ad, bn, bd, xn, xd):
+    """One endpoint of MapEvaluator.beside: the side's own forms where they
+    differ from Secant-Newton's, at (a, b) = (L, U) for p and (U, L) for q."""
+    head, tail = forms
+    if head is None and tail is None:
+        return sn_end
+    hn, hd = (-an ** n, ad ** n) if head is None else form_pair(head, den, an, ad, bn, bd)
+    dn, dd = sn_den if tail is None else form_pair(tail, den, an, ad, bn, bd)
+    return endpoint_pair(an, ad, hn, hd, dn, dd, xn, xd)
+
+
 class MapEvaluator:
     """One map prepared for repeated exact evaluation.
 
@@ -179,20 +198,27 @@ class MapEvaluator:
     fast path (numerators x - L^n and x - U^n, over the denominator forms of
     the map's tails, which are all it holds); everything else goes through
     the general form.  The two are algebraically identical on canonical
-    maps, which the test suite checks against each other.
+    maps, which the test suite checks against each other.  A non-canonical
+    map also notes which of its four forms differ from Secant-Newton's, so
+    beside can evaluate it next to Secant-Newton on those forms alone.
     """
 
-    __slots__ = ("_n", "_p", "_pden", "_q", "_qden", "_canonical")
+    __slots__ = ("_n", "_p", "_pden", "_q", "_qden", "_canonical", "_differing")
 
     def __init__(self, m: MapCoefficients):
-        self._n = m.n
+        n = self._n = m.n
         self._canonical = check_canonical(m).is_canonical
         if self._canonical:
-            p, q = m.p[m.n + 1:], m.q[m.n + 1:]
+            p, q = m.p[n + 1:], m.q[n + 1:]
         else:
             p, q = m.p, m.q
         self._p, self._pden = _over_common_denominator(p)
         self._q, self._qden = _over_common_denominator(q)
+        if not self._canonical:
+            # for beside: the forms of each side that are not Secant-Newton's
+            pden, qden = self._pden, self._qden
+            self._differing = (_differing_forms(n, self._p, pden, [pden] * n),
+                               _differing_forms(n, self._q, qden, [n * qden] + [0] * (n - 1)))
 
     def pair(self, lo: Fraction, hi: Fraction, x: Fraction) -> tuple[Fraction, Fraction]:
         """Raw refined endpoints at ([lo, hi], x); unclamped and unordered."""
@@ -222,6 +248,26 @@ class MapEvaluator:
                                        ln, ld, un, ud, xn, xd)
         return apply_pairs(self._n, self._p, self._pden, self._q, self._qden,
                            ln, ld, un, ud, xn, xd)
+
+    def beside(self, sn_dens, sn_result, ln, ld, un, ud, xn, xd):
+        """evaluate()'s result for a non-canonical map, at a point where
+        Secant-Newton's two denominator forms take the values sn_dens and
+        its kernel result is sn_result.  Each side evaluates only its forms
+        that differ from Secant-Newton's: a side whose tail is
+        Secant-Newton's takes its form from sn_dens, a side whose head is
+        canonical has the numerator x - a^n, and a side with both takes
+        Secant-Newton's endpoint."""
+        n = self._n
+        p_forms, q_forms = self._differing
+        lo = _side_beside(n, p_forms, self._pden, sn_dens[0], sn_result[1:3],
+                          ln, ld, un, ud, xn, xd)
+        if lo is None:
+            return 1, 0, 1, 0, 1
+        hi = _side_beside(n, q_forms, self._qden, sn_dens[1], sn_result[3:],
+                          un, ud, ln, ld, xn, xd)
+        if hi is None:
+            return 2, 0, 1, 0, 1
+        return (0, *lo, *hi)
 
     def denominator_pairs(self, ln, ld, un, ud) -> tuple[tuple[int, int], tuple[int, int]]:
         """Both denominator forms at (L, U) = (ln/ld, un/ud) as pairs with

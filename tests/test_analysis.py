@@ -10,6 +10,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from map_generators import (perturbed_contracting_map, random_canonical_map,
                             random_noncanonical_map)
+from root_enclose import analysis
+from root_enclose._kernels import _pure
 from root_enclose.analysis import (
     DominanceStats,
     MAX_MAGNITUDE,
@@ -17,6 +19,7 @@ from root_enclose.analysis import (
     Triple,
     Verdict,
     Witness,
+    _dominating,
     _excess,
     check_denominator_bounds,
     check_dominance,
@@ -228,26 +231,73 @@ def test_excess_forms_are_the_map_forms_less_secant_newtons(kind, n, map_seed, e
     assert [d for _, d in pairs[0]] == [d for _, d in pairs[1]]
 
 
-@pytest.mark.parametrize("m", [secant_newton(3), perturbed_contracting_map(4, 3)],
-                         ids=["secant-newton-3", "perturbed-4"])
-def test_check_map_computes_no_endpoint_where_the_bounds_hold(m, monkeypatch):
+def _count_kernel_calls(monkeypatch):
+    """Record the name and coefficient-list length of every kernel call,
+    at each name the package calls a kernel by."""
     calls = []
 
     def counting(kernel):
         def wrapped(*args):
-            calls.append(kernel.__name__)
+            name = kernel.__name__
+            calls.append((name, len(args[0]) if name == "form_pair" else None))
             return kernel(*args)
         return wrapped
 
-    for name in ("apply_pairs", "apply_reduced_pairs"):
+    for name in ("apply_pairs", "apply_reduced_pairs", "form_pair"):
         monkeypatch.setattr(maps, name, counting(getattr(maps, name)))
+    monkeypatch.setattr(_pure, "form_pair", counting(_pure.form_pair))
+    return calls
+
+
+@pytest.mark.parametrize("m", [secant_newton(3), perturbed_contracting_map(4, 3)],
+                         ids=["secant-newton-3", "perturbed-4"])
+def test_check_map_computes_no_endpoint_where_the_bounds_hold(m, monkeypatch):
+    calls = _count_kernel_calls(monkeypatch)
+    drawn = []
+    draw = analysis._draw
+    monkeypatch.setattr(analysis, "_draw", lambda *a: drawn.append(a) or draw(*a))
+    # both excess tails are coefficientwise >= 0, so check decides the map
+    # without drawing a sample or evaluating a form
+    assert _dominating(_excess(m))
     bounds, contraction = check_map(m, SampleConfig())
-    assert not bounds.falsified and not contraction.falsified
-    # neither excess over Secant-Newton is negative at any sample, so
-    # compare decides every sample from the excess forms alone
+    assert bounds == contraction == Verdict(None, SampleConfig().count)
+    assert check_map(m, SampleConfig()) == (check_denominator_bounds(m, SampleConfig()),
+                                             falsify_contraction(m, SampleConfig()))
+    assert drawn == [] and calls == []
+    # compare draws the samples and decides each one by integer comparisons
     stats = check_dominance(m, SampleConfig())
     assert stats.violation_rows == ()
-    assert calls == []
+    assert len(drawn) == 1 and calls == []
+
+
+@pytest.mark.parametrize("side", ["p", "q"])
+def test_noncanonical_compare_evaluates_only_the_moved_head(side, monkeypatch):
+    # Secant-Newton's tails with one head coefficient moved: per sample,
+    # compare evaluates Secant-Newton's S and N once and the moved head's
+    # form, and never the map's tail forms or its whole general form
+    n = 3
+    sn = secant_newton(n)
+    moved = sn.p[:1] + (F(1, 2),) + sn.p[2:] if side == "p" else sn.q[:2] + (F(-1, 3),) + sn.q[3:]
+    m = MapCoefficients(n, moved, sn.q) if side == "p" else MapCoefficients(n, sn.p, moved)
+    cfg = SampleConfig(seed=3, count=300)
+    calls = _count_kernel_calls(monkeypatch)
+    check_dominance(m, cfg)
+    assert sorted(set(calls)) == [("apply_reduced_pairs", None),
+                                  ("form_pair", n), ("form_pair", n + 1)]
+    assert calls.count(("form_pair", n)) == 2 * cfg.count
+    assert calls.count(("form_pair", n + 1)) == cfg.count
+
+
+def test_certificate_does_not_cover_the_near_secant_p_tail():
+    # g_p = (10^6 - 10^-12) - 2000 t + t^2 has a negative coefficient and is
+    # negative near t = 1000, where U = 1000 L: at (L, r, U) = (1, 1000, 1000)
+    # Secant-Newton's L* is r exactly and this map's L' lies above r
+    sn = secant_newton(3)
+    m = MapCoefficients(3, sn.p[:4] + (1000001 - F(1, 10 ** 12), F(-1999), F(2)), sn.q)
+    assert not _dominating(_excess(m))
+    lo, _ = apply_pair(m, 1, 1000, 1000 ** 3)
+    assert apply_pair(sn, 1, 1000, 1000 ** 3)[0] == 1000
+    assert lo > 1000
 
 
 # --- dominance ---------------------------------------------------------------
@@ -422,6 +472,23 @@ _REFERENCE_MAPS = {
     # lower numerator U*(L - U) at x = L^2: the probes pass where L = U
     "p-head-zero-at-L=U": MapCoefficients(2, (F(-1), 1, -1, 1, 1), (F(-1), 0, 0, 2, 0)),
     "canonical": random_canonical_map(2, 24),
+    # coefficientwise dominating on one side, Secant-Newton's tail on the other
+    "dominating-p-only": MapCoefficients(3, (F(-1), 0, 0, 0, 2, 1, F(3, 2)),
+                                         (F(-1), 0, 0, 0, 3, 0, 0)),
+    "dominating-q-only": MapCoefficients(3, (F(-1), 0, 0, 0, 1, 1, 1),
+                                         (F(-1), 0, 0, 0, 3, F(1, 2), 0)),
+    # p dominating, q-denominator U below the Newton form 2U: not dominating
+    "q-excess-negative": MapCoefficients(2, (F(-1), 0, 0, 2, 1), (F(-1), 0, 0, 1, 0)),
+    # p excess tail (-1, 2): not dominating, but g_p = -1 + 2t >= 1 at t = U/L >= 1
+    "never-negative-p-excess": MapCoefficients(2, (F(-1), 0, 0, 0, 3), (F(-1), 0, 0, 2, 0)),
+    # Secant-Newton's tails, one head coefficient moved
+    "sn-tails-p-head": MapCoefficients(3, (F(-1), F(1, 2), 0, 0, 1, 1, 1),
+                                       (F(-1), 0, 0, 0, 3, 0, 0)),
+    "sn-tails-q-head": MapCoefficients(3, (F(-1), 0, 0, 0, 1, 1, 1),
+                                       (F(-1), 0, F(-1, 3), 0, 3, 0, 0)),
+    # p head and tail moved, q tail moved under a canonical head
+    "head-and-tail": MapCoefficients(3, (F(-1), F(1, 2), 0, 0, 2, 1, 1),
+                                     (F(-1), 0, 0, 0, 4, 1, 0)),
     # sign-mixed tails whose denominator forms vanish on sampled points
     "denominator-zero-2": random_canonical_map(2, 27),
     "denominator-zero-3": random_canonical_map(3, 15),
@@ -447,7 +514,10 @@ _GENERATORS = {
     # sign-mixed tails: denominator forms that vanish or turn negative
     "canonical": random_canonical_map,
     "noncanonical": random_noncanonical_map,
+    # coefficientwise dominating, so decided once per map
     "perturbed": perturbed_contracting_map,
+    "perturbed-p-only": partial(perturbed_contracting_map, perturb_q=False),
+    "perturbed-q-only": partial(perturbed_contracting_map, perturb_p=False),
 }
 
 

@@ -109,12 +109,12 @@ def test_tracer_wraps_the_kernels_at_their_lookup_names(tmp_path):
     assert out.returncode == 0, out.stderr
     backend, (metrics, cli_metrics) = json.loads(out.stdout)
     assert backend == "pure"
-    # Secant-Newton's excess over itself is zero, so at its 10 samples only
-    # the excess map's two forms are evaluated; the second map's p excess is
-    # negative at every sample, so each of its samples also takes the map's
-    # own two forms, and it first fails to contract at its 7th
+    # Secant-Newton's excess over itself is zero, so its check evaluates no
+    # form; the second map's p excess is negative at every sample, so each of
+    # its samples takes the excess map's two forms and the map's own two,
+    # and it first fails to contract at its 7th
     assert metrics["kernels.apply_reduced_pairs.calls"] == 7
-    assert metrics["kernels.form_pair.calls"] == 2 * 10 + 4 * 7
+    assert metrics["kernels.form_pair.calls"] == 4 * 7
     assert metrics["analysis.points_checked"] == 10 + 7
     # the tracer reads trace.iterations and stats.samples from the results;
     # a record that stopped answering either would lose these counts
