@@ -1,4 +1,4 @@
-"""Exact, sampled verification of the refinement-map family's properties.
+"""Exact verification of the refinement-map family's properties.
 
 Statements quantified over all 0 < L <= root <= U are checked on
 deterministic sample sets, and every failure comes back as a concrete
@@ -10,21 +10,24 @@ compared with Secant-Newton through _excess(m) alone, and its own forms and
 endpoints are computed only where an excess is negative.  A non-canonical
 map is compared on only the forms where it differs from Secant-Newton.
 
-One case is decided once per map rather than per sample: a canonical map
-whose excess tails over Secant-Newton have no negative coefficient
-(_dominating) has both denominator bounds, and so contraction, at every
-0 < L <= U.  Its check verdicts are passed-on-samples without a sample
-being drawn, and compare reads only each sample's (L, r, U) to find the
-equality points.  That is a proof for the map, not for the samples alone,
-though the verdicts still say passed-on-samples with cfg.count points.
-Every other verdict is sampled, and nothing else here is proved.
+Two cases are decided once per map rather than per sample.  A
+non-canonical map fails one of at most 2(n+1) fixed head probes
+(_head_probes): a proof, drawn without a sample.  A canonical map whose
+excess tails over Secant-Newton have no negative coefficient (_dominating)
+has both denominator bounds, and so contraction, at every 0 < L <= U.  Its
+check verdicts are passed-on-samples without a sample being drawn, and
+compare reads only each sample's (L, r, U) to find the equality points.
+That is a proof for the map, not for the samples alone, though the
+verdicts still say passed-on-samples with cfg.count points.  Every other
+verdict is sampled, and nothing else here is proved.
 
 The checks:
 
+  * check_map            - both check verdicts below from one pass
   * falsify_contraction  - the four endpoint inequalities
-                           L <= L' <= r <= U' <= U, with corner probes at
-                           x = L**n and x = U**n that catch any map whose
-                           head coefficients are not canonical
+                           L <= L' <= r <= U' <= U, decided at the head
+                           probes for a map whose head coefficients are not
+                           canonical
   * check_denominator_bounds - the two denominator inequalities of canonical
                            maps: necessary to contract, sufficient where held
   * check_dominance      - Secant-Newton's output is a subset of the checked
@@ -42,7 +45,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, islice, repeat
+from itertools import chain, islice
 from math import gcd
 from typing import NamedTuple
 
@@ -218,9 +221,10 @@ def _json_list(rows: str) -> str:
     return f"[\n{rows}\n  ]" if rows else "[]"
 
 
-# Fixed corner grid.  Each pair contributes probes at r = L, r = U, the
-# degenerate L = U copies, and the midpoint; (1, 4) is deliberately present
-# so that x = U**n probing covers the (1, 4, 4) diagnostic point.
+# Fixed corner grid, the first 75 samples of every sample set.  Each pair
+# contributes the points r = L, r = U, the degenerate L = U copies, and the
+# midpoint; (1, 4) gives the (1, 4, 4) point where the counterexample map
+# fails to contract.
 _F = Fraction
 _CORNER_PAIRS = (
     (_F(1), _F(1)),
@@ -249,7 +253,7 @@ _CORNER_PAIRS = (
 # module, and check_dominance's results leave as reduced int rows
 # (DominanceStats).
 
-# (Ln, Ld, rn, rd, Un, Ud) of every corner probe, in sample order
+# (Ln, Ld, rn, rd, Un, Ud) of every corner point, in sample order
 _CORNER_POINTS = tuple(
     tuple(i for v in point for i in (v.numerator, v.denominator))
     for L, U in _CORNER_PAIRS
@@ -345,21 +349,6 @@ def _contraction_witness(s, status, a, b, c, d) -> Witness | None:
     return None
 
 
-def _corner_probes(m: MapCoefficients, cfg: SampleConfig):
-    """At each distinct sampled (L, U): the probe x = L**n (r = L) if a p-side
-    head coefficient is not canonical, and x = U**n (r = U) if a q-side one
-    is not.  The samples are read lazily."""
-    n = m.n
-    sides = {name[0] for name, _, _ in check_canonical(m).violations}
-    seen = set()
-    for ln, ld, _, _, un, ud, _, _ in _sample_pairs(n, cfg):
-        if (ln, ld, un, ud) not in seen:
-            seen.add((ln, ld, un, ud))
-            for side, rn, rd in (("p", ln, ld), ("q", un, ud)):
-                if side in sides:
-                    yield ln, ld, rn, rd, un, ud, rn ** n, rd ** n
-
-
 def _excess(m: MapCoefficients) -> MapCoefficients:
     """The canonical map whose denominator tails are m's minus
     Secant-Newton's, for canonical m: its forms at (L, U) are the excess
@@ -384,100 +373,94 @@ def _dominating(e: MapCoefficients) -> bool:
     return all(c >= 0 for c in chain(e.p[e.n + 1:], e.q[e.n + 1:]))
 
 
-def _witnesses(m: MapCoefficients, cfg: SampleConfig):
-    """(bounds witness, contraction witness) at each point the checks read,
-    lazily, None where a test holds.  A canonical map's points are the
-    samples; if Dp - S >= 0 and Dq - N >= 0 there, then (r^n - L^n)/(r - L)
-    <= S <= Dp puts L' in [L, r] and (U^n - r^n)/(U - r) <= N <= Dq puts
-    U' in [r, U], so its forms and endpoints are computed only where an
-    excess is negative, and a coefficientwise dominating map (_dominating)
-    draws no sample at all.  A non-canonical map's points are its corner
-    probes, then the samples, with no bounds."""
+def _head_probes(m: MapCoefficients):
+    """For t = 1, ..., n+1: the sample (L, r, U) = (1, 1, t), x = 1, if a p
+    head coefficient is not canonical, then (1, t, t), x = t**n, if a q one
+    is not.  At the p probe r = L, so contraction forces L' = L, yet the
+    lower numerator is (1+p0) + p1*t + ... + pn*t^n; at the q probe r = U
+    forces U' = U, yet the upper one is (1+q0)*t^n + q1*t^(n-1) + ... + qn.
+    Off-canonical heads make these nonzero polynomials of degree <= n, so
+    each is nonzero at one of its n+1 probes, and there a denominator is
+    zero or the endpoint moves: one of at most 2(n+1) probes fails."""
     n = m.n
-    ev = MapEvaluator(m)
-    if not check_canonical(m).is_canonical:
-        for s in chain(_corner_probes(m, cfg), _sample_pairs(n, cfg)):
-            ln, ld, _, _, un, ud, xn, xd = s
-            yield None, _contraction_witness(s, *ev.evaluate(ln, ld, un, ud, xn, xd))
-        return
-    e = _excess(m)
-    if _dominating(e):
-        yield from repeat((None, None), cfg.count)
-        return
-    excess = MapEvaluator(e).denominator_pairs
-    for s in _sample_pairs(n, cfg):
-        ln, ld, _, _, un, ud, xn, xd = s
-        ex = excess(ln, ld, un, ud)
-        if ex[0][0] >= 0 and ex[1][0] >= 0:
-            yield None, None
-            continue
-        # the bound on the first side whose excess is negative: the map's
-        # form there against Secant-Newton's, which is the form less the excess
-        dens = ev.denominator_pairs(ln, ld, un, ud)
-        side = 0 if ex[0][0] < 0 else 1
-        (fn, fd), (gn, _) = dens[side], ex[side]
-        bounds = _witness((ln, ld, ln, ld, un, ud, ln ** n, ld ** n),
-                          ("p-denominator >= secant form", "q-denominator >= n*U^(n-1)")[side],
-                          (fn, fd), (fn - gn, fd))
-        result = ev.canonical_pair(dens, ln, ld, un, ud, xn, xd)
-        yield bounds, _contraction_witness(s, *result)
-
-
-def _first_witness(points, slot: int) -> Verdict:
-    """The verdict of one slot of _witnesses: its first witness and the
-    points read up to it."""
-    checked = 0
-    for checked, found in enumerate(points, 1):
-        if found[slot] is not None:
-            return Verdict(found[slot], checked)
-    return Verdict(None, checked)
+    sides = {name[0] for name, _, _ in check_canonical(m).violations}
+    for t in range(1, n + 2):
+        if "p" in sides:
+            yield 1, 1, 1, 1, t, 1, 1, 1
+        if "q" in sides:
+            yield 1, 1, t, 1, t, 1, t ** n, 1
 
 
 def falsify_contraction(m: MapCoefficients, cfg: SampleConfig) -> Verdict:
-    """Search the sample set for a violation of L <= L' <= r <= U' <= U.
-
-    A zero denominator counts as a violation (the map is not defined on the
-    whole domain the contraction condition quantifies over).  Maps that fail
-    the canonical-form check are short-circuited: for a p-side violation the
-    corner x = L**n forces the lower numerator away from zero at generic
-    (L, U), so probing the sampled pairs there yields a witness immediately,
-    and likewise x = U**n for q-side violations.  The probes read the
-    samples lazily, and the samples are drawn again for the plain scan only
-    if no probe fails.
-
-    samples_checked counts evaluated points, probes included.
-    """
-    return _first_witness(_witnesses(m, cfg), 1)
+    """check_map's verdict on L <= L' <= r <= U' <= U, where a zero
+    denominator counts as a violation (the map is not defined on the whole
+    domain the condition quantifies over).  samples_checked counts
+    evaluated points."""
+    return check_map(m, cfg)[1]
 
 
 def check_denominator_bounds(m: MapCoefficients, cfg: SampleConfig) -> Verdict:
-    """Check the two denominator lower bounds every canonical contracting
-    map satisfies: the p-denominator dominates the secant form
-    L^(n-1) + L^(n-2) U + ... + U^(n-1) and the q-denominator dominates the
-    Newton form n*U^(n-1), exactly, on the sampled (L, U) pairs.
+    """check_map's verdict on the two denominator lower bounds every
+    canonical contracting map satisfies: the p-denominator dominates the
+    secant form L^(n-1) + L^(n-2) U + ... + U^(n-1) and the q-denominator
+    the Newton form n*U^(n-1), exactly, on the sampled (L, U) pairs.
 
     Rejects non-canonical maps: the bounds are statements about the reduced
     form.
     """
     if not check_canonical(m).is_canonical:
         raise ValueError("denominator bounds apply to canonical maps only")
-    return _first_witness(_witnesses(m, cfg), 0)
+    return check_map(m, cfg)[0]
 
 
 def check_map(m: MapCoefficients, cfg: SampleConfig) -> tuple[Verdict | None, Verdict]:
-    """(check_denominator_bounds(m, cfg), falsify_contraction(m, cfg)) from
-    one pass, which stops at the first contraction witness: a canonical map
-    fails a bound wherever it fails to contract (see _witnesses).  The
-    bounds verdict is None for non-canonical maps."""
+    """(bounds verdict, contraction verdict) from one pass, which stops at
+    the first contraction witness; the bounds verdict is None for
+    non-canonical maps.
+
+    A non-canonical map fails one of its head probes (_head_probes); cfg is
+    not read.  A canonical map is scanned on the samples.  Where
+    Dp - S >= 0 and Dq - N >= 0 (see _excess), (r^n - L^n)/(r - L) <= S <= Dp
+    puts L' in [L, r] and (U^n - r^n)/(U - r) <= N <= Dq puts U' in [r, U],
+    so the map's forms and endpoints are computed only where an excess is
+    negative, and a coefficientwise dominating map (_dominating) draws no
+    sample at all.
+    """
+    n = m.n
+    ev = MapEvaluator(m)
     if not check_canonical(m).is_canonical:
-        return None, _first_witness(_witnesses(m, cfg), 1)
-    bounds = Verdict(None, cfg.count)
-    for checked, (bound, contraction) in enumerate(_witnesses(m, cfg), 1):
-        if bound is not None and not bounds.falsified:
-            bounds = Verdict(bound, checked)
-        if contraction is not None:
-            return bounds, Verdict(contraction, checked)
-    return bounds, Verdict(None, cfg.count)
+        for checked, s in enumerate(_head_probes(m), 1):
+            ln, ld, _, _, un, ud, xn, xd = s
+            found = _contraction_witness(s, *ev.evaluate(ln, ld, un, ud, xn, xd))
+            if found is not None:
+                return None, Verdict(found, checked)
+        raise AssertionError("a non-canonical map passed every head probe")
+    passed = Verdict(None, cfg.count)
+    e = _excess(m)
+    if _dominating(e):
+        return passed, passed
+    excess = MapEvaluator(e).denominator_pairs
+    bounds = passed
+    for checked, s in enumerate(_sample_pairs(n, cfg), 1):
+        ln, ld, _, _, un, ud, xn, xd = s
+        ex = excess(ln, ld, un, ud)
+        if ex[0][0] >= 0 and ex[1][0] >= 0:
+            continue
+        dens = ev.denominator_pairs(ln, ld, un, ud)
+        if not bounds.falsified:
+            # the bound on the first side whose excess is negative: the map's
+            # form there against Secant-Newton's, which is the form less the
+            # excess
+            side = 0 if ex[0][0] < 0 else 1
+            (fn, fd), (gn, _) = dens[side], ex[side]
+            bounds = Verdict(_witness((ln, ld, ln, ld, un, ud, ln ** n, ld ** n),
+                                      ("p-denominator >= secant form",
+                                       "q-denominator >= n*U^(n-1)")[side],
+                                      (fn, fd), (fn - gn, fd)), checked)
+        found = _contraction_witness(s, *ev.canonical_pair(dens, ln, ld, un, ud, xn, xd))
+        if found is not None:
+            return bounds, Verdict(found, checked)
+    return bounds, passed
 
 
 def check_dominance(m: MapCoefficients, cfg: SampleConfig) -> DominanceStats:

@@ -284,9 +284,9 @@ def cmd_locus(args) -> int:
 def cmd_counterexample(args) -> int:
     if args.unrepaired_q0:
         m = counterexample_map(repair_q0=False)
-        # the corner probe at (L, r, U) = (1, 1, 1) fails first, before any
-        # seeded sample is drawn
-        verdict = analysis.falsify_contraction(m, SampleConfig(count=200))
+        # a non-canonical map is decided at its head probes, which draw no
+        # sample; the first, (L, r, U) = (1, 1, 1), fails
+        verdict = analysis.falsify_contraction(m, SampleConfig())
         lines = [
             "unrepaired variant: q0 = +1 instead of -1",
             "no contracting map can have q0 != -1; the corner probe at "
@@ -426,8 +426,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--locus", action="store_true",
                    help="also print the locus polynomials")
     p.add_argument("--unrepaired-q0", action="store_true",
-                   help="use the q0 = +1 variant and show the corner "
-                        "diagnostic that rejects it")
+                   help="use the q0 = +1 variant and show the head "
+                        "probe that rejects it")
     p.set_defaults(func=cmd_counterexample)
 
     p = sub.add_parser("bench", parents=[output],

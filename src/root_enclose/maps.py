@@ -131,8 +131,8 @@ def counterexample_map(repair_q0: bool = True) -> MapCoefficients:
     relation.
 
     The vector is sometimes quoted with q0 = +1, which cannot belong to any
-    contracting map (corner probes at x = U^n expose it immediately), so the
-    repaired q0 = -1 is the default; pass ``repair_q0=False`` to get the
+    contracting map (the first head probe, at x = U^n = 1, exposes it), so
+    the repaired q0 = -1 is the default; pass ``repair_q0=False`` to get the
     unrepaired variant for that diagnostic.
     """
     q0 = Fraction(-1) if repair_q0 else Fraction(1)

@@ -140,6 +140,16 @@ def _validated_float(x, eps, max_iter, n):
     return x, eps
 
 
+def _map_of_degree(m: MapCoefficients | None, n: int) -> MapCoefficients:
+    """m, or Secant-Newton of degree n when m is None; a map of another
+    degree is rejected."""
+    if m is None:
+        return secant_newton(n)
+    if m.n != n:
+        raise ValueError(f"map degree {m.n} does not match n={n}")
+    return m
+
+
 def refine_to_eps(x, n: int, eps, m: MapCoefficients | None = None,
                   max_iter: int = DEFAULT_MAX_ITER) -> RefineTrace:
     """Iterate the map from the initial interval until width <= eps.
@@ -164,10 +174,7 @@ def refine_to_eps(x, n: int, eps, m: MapCoefficients | None = None,
     root, raises NotContractingError.
     """
     x, eps = _validated(x, eps, max_iter, n)
-    if m is None:
-        m = secant_newton(n)
-    elif m.n != n:
-        raise ValueError(f"map degree {m.n} does not match n={n}")
+    m = _map_of_degree(m, n)
     en, ed = eps.numerator, eps.denominator
     k = (ed // en).bit_length() + 16
     evaluate = MapEvaluator(m).evaluate
@@ -325,10 +332,7 @@ def refine_float(x: float, n: int, eps: float, m: MapCoefficients | None = None,
     denominator as "non-finite", keeping the last finite interval.
     """
     x, eps = _validated_float(x, eps, max_iter, n)
-    if m is None:
-        m = secant_newton(n)
-    elif m.n != n:
-        raise ValueError(f"map degree {m.n} does not match n={n}")
+    m = _map_of_degree(m, n)
     p = [float(c) for c in m.p]
     q = [float(c) for c in m.q]
     return refine_float_loop(x, n, p, q, eps, max_iter)

@@ -11,6 +11,7 @@ from fractions import Fraction as F
 
 from map_generators import (perturbed_contracting_map, random_canonical_map,
                             random_noncanonical_map)
+from root_enclose import analysis
 from root_enclose.analysis import (
     SampleConfig,
     check_denominator_bounds,
@@ -83,17 +84,20 @@ def test_criterion_2_noncanonical_maps_falsified_at_corners():
     _report("2", elapsed, 5.0, "100/100 corner witnesses at x=L^n or x=U^n")
 
 
-def test_criterion_2_corner_probes_draw_samples_lazily():
-    # the probes stop at the first witness, so the 10^6 samples are never
-    # drawn
+def test_criterion_2_corner_probes_draw_samples_lazily(monkeypatch):
+    # a non-canonical map is decided at its fixed head probes, so not one of
+    # the 10^6 samples is drawn
     m = random_noncanonical_map(3, 0)
+    drawn = []
+    monkeypatch.setattr(analysis, "_draw", lambda *a: drawn.append(a) or iter(()))
     start = time.perf_counter()
     verdict = falsify_contraction(m, SampleConfig(count=10 ** 6))
     elapsed = time.perf_counter() - start
     assert verdict.falsified
+    assert drawn == []
     assert verdict.samples_checked <= 2
-    _report("2 (lazy)", elapsed, 1.0,
-            f"witness after {verdict.samples_checked} of 10^6 samples")
+    _report("2 (no samples)", elapsed, 1.0,
+            f"witness at head probe {verdict.samples_checked}, no sample drawn")
 
 
 def test_criterion_3_secant_newton_contraction_and_nesting():

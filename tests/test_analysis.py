@@ -379,29 +379,22 @@ def _reference_witness(m, L, r, U, x):
 
 
 def _reference_contraction(m, cfg):
-    """falsify_contraction on Fractions: apply_pair over sample_triples,
-    after the corner probes for non-canonical maps."""
-    triples = sample_triples(m.n, cfg)
-    checked = 0
+    """falsify_contraction on Fractions: apply_pair at the head probes
+    (1, 1, t) with x = 1 and (1, t, t) with x = t^n, t = 1..n+1, for a
+    non-canonical map, and over sample_triples for a canonical one."""
+    n = m.n
     sides = {name[0] for name, _, _ in check_canonical(m).violations}
-    seen = set()
-    for t in triples if sides else ():
-        if (t.L, t.U) in seen:
-            continue
-        seen.add((t.L, t.U))
-        probes = [(t.L, t.L, t.U)] if "p" in sides else []
-        probes += [(t.L, t.U, t.U)] if "q" in sides else []
-        for L, r, U in probes:
-            checked += 1
-            w = _reference_witness(m, L, r, U, r ** m.n)
-            if w is not None:
-                return Verdict(w, checked)
-    for t in triples:
-        checked += 1
-        w = _reference_witness(m, *t)
+    if sides:
+        points = [(F(1), F(1), F(t), F(1)) if side == "p" else (F(1), F(t), F(t), F(t) ** n)
+                  for t in range(1, n + 2) for side in "pq" if side in sides]
+    else:
+        points = sample_triples(n, cfg)
+    for checked, point in enumerate(points, 1):
+        w = _reference_witness(m, *point)
         if w is not None:
             return Verdict(w, checked)
-    return Verdict(None, checked)
+    assert not sides, "a non-canonical map passed its head probes"
+    return Verdict(None, cfg.count)
 
 
 def _reference_bounds(m, cfg):
@@ -536,6 +529,65 @@ def test_scans_match_fraction_reference_on_random_maps(kind, n, map_seed, seed):
     else:
         bounds = None
     assert check_map(m, cfg) == (bounds, contraction)
+
+
+def _vanishing_head_map(n, c, sides):
+    """Secant-Newton's tails under moved heads whose numerators at the head
+    probes are c*(t - 1)*...*(t - n): zero at the first n probes of each
+    moved side, so only t = n+1 exposes them."""
+    a = [F(c)]  # c*(t - 1)*...*(t - i), ascending in t
+    for i in range(1, n + 1):
+        a = [(a[k - 1] if k else 0) - i * (a[k] if k < len(a) else 0)
+             for k in range(len(a) + 1)]
+    sn = secant_newton(n)
+    # p's numerator at (1, 1, t), x = 1, is (1+p0) + p1*t + ... + pn*t^n and
+    # q's at (1, t, t), x = t^n, is (1+q0)*t^n + q1*t^(n-1) + ... + qn
+    p = (a[0] - 1, *a[1:]) + sn.p[n + 1:] if "p" in sides else sn.p
+    q = (a[n] - 1, *a[n - 1::-1]) + sn.q[n + 1:] if "q" in sides else sn.q
+    return MapCoefficients(n, p, q)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(2, 5), st.sampled_from(["random", "p", "q", "pq"]), st.integers(0, 2 ** 32),
+       st.fractions(max_denominator=10 ** 6).filter(bool), st.integers(1, 10 ** 9),
+       st.integers(0, 2 ** 64 - 1))
+@example(2, "p", 0, F(1), 1, 0)
+def test_head_probes_disprove_every_noncanonical_map(n, kind, map_seed, c, count, seed):
+    m = (random_noncanonical_map(n, map_seed) if kind == "random"
+         else _vanishing_head_map(n, c, kind))
+    drawn = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "_draw", lambda *a: drawn.append(a) or iter(()))
+        bounds, verdict = check_map(m, SampleConfig(seed=seed, count=count))
+    assert drawn == []
+    assert bounds is None and verdict.falsified
+    assert verdict.samples_checked <= 2 * (n + 1)
+    w = verdict.witness
+    assert w.r in (w.L, w.U) and w.x == w.r ** n
+    # apply_pair re-derives the witness
+    assert _reference_witness(m, w.L, w.r, w.U, w.x) == w
+    if kind != "random":
+        # the first n probes of each side pass, the p probe goes first at t = n+1
+        assert w.U == n + 1
+        assert verdict.samples_checked == {"p": n + 1, "q": n + 1, "pq": 2 * n + 1}[kind]
+
+
+@pytest.mark.parametrize("samples", ["1", "5"])
+def test_check_disproves_a_head_that_vanishes_where_L_equals_U(samples, tmp_path, capsys):
+    # the lower numerator at x = L^2 is U*(L - U): the first head probe,
+    # (1, 1, 1), passes and the second fails, whatever the sample count
+    from root_enclose import cli
+
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(_REFERENCE_MAPS["p-head-zero-at-L=U"].to_json()))
+    assert cli.main(["check", str(path), "--samples", samples, "--json"]) == 1
+    verdict = json.loads(capsys.readouterr().out)["contraction"]
+    assert verdict == {
+        "outcome": "falsified",
+        "samples_checked": 2,
+        "witness": {"L": "1", "r": "1", "U": "2", "x": "1", "violated": "L <= L'",
+                    "lhs": "1", "rhs": "1/3"},
+    }
 
 
 def _reference_stats_json(stats):
