@@ -6,9 +6,10 @@ refinement map, and a bisection baseline on y**n - x), plus one explicitly
 non-rigorous double-precision fast path for speed comparisons.  Both
 rational solvers loop on integer rows (num, den, num, den) and build no
 Fraction per step.  Every interval either rational solver records
-satisfies lo**n <= x <= hi**n, checked exactly: bisection keeps the
-sign-bracketing half, testing each midpoint on one integer numerator over
-x.den * 2**j, and the map loop checks each step by cross-multiplication.
+satisfies lo**n <= x <= hi**n, checked exactly by cross-multiplication:
+bisection reads all its steps from the binary digits of one integer nth
+root and checks its final interval, which every earlier one encloses, and
+the map loop checks each step.
 The map loop also bounds its endpoints' size, rounding them outward onto a
 dyadic lattice 2**-k_j once they outgrow it, where
 k_j = min(bits(1/eps) + 16, 2*bits(1/width_j) + 32) follows the width of
@@ -20,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import isqrt
 
 from .maps import (DenominatorZeroError, MapCoefficients, MapEvaluator, check_degree,
                    secant_newton)
@@ -210,37 +212,79 @@ def refine_to_eps(x, n: int, eps, m: MapCoefficients | None = None,
         rows.append((a, b, c, d))
 
 
+def _iroot(v: int, n: int) -> int:
+    """floor(v ** (1/n)) for an integer v >= 0.
+
+    math.isqrt for n = 2; otherwise integer Newton, which decreases
+    from any over-estimate to the floor root and stops when a step no
+    longer does.  The over-estimate is (floor root of v >> n*k, plus one)
+    << k, with k about a quarter of the root's bits, so it is already
+    right to about half of them, and Newton needs few full-size steps
+    (Brent & Zimmermann, Modern Computer Arithmetic, section 1.5).
+    """
+    if n == 2:
+        return isqrt(v)
+    if v < 2:
+        return v
+    k = v.bit_length() // (2 * n)
+    r = (_iroot(v >> n * k, n) + 1) << k if k else 1 << -(-v.bit_length() // n)
+    while True:
+        s = ((n - 1) * r + v // r ** (n - 1)) // n
+        if s >= r:
+            return r
+        r = s
+
+
 def bisect_to_eps(x, n: int, eps, max_iter: int = DEFAULT_MAX_ITER) -> RefineTrace:
     """Bisection baseline on y**n - x, keeping the sign-bracketing half.
 
-    The loop runs on integers.  With x = xn/d the start interval is
-    [a/d, (a + span)/d] for a = min(xn, d) and span = |xn - d|, and after
-    step j every endpoint is an integer over d*2**j (not dyadic in general:
-    for x = 1/3 the first midpoint is 2/3) while the width stays span over
-    that scale.  So the number of steps is known before the loop: the least
-    j with span/(d*2**j) <= eps.  A midpoint mid/(d*2**j) becomes the
-    lower endpoint exactly when mid**n <= xn * d**(n-1) * 2**(n*j).  Each
-    step records its interval as the unreduced row (a, d*2**j, a + span,
-    d*2**j): no Fraction or Interval is built in the loop, only by the
-    trace's views.  Every recorded interval satisfies lo**n <= x <= hi**n
-    exactly; the width halves each iteration.
+    With x = xn/d the start interval is [a/d, (a + span)/d] for
+    a = min(xn, d) and span = |xn - d|, and after step j every endpoint is
+    an integer over d*2**j (not dyadic in general: for x = 1/3 the first
+    midpoint is 2/3) while the width stays span over that scale.  So the
+    step count J is known before any step: the least j with
+    span/(d*2**j) <= eps, capped at max_iter.  The steps are then read from
+    one integer nth root instead of testing each midpoint: a midpoint
+    becomes the lower endpoint exactly when its nth power is at most x, a
+    test monotone along the interval, so after J steps the lower numerator
+    is the largest a*2**J + span*k (0 <= k < 2**J) whose nth power is at
+    most T = xn * d**(n-1) * 2**(n*J).  That k is
+    m = (floor(T**(1/n)) - a*2**J) // span, and the rows are the binary
+    prefixes of m: row j+1 doubles the lower numerator and adds span
+    exactly when bit J-1-j of m is set.  Each step is recorded as the
+    unreduced row (a, d*2**j, a + span, d*2**j): no Fraction or Interval
+    is built, only by the trace's views.  Every row encloses the final one,
+    which is checked exactly to satisfy lo**n <= x <= hi**n by
+    cross-multiplication, so every recorded interval does; a final row
+    that fails the check raises RuntimeError.  The width halves each
+    iteration.
     """
     x, eps = _validated(x, eps, max_iter, n)
-    d = x.denominator
-    a, b = sorted((x.numerator, d))
+    xn, d = x.numerator, x.denominator
+    a, b = sorted((xn, d))
     span = b - a  # the width's numerator over d*2**j, the same at every j
     # the least j with 2**j >= (start width / eps) = over / under
     over, under = span * eps.denominator, eps.numerator * d
     need = (-(-over // under) - 1).bit_length() if over > under else 0
-    target = x.numerator * d ** (n - 1)  # x == target / d**n
-    scale = d
-    rows = [(a, scale, b, scale)]
-    for _ in range(min(need, max_iter)):
-        mid = (a << 1) + span  # the midpoint on the next scale, d * 2**(j+1)
-        scale <<= 1
-        target <<= n
-        a = mid if mid ** n <= target else a << 1
-        rows.append((a, scale, a + span, scale))
+    steps = min(need, max_iter)
+    rows = [(a, d, b, d)]
+    if steps:
+        m = (_iroot(xn * d ** (n - 1) << n * steps, n) - (a << steps)) // span
+        # the final row, checked before the rows are built; a row that
+        # encloses the root lies in the start interval, so 0 <= m < 2**steps
+        lo, den = (a << steps) + span * m, d << steps
+        if not lo ** n * d <= xn * den ** n <= (lo + span) ** n * d:
+            raise RuntimeError(
+                f"bisection interval [{format_rational(Fraction(lo, den))}, "
+                f"{format_rational(Fraction(lo + span, den))}] at iteration {steps} "
+                f"misses the root")
+        scale = d
+        for bit in format(m, f"0{steps}b"):
+            a <<= 1
+            scale <<= 1
+            if bit == "1":
+                a += span
+            rows.append((a, scale, a + span, scale))
     return RefineTrace(tuple(rows), MAX_ITERATIONS if need > max_iter else WIDTH_REACHED)
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from map_generators import perturbed_contracting_map, random_canonical_map
+from root_enclose import solver
 from root_enclose.maps import (
     DenominatorZeroError,
     MapCoefficients,
@@ -345,7 +346,8 @@ def test_bisection_stops_at_the_step_count_it_computes(x, n, eps):
     assert bisect_to_eps(x, n, eps, max_iter=need).terminated == WIDTH_REACHED
 
 
-@pytest.mark.parametrize("n,eps_exp", sorted(DEEP_ITERATIONS))
+# n = 5 runs the integer root's Newton path on 700-bit roots
+@pytest.mark.parametrize("n,eps_exp", sorted(DEEP_ITERATIONS) + [(5, 200)])
 def test_integer_bisection_matches_the_fraction_loop_on_deep_cases(n, eps_exp):
     eps = F(1, 10 ** eps_exp)
     for x in DEEP_XS:
@@ -367,6 +369,34 @@ def test_integer_bisection_matches_the_fraction_loop_on_deep_cases(n, eps_exp):
 @example(1, 10 ** 300, 5, 1, 0, 1)
 def test_integer_bisection_matches_the_fraction_loop(a, b, n, c, e, max_iter):
     _assert_matches_bisect_reference(F(a, b), n, F(c, 10 ** e), max_iter)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 4000).flatmap(lambda bits: st.integers(0, (1 << bits) - 1)),
+       st.integers(2, 9))
+@example(0, 2)
+@example(0, 9)
+@example(1, 2)
+@example(1, 5)
+@example((10 ** 100 + 7) ** 2, 2)
+@example((10 ** 100 + 7) ** 2 - 1, 2)
+@example((10 ** 100 + 7) ** 5, 5)
+@example((10 ** 100 + 7) ** 5 - 1, 5)
+@example(((1 << 400) + 1) ** 9, 9)
+@example(((1 << 400) + 1) ** 9 - 1, 9)
+def test_integer_root_is_the_floor_root(v, n):
+    r = solver._iroot(v, n)
+    assert r ** n <= v < (r + 1) ** n
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_bisection_checks_its_final_interval(monkeypatch, n):
+    # x = 2 has span 1, so one more than the floor root moves the final
+    # lower endpoint one lattice step up, past the root
+    iroot = solver._iroot
+    monkeypatch.setattr(solver, "_iroot", lambda v, k: iroot(v, k) + 1)
+    with pytest.raises(RuntimeError, match="at iteration 100 misses the root"):
+        bisect_to_eps(F(2), n, F(1, 10 ** 30))
 
 
 def test_bisection_builds_no_interval(monkeypatch):
