@@ -5,18 +5,21 @@ deterministic sample sets, and every failure comes back as a concrete
 rational witness that can be re-checked by hand.  Sample points are built
 as (L, r, U) with x = r**n, so the root of x is rational by construction
 and every comparison is exact; irrational values never arise.  Each point
-is evaluated once, on int pairs that are never reduced; a canonical map is
-compared with Secant-Newton through _excess(m) alone, and its own forms and
-endpoints are computed only where an excess is negative.  A non-canonical
-map is compared on only the forms where it differs from Secant-Newton.
+is evaluated once, on int pairs that are never reduced.  Every map is read
+as Secant-Newton plus its differences (MapEvaluator): at each sample the
+scans evaluate the excess forms Dp - S and Dq - N first, a canonical map's
+endpoints are computed only where an excess is negative, and a map is
+compared with Secant-Newton on Secant-Newton's forms, its excess forms and
+its heads that are not canonical (MapEvaluator.beside).
 
 Two cases are decided once per map rather than per sample.  A
 non-canonical map fails one of at most 2(n+1) fixed head probes
 (_head_probes): a proof, drawn without a sample.  A canonical map whose
-excess tails over Secant-Newton have no negative coefficient (_dominating)
-has both denominator bounds, and so contraction, at every 0 < L <= U.  Its
-check verdicts are passed-on-samples without a sample being drawn, and
-compare reads only each sample's (L, r, U) to find the equality points.
+excess tails over Secant-Newton have no negative coefficient
+(MapEvaluator.dominating) has both denominator bounds, and so contraction,
+at every 0 < L <= U.  Its check verdicts are passed-on-samples without a
+sample being drawn, and compare reads only each sample's (L, r, U) to find
+the equality points.
 That is a proof for the map, not for the samples alone, though the
 verdicts still say passed-on-samples with cfg.count points.  Every other
 verdict is sampled, and nothing else here is proved.
@@ -45,15 +48,16 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, islice
+from itertools import islice
 from math import gcd
 from typing import NamedTuple
 
-from .maps import MapCoefficients, MapEvaluator, check_canonical, denominators, secant_newton
+from .maps import MapCoefficients, MapEvaluator, check_canonical, secant_newton
 from .numeric import as_rational, format_pair, format_rational, pow_int
 
-# Not used here; kept importable because perfbench/tracing.py wraps it at this
-# name.
+# Not used here; kept importable because perfbench/tracing.py wraps them at
+# these names.
+from .maps import denominators  # noqa: F401
 from .numeric import geom_sum  # noqa: F401
 
 PASSED_ON_SAMPLES = "passed-on-samples"
@@ -349,30 +353,6 @@ def _contraction_witness(s, status, a, b, c, d) -> Witness | None:
     return None
 
 
-def _excess(m: MapCoefficients) -> MapCoefficients:
-    """The canonical map whose denominator tails are m's minus
-    Secant-Newton's, for canonical m: its forms at (L, U) are the excess
-    Dp - S and Dq - N of m's forms over the secant form S and the Newton form
-    N = n*U^(n-1).  Every coefficient keeps its denominator, so MapEvaluator
-    gives a form and its excess over the same denominator."""
-    if not check_canonical(m).is_canonical:
-        raise ValueError("the excess over Secant-Newton and the equality locus "
-                         "apply to canonical maps only")
-    n = m.n
-    sn = secant_newton(n)
-    head = sn.p[:n + 1]
-    return MapCoefficients(n, head + tuple(a - b for a, b in zip(m.p[n + 1:], sn.p[n + 1:])),
-                           head + tuple(a - b for a, b in zip(m.q[n + 1:], sn.q[n + 1:])))
-
-
-def _dominating(e: MapCoefficients) -> bool:
-    """Whether no tail coefficient of the excess map e is negative.  Then
-    both excess forms are sums of non-negative terms, so Dp - S >= 0 and
-    Dq - N >= 0 at every 0 < L <= U, and each is 0 there exactly when its
-    tail is all zero: the map dominates Secant-Newton coefficientwise."""
-    return all(c >= 0 for c in chain(e.p[e.n + 1:], e.q[e.n + 1:]))
-
-
 def _head_probes(m: MapCoefficients):
     """For t = 1, ..., n+1: the sample (L, r, U) = (1, 1, t), x = 1, if a p
     head coefficient is not canonical, then (1, t, t), x = t**n, if a q one
@@ -420,15 +400,16 @@ def check_map(m: MapCoefficients, cfg: SampleConfig) -> tuple[Verdict | None, Ve
 
     A non-canonical map fails one of its head probes (_head_probes); cfg is
     not read.  A canonical map is scanned on the samples.  Where
-    Dp - S >= 0 and Dq - N >= 0 (see _excess), (r^n - L^n)/(r - L) <= S <= Dp
-    puts L' in [L, r] and (U^n - r^n)/(U - r) <= N <= Dq puts U' in [r, U],
-    so the map's forms and endpoints are computed only where an excess is
-    negative, and a coefficientwise dominating map (_dominating) draws no
+    Dp - S >= 0 and Dq - N >= 0 (MapEvaluator.excess),
+    (r^n - L^n)/(r - L) <= S <= Dp puts L' in [L, r] and
+    (U^n - r^n)/(U - r) <= N <= Dq puts U' in [r, U], so the map's
+    endpoints are computed only where an excess is negative, and a
+    coefficientwise dominating map (MapEvaluator.dominating) draws no
     sample at all.
     """
     n = m.n
     ev = MapEvaluator(m)
-    if not check_canonical(m).is_canonical:
+    if not ev.canonical:
         for checked, s in enumerate(_head_probes(m), 1):
             ln, ld, _, _, un, ud, xn, xd = s
             found = _contraction_witness(s, *ev.evaluate(ln, ld, un, ud, xn, xd))
@@ -436,28 +417,26 @@ def check_map(m: MapCoefficients, cfg: SampleConfig) -> tuple[Verdict | None, Ve
                 return None, Verdict(found, checked)
         raise AssertionError("a non-canonical map passed every head probe")
     passed = Verdict(None, cfg.count)
-    e = _excess(m)
-    if _dominating(e):
+    if ev.dominating:
         return passed, passed
-    excess = MapEvaluator(e).denominator_pairs
+    excess, evaluate = ev.excess, ev.evaluate
     bounds = passed
     for checked, s in enumerate(_sample_pairs(n, cfg), 1):
         ln, ld, _, _, un, ud, xn, xd = s
         ex = excess(ln, ld, un, ud)
         if ex[0][0] >= 0 and ex[1][0] >= 0:
             continue
-        dens = ev.denominator_pairs(ln, ld, un, ud)
         if not bounds.falsified:
             # the bound on the first side whose excess is negative: the map's
             # form there against Secant-Newton's, which is the form less the
-            # excess
+            # excess, over the same denominator
             side = 0 if ex[0][0] < 0 else 1
-            (fn, fd), (gn, _) = dens[side], ex[side]
+            fn, fd = ev.denominator_pairs(ln, ld, un, ud)[side]
             bounds = Verdict(_witness((ln, ld, ln, ld, un, ud, ln ** n, ld ** n),
                                       ("p-denominator >= secant form",
                                        "q-denominator >= n*U^(n-1)")[side],
-                                      (fn, fd), (fn - gn, fd)), checked)
-        found = _contraction_witness(s, *ev.canonical_pair(dens, ln, ld, un, ud, xn, xd))
+                                      (fn, fd), (fn - ex[side][0], fd)), checked)
+        found = _contraction_witness(s, *evaluate(ln, ld, un, ud, xn, xd))
         if found is not None:
             return bounds, Verdict(found, checked)
     return bounds, passed
@@ -470,56 +449,44 @@ def check_dominance(m: MapCoefficients, cfg: SampleConfig) -> DominanceStats:
     Zero denominators in the checked map count as violations.
 
     A canonical map shares the numerators x - L^n >= 0 >= x - U^n, so where
-    neither excess Dp - S, Dq - N is negative (see _excess), Dp and Dq are
-    positive and Secant-Newton's interval is inside, equal exactly where
-    each side has excess 0 or r at that end.  For a coefficientwise
-    dominating map (_dominating) that holds at every sample, and an excess
-    is 0 exactly when its tail is; for any other canonical map endpoints
-    are computed only where an excess is negative.  A non-canonical map is
-    evaluated beside Secant-Newton (MapEvaluator.beside), on only the forms
-    where the two differ.  Each violation's two sides are reduced once, as
-    recorded.
+    neither excess Dp - S, Dq - N is negative (MapEvaluator.excess), Dp and
+    Dq are positive and Secant-Newton's interval is inside, equal exactly
+    where each side has excess 0 or r at that end.  For a coefficientwise
+    dominating map (MapEvaluator.dominating) that holds at every sample,
+    and an excess is 0 exactly when its tail is Secant-Newton's, so no form
+    is evaluated.  Every other sample, and every sample of a non-canonical
+    map, is evaluated beside Secant-Newton (MapEvaluator.beside), from the
+    excess forms and the heads that are not canonical.  Each violation's
+    two sides are reduced once, as recorded.
     """
     n = m.n
     ev = MapEvaluator(m)
-    canonical = check_canonical(m).is_canonical
+    if ev.dominating:
+        p_equal, q_equal = ev.same_tails
+        equality = tuple(
+            (ln, ld, rn, rd, un, ud)
+            for ln, ld, rn, rd, un, ud, _, _ in _sample_pairs(n, cfg)
+            if ((p_equal or (rn == ln and rd == ld))
+                and (q_equal or (rn == un and rd == ud))))
+        return DominanceStats(cfg.count, equality, ())
+    canonical, excess, beside = ev.canonical, ev.excess, ev.beside
     equality = []
     violations = []
-    if canonical:
-        e = _excess(m)
-        if _dominating(e):
-            p_equal, q_equal = not any(e.p[n + 1:]), not any(e.q[n + 1:])
-            equality = tuple(
-                (ln, ld, rn, rd, un, ud)
-                for ln, ld, rn, rd, un, ud, _, _ in _sample_pairs(n, cfg)
-                if ((p_equal or (rn == ln and rd == ld))
-                    and (q_equal or (rn == un and rd == ud))))
-            return DominanceStats(cfg.count, equality, ())
-        excess = MapEvaluator(e).denominator_pairs
-    else:
-        sn = MapEvaluator(secant_newton(n))
     for s in _sample_pairs(n, cfg):
         ln, ld, rn, rd, un, ud, xn, xd = s
+        ex = excess(ln, ld, un, ud)
         if canonical:
-            (gp, _), (gq, _) = excess(ln, ld, un, ud)
+            gp, gq = ex[0][0], ex[1][0]
             if gp >= 0 and gq >= 0:
                 if ((gp == 0 or (rn == ln and rd == ld))
                         and (gq == 0 or (rn == un and rd == ud))):
                     equality.append((ln, ld, rn, rd, un, ud))
                 continue
-            # Secant-Newton's forms are the map's less the excess
-            (pn, pd), (qn, qd) = dens = ev.denominator_pairs(ln, ld, un, ud)
-            sn_result = ev.canonical_pair(((pn - gp, pd), (qn - gq, qd)),
-                                          ln, ld, un, ud, xn, xd)
-            status, a, b, c, d = ev.canonical_pair(dens, ln, ld, un, ud, xn, xd)
-        else:
-            sn_dens = sn.denominator_pairs(ln, ld, un, ud)
-            sn_result = sn.canonical_pair(sn_dens, ln, ld, un, ud, xn, xd)
-            status, a, b, c, d = ev.beside(sn_dens, sn_result, ln, ld, un, ud, xn, xd)
+        (status, a, b, c, d), sn = beside(ex, ln, ld, un, ud, xn, xd)
         if status:
             violations.append((s, "denominator-zero", _ZERO_PAIR, _ZERO_PAIR))
             continue
-        _, sa, sb, sc, sd = sn_result
+        sa, sb, sc, sd = sn
         if a * sb > sa * b:
             violations.append((s, "L' <= L*", _reduced(a, b), _reduced(sa, sb)))
         elif sc * d > c * sd:
@@ -570,14 +537,15 @@ def equality_locus(m: MapCoefficients) -> tuple[dict, dict]:
     are empty exactly for Secant-Newton itself; for any other canonical map
     their common zero set has measure zero.
     """
+    _check_locus_map(m)
     n = m.n
-    e = _excess(m)
+    sn = secant_newton(n)
     polys = []
-    # each side is (x - a^n) * sum_i c_i a^(n-1-i) b^i, c_i the excess's tail
-    # and (a, b) = (L, U) for p, (U, L) for q
-    for coeffs, a_first in ((e.p, True), (e.q, False)):
+    # each side is (x - a^n) * sum_i c_i a^(n-1-i) b^i, c_i its tail less
+    # Secant-Newton's and (a, b) = (L, U) for p, (U, L) for q
+    for coeffs, sn_coeffs, a_first in ((m.p, sn.p, True), (m.q, sn.q, False)):
         terms = {}
-        for i, c in enumerate(coeffs[n + 1:]):
+        for i, c in enumerate(a - b for a, b in zip(coeffs[n + 1:], sn_coeffs[n + 1:])):
             if c:
                 for ea, eb, ex, v in ((n - 1 - i, i, 1, c), (2 * n - 1 - i, i, 0, -c)):
                     terms[(ea, eb, ex) if a_first else (eb, ea, ex)] = v
@@ -585,10 +553,15 @@ def equality_locus(m: MapCoefficients) -> tuple[dict, dict]:
     return tuple(polys)
 
 
+def _check_locus_map(m: MapCoefficients) -> None:
+    if not check_canonical(m).is_canonical:
+        raise ValueError("the equality locus applies to canonical maps only")
+
+
 def evaluate_locus(m: MapCoefficients, L, U, x) -> tuple[Fraction, Fraction]:
     """Evaluate both locus polynomials at (L, U, x), as
-    ((x - L^n)(Dp - S), (x - U^n)(Dq - N)) from the two forms of _excess(m)
-    at (L, U).
+    ((x - L^n)(Dp - S), (x - U^n)(Dq - N)) from the excess forms of
+    MapEvaluator.excess at (L, U).
 
     Provided neither map hits a zero denominator there, the result is (0, 0)
     exactly when the checked map and Secant-Newton return the identical
@@ -602,5 +575,6 @@ def evaluate_locus(m: MapCoefficients, L, U, x) -> tuple[Fraction, Fraction]:
     low, high = pow_int(L, m.n), pow_int(U, m.n)
     if not low <= x <= high:
         raise ValueError(f"need L^n <= x <= U^n, got x={format_rational(x)}")
-    gp, gq = denominators(_excess(m), L, U)
-    return (x - low) * gp, (x - high) * gq
+    _check_locus_map(m)
+    gp, gq = MapEvaluator(m).excess(L.numerator, L.denominator, U.numerator, U.denominator)
+    return (x - low) * Fraction(*gp), (x - high) * Fraction(*gq)

@@ -15,6 +15,12 @@ Canonical form (p0 = q0 = -1 and p1..pn = q1..qn = 0) makes the numerators
 exactly x - L^n and x - U^n; the analysis module turns any non-canonical map
 into a concrete contraction counterexample, so coefficients are stored
 verbatim and canonicalization is always explicit.
+
+MapEvaluator holds every map, canonical or not, as Secant-Newton plus its
+differences: per side, the head where it is not canonical and the
+denominator tail's excess over Secant-Newton's where it is not zero.  Its
+excess forms Dp - S and Dq - N are what the analysis module's checks, the
+equality locus and the comparison with Secant-Newton (beside) read.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from typing import NamedTuple
 
 from ._kernels import apply_pairs, apply_reduced_pairs, endpoint_pair, form_pair
 from .numeric import as_rational, describe, format_rational, parse_int, parse_rational
@@ -164,61 +171,80 @@ def canonicalize(m: MapCoefficients) -> MapCoefficients:
     return MapCoefficients(m.n, head + m.p[m.n + 1:], head + m.q[m.n + 1:])
 
 
-def _over_common_denominator(coeffs) -> tuple[list[int], int]:
-    """coeffs as integer numerators over the lcm of their denominators."""
+class _Side(NamedTuple):
+    """One side of a map as MapEvaluator holds it, every list integer
+    numerators over den, the lcm of the side's coefficient denominators."""
+
+    den: int
+    whole: list[int]            # all 2n+1 coefficients
+    head: list[int] | None      # the n+1 head coefficients, None where canonical
+    tail: list[int]             # the n denominator-tail coefficients
+    excess: list[int] | None    # tail less sn_tail, None where all zero
+    sn_tail: list[int]          # Secant-Newton's tail on this side
+
+
+def _side(n: int, coeffs, sn_tail) -> _Side:
+    """coeffs as a _Side, given Secant-Newton's tail on that side, whose
+    coefficients are integers."""
     den = lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
+    whole = [c.numerator * (den // c.denominator) for c in coeffs]
+    head, tail = whole[:n + 1], whole[n + 1:]
+    if head == [-den] + [0] * n:
+        head = None
+    sn_tail = [c * den for c in sn_tail]
+    excess = [a - b for a, b in zip(tail, sn_tail)]
+    return _Side(den, whole, head, tail, excess if any(excess) else None, sn_tail)
 
 
-def _differing_forms(n, c, den, sn_tail) -> tuple[list[int] | None, list[int] | None]:
-    """(head, tail) of one side's numerators c over den, each None where it
-    is the canonical head or Secant-Newton's tail sn_tail."""
-    head, tail = c[:n + 1], c[n + 1:]
-    return (None if head == [-den] + [0] * n else head,
-            None if tail == sn_tail else tail)
+_ZERO_PAIR = (0, 1)
 
 
-def _side_beside(n, forms, den, sn_den, sn_end, an, ad, bn, bd, xn, xd):
-    """One endpoint of MapEvaluator.beside: the side's own forms where they
-    differ from Secant-Newton's, at (a, b) = (L, U) for p and (U, L) for q."""
-    head, tail = forms
-    if head is None and tail is None:
-        return sn_end
-    hn, hd = (-an ** n, ad ** n) if head is None else form_pair(head, den, an, ad, bn, bd)
-    dn, dd = sn_den if tail is None else form_pair(tail, den, an, ad, bn, bd)
-    return endpoint_pair(an, ad, hn, hd, dn, dd, xn, xd)
+def _beside(n, side, g, an, ad, bn, bd, xn, xd):
+    """(Secant-Newton's endpoint, the map's) on one side of
+    MapEvaluator.beside, at (a, b) = (L, U) for p and (U, L) for q, where
+    the side's excess form has the numerator g.  The map's denominator form
+    is Secant-Newton's plus g, and its numerator is x - a^n unless its head
+    differs; a side that differs in neither returns Secant-Newton's
+    endpoint twice."""
+    den, _, head, _, excess, sn_tail = side
+    dn, dd = form_pair(sn_tail, den, an, ad, bn, bd)
+    hn, hd = -an ** n, ad ** n
+    sn_end = endpoint_pair(an, ad, hn, hd, dn, dd, xn, xd)
+    if head is None and excess is None:
+        return sn_end, sn_end
+    if head is not None:
+        hn, hd = form_pair(head, den, an, ad, bn, bd)
+    return sn_end, endpoint_pair(an, ad, hn, hd, dn + g, dd, xn, xd)
 
 
 class MapEvaluator:
-    """One map prepared for repeated exact evaluation.
+    """One map prepared for repeated exact evaluation, held as Secant-Newton
+    plus its differences: one _Side per side, in the kernels' format of
+    integer numerators over the lcm of the side's denominators.
 
-    Each side's coefficients are held once as integer numerators over one
-    common denominator, the lcm of their denominators, which is the format
-    the kernels take.  Canonical maps are dispatched to the reduced-form
-    fast path (numerators x - L^n and x - U^n, over the denominator forms of
-    the map's tails, which are all it holds); everything else goes through
-    the general form.  The two are algebraically identical on canonical
-    maps, which the test suite checks against each other.  A non-canonical
-    map also notes which of its four forms differ from Secant-Newton's, so
-    beside can evaluate it next to Secant-Newton on those forms alone.
+    evaluate runs a canonical map on the reduced-form kernel over its tails
+    and any other map on the general form over its whole vectors; the test
+    suite checks the two against each other on canonical maps.  excess
+    gives the excess forms Dp - S and Dq - N over Secant-Newton's secant
+    form S and Newton form N = n*U^(n-1), and beside evaluates the map next
+    to Secant-Newton from them.  canonical says whether both heads are
+    canonical; dominating, whether the map is canonical and no excess
+    coefficient is negative, so that Dp - S >= 0 and Dq - N >= 0 at every
+    0 < L <= U; same_tails, per side, whether the tail is Secant-Newton's.
     """
 
-    __slots__ = ("_n", "_p", "_pden", "_q", "_qden", "_canonical", "_differing")
+    __slots__ = ("_n", "_p", "_q", "canonical", "dominating", "same_tails")
 
     def __init__(self, m: MapCoefficients):
         n = self._n = m.n
-        self._canonical = check_canonical(m).is_canonical
-        if self._canonical:
-            p, q = m.p[n + 1:], m.q[n + 1:]
-        else:
-            p, q = m.p, m.q
-        self._p, self._pden = _over_common_denominator(p)
-        self._q, self._qden = _over_common_denominator(q)
-        if not self._canonical:
-            # for beside: the forms of each side that are not Secant-Newton's
-            pden, qden = self._pden, self._qden
-            self._differing = (_differing_forms(n, self._p, pden, [pden] * n),
-                               _differing_forms(n, self._q, qden, [n * qden] + [0] * (n - 1)))
+        # Secant-Newton's tails: the secant form (1, ..., 1) and the Newton
+        # form (n, 0, ..., 0)
+        p = self._p = _side(n, m.p, [1] * n)
+        q = self._q = _side(n, m.q, [n] + [0] * (n - 1))
+        self.canonical = p.head is None and q.head is None
+        self.same_tails = (p.excess is None, q.excess is None)
+        self.dominating = self.canonical and all(
+            c >= 0 for side in (p, q) for c in side.excess or ())
 
     def pair(self, lo: Fraction, hi: Fraction, x: Fraction) -> tuple[Fraction, Fraction]:
         """Raw refined endpoints at ([lo, hi], x); unclamped and unordered."""
@@ -242,49 +268,47 @@ class MapEvaluator:
         """pair() on int pairs with positive denominators, unchecked: the
         kernel's result (status, lo_num, lo_den, hi_num, hi_den), status 1
         or 2 for a zero lower or upper denominator, with the endpoints'
-        denominators positive but not reduced."""
-        if self._canonical:
-            return self.canonical_pair(self.denominator_pairs(ln, ld, un, ud),
-                                       ln, ld, un, ud, xn, xd)
-        return apply_pairs(self._n, self._p, self._pden, self._q, self._qden,
-                           ln, ld, un, ud, xn, xd)
-
-    def beside(self, sn_dens, sn_result, ln, ld, un, ud, xn, xd):
-        """evaluate()'s result for a non-canonical map, at a point where
-        Secant-Newton's two denominator forms take the values sn_dens and
-        its kernel result is sn_result.  Each side evaluates only its forms
-        that differ from Secant-Newton's: a side whose tail is
-        Secant-Newton's takes its form from sn_dens, a side whose head is
-        canonical has the numerator x - a^n, and a side with both takes
-        Secant-Newton's endpoint."""
-        n = self._n
-        p_forms, q_forms = self._differing
-        lo = _side_beside(n, p_forms, self._pden, sn_dens[0], sn_result[1:3],
-                          ln, ld, un, ud, xn, xd)
-        if lo is None:
-            return 1, 0, 1, 0, 1
-        hi = _side_beside(n, q_forms, self._qden, sn_dens[1], sn_result[3:],
-                          un, ud, ln, ld, xn, xd)
-        if hi is None:
-            return 2, 0, 1, 0, 1
-        return (0, *lo, *hi)
+        denominators positive but not reduced.  The solver rounds on these
+        unreduced denominators, so which kernel a map takes is part of the
+        result."""
+        p, q = self._p, self._q
+        if self.canonical:
+            (dpn, dpd), (dqn, dqd) = self.denominator_pairs(ln, ld, un, ud)
+            return apply_reduced_pairs(self._n, dpn, dpd, dqn, dqd, ln, ld, un, ud, xn, xd)
+        return apply_pairs(self._n, p.whole, p.den, q.whole, q.den, ln, ld, un, ud, xn, xd)
 
     def denominator_pairs(self, ln, ld, un, ud) -> tuple[tuple[int, int], tuple[int, int]]:
         """Both denominator forms at (L, U) = (ln/ld, un/ud) as pairs with
-        positive denominators, not reduced.  Canonical maps only: their
-        evaluator holds exactly the denominator tails."""
-        if not self._canonical:
-            raise ValueError("denominator_pairs needs a canonical map")
-        return (form_pair(self._p, self._pden, ln, ld, un, ud),
-                form_pair(self._q, self._qden, un, ud, ln, ld))
+        positive denominators, not reduced."""
+        p, q = self._p, self._q
+        return (form_pair(p.tail, p.den, ln, ld, un, ud),
+                form_pair(q.tail, q.den, un, ud, ln, ld))
 
-    def canonical_pair(self, dens, ln, ld, un, ud, xn, xd) -> tuple[int, int, int, int, int]:
-        """evaluate's kernel result for a canonical map of this degree whose
-        two denominator forms at (L, U) take the values dens, as
-        denominator_pairs returns them; a caller that needs the forms as
-        well evaluates them once."""
-        (dpn, dpd), (dqn, dqd) = dens
-        return apply_reduced_pairs(self._n, dpn, dpd, dqn, dqd, ln, ld, un, ud, xn, xd)
+    def excess(self, ln, ld, un, ud) -> tuple[tuple[int, int], tuple[int, int]]:
+        """The excess forms (Dp - S, Dq - N) at (L, U) as pairs with positive
+        denominators, not reduced: each over its side's denominator form's
+        denominator, or (0, 1), with no form evaluated, on a side whose tail
+        is Secant-Newton's."""
+        p, q = self._p, self._q
+        return (_ZERO_PAIR if p.excess is None else form_pair(p.excess, p.den, ln, ld, un, ud),
+                _ZERO_PAIR if q.excess is None else form_pair(q.excess, q.den, un, ud, ln, ld))
+
+    def beside(self, excess, ln, ld, un, ud, xn, xd):
+        """(evaluate()'s result, Secant-Newton's endpoints (lo_num, lo_den,
+        hi_num, hi_den)) at (L, U, x), given the excess forms there as
+        excess() returns them, for any map; Secant-Newton's are None where
+        the map's status is not 0.  Each side evaluates Secant-Newton's form
+        S or N and endpoint, and of the map's own forms only a head that is
+        not canonical: its denominator form is S + (Dp - S) or N + (Dq - N).
+        The endpoints are values, not evaluate()'s unreduced pairs."""
+        n = self._n
+        sn_lo, lo = _beside(n, self._p, excess[0][0], ln, ld, un, ud, xn, xd)
+        if lo is None:
+            return (1, 0, 1, 0, 1), None
+        sn_hi, hi = _beside(n, self._q, excess[1][0], un, ud, ln, ld, xn, xd)
+        if hi is None:
+            return (2, 0, 1, 0, 1), None
+        return (0, *lo, *hi), sn_lo + sn_hi
 
 
 def apply_pair(m: MapCoefficients, lo, hi, x) -> tuple[Fraction, Fraction]:
@@ -302,7 +326,7 @@ def denominators(m: MapCoefficients, lo, hi) -> tuple[Fraction, Fraction]:
     """Exact values of the two denominator forms at (L, U) = (lo, hi)."""
     lo = as_rational(lo)
     hi = as_rational(hi)
-    dp, dq = MapEvaluator(canonicalize(m)).denominator_pairs(
+    dp, dq = MapEvaluator(m).denominator_pairs(
         lo.numerator, lo.denominator, hi.numerator, hi.denominator)
     return Fraction(*dp), Fraction(*dq)
 

@@ -19,8 +19,6 @@ from root_enclose.analysis import (
     Triple,
     Verdict,
     Witness,
-    _dominating,
-    _excess,
     check_denominator_bounds,
     check_dominance,
     check_map,
@@ -34,6 +32,7 @@ from root_enclose import maps
 from root_enclose.maps import (
     DenominatorZeroError,
     MapCoefficients,
+    MapEvaluator,
     apply_pair,
     check_canonical,
     counterexample_map,
@@ -214,21 +213,31 @@ def test_bounds_held_at_a_sample_imply_contraction_there(kind, n, map_seed, seed
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from(["canonical", "positive", "perturbed"]), st.integers(2, 5),
-       st.integers(0, 2 ** 32),
+@given(st.sampled_from(["canonical", "positive", "perturbed", "noncanonical"]),
+       st.integers(2, 5), st.integers(0, 2 ** 32),
        st.lists(st.builds(F, st.integers(1, 40), st.integers(1, 12)), min_size=2, max_size=2))
 def test_excess_forms_are_the_map_forms_less_secant_newtons(kind, n, map_seed, ends):
     m = {"canonical": random_canonical_map,
          "positive": partial(random_canonical_map, positive_denominators=True),
-         "perturbed": perturbed_contracting_map}[kind](n, map_seed)
+         "perturbed": perturbed_contracting_map,
+         "noncanonical": random_noncanonical_map}[kind](n, map_seed)
     L, U = sorted(ends)
+    ev = MapEvaluator(m)
+    ends = (L.numerator, L.denominator, U.numerator, U.denominator)
+    dens, excess = ev.denominator_pairs(*ends), ev.excess(*ends)
     dp, dq = denominators(m, L, U)
-    assert denominators(_excess(m), L, U) == (dp - geom_sum(L, U, n), dq - n * U ** (n - 1))
-    # the checks subtract an excess from a form as pairs over one denominator
-    pairs = [maps.MapEvaluator(e).denominator_pairs(L.numerator, L.denominator,
-                                                    U.numerator, U.denominator)
-             for e in (m, _excess(m))]
-    assert [d for _, d in pairs[0]] == [d for _, d in pairs[1]]
+    assert tuple(F(*g) for g in excess) == (dp - geom_sum(L, U, n), dq - n * U ** (n - 1))
+    # the checks subtract an excess from a form as pairs over one
+    # denominator; a side whose tail is Secant-Newton's gives (0, 1) unevaluated
+    sn_tails = (secant_newton(n).p[n + 1:], secant_newton(n).q[n + 1:])
+    for form, g, tail, sn_tail, same in zip(dens, excess, (m.p[n + 1:], m.q[n + 1:]),
+                                            sn_tails, ev.same_tails):
+        assert same == (tail == sn_tail)
+        assert (g == (0, 1)) if same else (g[1] == form[1])
+    # dominating: canonical, and no coefficient of either tail below
+    # Secant-Newton's
+    assert ev.dominating == (check_canonical(m).is_canonical and all(
+        a >= b for a, b in zip(m.p[n + 1:] + m.q[n + 1:], sn_tails[0] + sn_tails[1])))
 
 
 def _count_kernel_calls(monkeypatch):
@@ -258,7 +267,7 @@ def test_check_map_computes_no_endpoint_where_the_bounds_hold(m, monkeypatch):
     monkeypatch.setattr(analysis, "_draw", lambda *a: drawn.append(a) or draw(*a))
     # both excess tails are coefficientwise >= 0, so check decides the map
     # without drawing a sample or evaluating a form
-    assert _dominating(_excess(m))
+    assert MapEvaluator(m).dominating
     bounds, contraction = check_map(m, SampleConfig())
     assert bounds == contraction == Verdict(None, SampleConfig().count)
     assert check_map(m, SampleConfig()) == (check_denominator_bounds(m, SampleConfig()),
@@ -274,7 +283,8 @@ def test_check_map_computes_no_endpoint_where_the_bounds_hold(m, monkeypatch):
 def test_noncanonical_compare_evaluates_only_the_moved_head(side, monkeypatch):
     # Secant-Newton's tails with one head coefficient moved: per sample,
     # compare evaluates Secant-Newton's S and N once and the moved head's
-    # form, and never the map's tail forms or its whole general form
+    # form, and never an excess form, the map's tail forms or its whole
+    # general form; both endpoints are finished without a map kernel
     n = 3
     sn = secant_newton(n)
     moved = sn.p[:1] + (F(1, 2),) + sn.p[2:] if side == "p" else sn.q[:2] + (F(-1, 3),) + sn.q[3:]
@@ -282,8 +292,7 @@ def test_noncanonical_compare_evaluates_only_the_moved_head(side, monkeypatch):
     cfg = SampleConfig(seed=3, count=300)
     calls = _count_kernel_calls(monkeypatch)
     check_dominance(m, cfg)
-    assert sorted(set(calls)) == [("apply_reduced_pairs", None),
-                                  ("form_pair", n), ("form_pair", n + 1)]
+    assert sorted(set(calls)) == [("form_pair", n), ("form_pair", n + 1)]
     assert calls.count(("form_pair", n)) == 2 * cfg.count
     assert calls.count(("form_pair", n + 1)) == cfg.count
 
@@ -294,7 +303,7 @@ def test_certificate_does_not_cover_the_near_secant_p_tail():
     # Secant-Newton's L* is r exactly and this map's L' lies above r
     sn = secant_newton(3)
     m = MapCoefficients(3, sn.p[:4] + (1000001 - F(1, 10 ** 12), F(-1999), F(2)), sn.q)
-    assert not _dominating(_excess(m))
+    assert not MapEvaluator(m).dominating
     lo, _ = apply_pair(m, 1, 1000, 1000 ** 3)
     assert apply_pair(sn, 1, 1000, 1000 ** 3)[0] == 1000
     assert lo > 1000
@@ -482,6 +491,10 @@ _REFERENCE_MAPS = {
     # p head and tail moved, q tail moved under a canonical head
     "head-and-tail": MapCoefficients(3, (F(-1), F(1, 2), 0, 0, 2, 1, 1),
                                      (F(-1), 0, 0, 0, 4, 1, 0)),
+    # the same on q, where beside evaluates at (U, L): Secant-Newton's p,
+    # q head and tail moved
+    "q-head-and-tail": MapCoefficients(3, (F(-1), 0, 0, 0, 1, 1, 1),
+                                       (F(-1), 0, F(-1, 3), 0, 4, 1, 0)),
     # sign-mixed tails whose denominator forms vanish on sampled points
     "denominator-zero-2": random_canonical_map(2, 27),
     "denominator-zero-3": random_canonical_map(3, 15),
@@ -729,8 +742,18 @@ def test_locus_q_tail_example():
 
 def test_locus_rejects_noncanonical():
     m = MapCoefficients(2, (F(0), 0, 0, 1, 1), (F(-1), 0, 0, 2, 0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="canonical maps only"):
         equality_locus(m)
+
+
+@pytest.mark.parametrize("name", ["p-head-only", "sn-tails-q-head", "head-and-tail",
+                                  "q-head-and-tail"])
+def test_evaluate_locus_rejects_noncanonical(name):
+    # the excess forms exist for every map, but the locus polynomials mark
+    # equal outputs only where both maps share the numerators x - L^n, x - U^n
+    m = _REFERENCE_MAPS[name]
+    with pytest.raises(ValueError, match="canonical maps only"):
+        evaluate_locus(m, 1, 2, 2)
 
 
 def test_evaluate_locus_counterexample_points():

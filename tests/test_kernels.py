@@ -110,11 +110,12 @@ def test_tracer_wraps_the_kernels_at_their_lookup_names(tmp_path):
     backend, (metrics, cli_metrics) = json.loads(out.stdout)
     assert backend == "pure"
     # Secant-Newton's excess over itself is zero, so its check evaluates no
-    # form; the second map's p excess is negative at every sample, so each of
-    # its samples takes the excess map's two forms and the map's own two,
-    # and it first fails to contract at its 7th
+    # form; the second map's p excess is negative at every sample and its q
+    # excess is zero, so each of its samples takes one excess form and the
+    # map's own two, the first sample two more for the bounds witness, and
+    # it first fails to contract at its 7th
     assert metrics["kernels.apply_reduced_pairs.calls"] == 7
-    assert metrics["kernels.form_pair.calls"] == 4 * 7
+    assert metrics["kernels.form_pair.calls"] == 3 * 7 + 2
     assert metrics["analysis.points_checked"] == 10 + 7
     # the tracer reads trace.iterations and stats.samples from the results;
     # a record that stopped answering either would lose these counts

@@ -1,10 +1,13 @@
 from fractions import Fraction as F
+from functools import partial
 from math import lcm
 
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from root_enclose._kernels import apply_pairs
+from map_generators import (perturbed_contracting_map, random_canonical_map,
+                            random_noncanonical_map)
+from root_enclose._kernels import apply_pairs, apply_reduced_pairs, form_pair
 from root_enclose.maps import (
     DenominatorZeroError,
     MapCoefficients,
@@ -192,6 +195,35 @@ def test_reduced_path_equals_general_form(m, t):
     except DenominatorZeroError:
         assume(False)
     assert fast == general
+
+
+_GENERATORS = {
+    "canonical": random_canonical_map,
+    "positive": partial(random_canonical_map, positive_denominators=True),
+    "perturbed": perturbed_contracting_map,
+    "noncanonical": random_noncanonical_map,
+}
+_PAIR = st.tuples(st.integers(1, 10 ** 12), st.integers(1, 10 ** 12))
+
+
+@given(st.sampled_from(sorted(_GENERATORS)), st.integers(2, 6), st.integers(0, 2 ** 32),
+       _PAIR, _PAIR, _PAIR, st.integers(1, 2 ** 40))
+def test_evaluate_is_its_kernel_on_unreduced_pairs(kind, n, map_seed, lo, hi, x, scale):
+    # the solver rounds on the unreduced denominators evaluate returns, so
+    # the kernel a map goes through is part of the result: the general form
+    # on the whole vectors for a non-canonical map, even on a side whose head
+    # is canonical, and the reduced form over the tails for a canonical one
+    m = _GENERATORS[kind](n, map_seed)
+    (ln, ld), (un, ud) = sorted([lo, hi], key=lambda v: F(*v))
+    ln, ld = ln * scale, ld * scale  # a pair with a common factor
+    args = (ln, ld, un, ud, *x)
+    if check_canonical(m).is_canonical:
+        dp = form_pair(*_over_lcm(m.p[n + 1:]), ln, ld, un, ud)
+        dq = form_pair(*_over_lcm(m.q[n + 1:]), un, ud, ln, ld)
+        want = apply_reduced_pairs(n, *dp, *dq, *args)
+    else:
+        want = apply_pairs(n, *_over_lcm(m.p), *_over_lcm(m.q), *args)
+    assert MapEvaluator(m).evaluate(*args) == want
 
 
 @st.composite
