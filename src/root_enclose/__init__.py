@@ -28,7 +28,6 @@ from .maps import (
     MapCoefficients,
     MapSpecError,
     apply_pair,
-    canonicalize,
     check_canonical,
     counterexample_map,
     load_map,
@@ -62,7 +61,6 @@ __all__ = [
     "Witness",
     "apply_pair",
     "bisect_to_eps",
-    "canonicalize",
     "check_canonical",
     "check_denominator_bounds",
     "check_dominance",

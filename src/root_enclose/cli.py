@@ -33,6 +33,7 @@ from .maps import (
 from .numeric import format_pair, format_rational, parse_rational
 from .solver import (
     DEFAULT_MAX_ITER,
+    WIDTH_REACHED,
     NotContractingError,
     bisect_to_eps,
     refine_float,
@@ -109,58 +110,36 @@ def _witness_lines(m: MapCoefficients, w) -> list[str]:
 # Subcommands.
 
 def cmd_root(args) -> int:
-    x = args.x
-    if args.map is None or args.map == "secant-newton":
-        m = secant_newton(args.n)
-        map_name = "secant-newton"
-    elif args.map == "bisection":
-        m = None
-        map_name = "bisection"
-    else:
-        m = _load_map_argument(args.map)
-        map_name = args.map
-        if m.n != args.n:
-            raise ValueError(f"map degree {m.n} does not match --n {args.n}")
-
+    # None leaves Secant-Newton of degree n to the solver, which also
+    # rejects a loaded map of another degree
+    map_name = "secant-newton" if args.map is None else args.map
+    m = None if map_name in ("secant-newton", "bisection") else _load_map_argument(map_name)
     if args.backend == "float":
         if map_name == "bisection":
             raise ValueError("the float backend supports refinement maps only")
         if args.trace:
             raise ValueError("the float backend keeps no interval sequence for --trace")
-        trace = refine_float(x, args.n, args.eps, m, max_iter=args.max_iter)
-        ok = trace.terminated == "width-reached"
-        if args.json:
-            payload = trace.to_json()
-            payload.update({"backend": "float", "map": map_name,
-                            "n": args.n, "x": format_rational(x),
-                            "eps": format_rational(args.eps)})
-            _emit_json(args, payload)
-        else:
-            _write(args, f"[{trace.lo!r}, {trace.hi!r}]\n"
-                         f"iterations: {trace.iterations}\n"
-                         f"terminated: {trace.terminated}")
-        return 0 if ok else 1
-
-    if map_name == "bisection":
-        trace = bisect_to_eps(x, args.n, args.eps, max_iter=args.max_iter)
+        trace = refine_float(args.x, args.n, args.eps, m, max_iter=args.max_iter)
+    elif map_name == "bisection":
+        trace = bisect_to_eps(args.x, args.n, args.eps, max_iter=args.max_iter)
     else:
-        trace = refine_to_eps(x, args.n, args.eps, m, max_iter=args.max_iter)
-    ok = trace.terminated == "width-reached"
+        trace = refine_to_eps(args.x, args.n, args.eps, m, max_iter=args.max_iter)
+    payload = trace.to_json(include_intervals=True) if args.trace else trace.to_json()
     if args.json:
-        payload = trace.to_json(include_intervals=args.trace)
-        payload.update({"backend": "rational", "map": map_name,
-                        "n": args.n, "x": format_rational(x),
+        payload.update({"backend": args.backend, "map": map_name,
+                        "n": args.n, "x": format_rational(args.x),
                         "eps": format_rational(args.eps)})
         _emit_json(args, payload)
     else:
-        lines = [str(trace.final),
-                 f"iterations: {trace.iterations}",
-                 f"terminated: {trace.terminated}"]
+        lines = ["[{}, {}]".format(*payload["final_interval"]),
+                 f"iterations: {payload['iterations']}",
+                 f"terminated: {payload['terminated']}"]
         if args.trace:
-            lines += [f"  iter {i}: {iv} width={format_rational(w)}"
-                      for i, (iv, w) in enumerate(zip(trace.intervals, trace.widths))]
+            lines += [f"  iter {i}: [{lo}, {hi}] width={w}"
+                      for i, ((lo, hi), w) in enumerate(zip(payload["intervals"],
+                                                           payload["widths"]))]
         _write(args, "\n".join(lines))
-    return 0 if ok else 1
+    return 0 if trace.terminated == WIDTH_REACHED else 1
 
 
 def cmd_check(args) -> int:
@@ -287,21 +266,16 @@ def cmd_counterexample(args) -> int:
         # a non-canonical map is decided at its head probes, which draw no
         # sample; the first, (L, r, U) = (1, 1, 1), fails
         verdict = analysis.falsify_contraction(m, SampleConfig())
-        lines = [
-            "unrepaired variant: q0 = +1 instead of -1",
-            "no contracting map can have q0 != -1; the corner probe at "
-            "x = U^n exposes it:",
-        ]
-        if verdict.falsified:
-            lines += _witness_lines(m, verdict.witness)
-        else:
-            lines.append("unexpectedly found no witness")
         if args.json:
             _emit_json(args, {"unrepaired_q0": True,
                               "contraction": verdict.to_json()})
         else:
-            _write(args, "\n".join(lines))
-        return 1 if verdict.falsified else 0
+            _write(args, "\n".join([
+                "unrepaired variant: q0 = +1 instead of -1",
+                "no contracting map can have q0 != -1; the first head probe "
+                "exposes it:",
+                *_witness_lines(m, verdict.witness)]))
+        return 1
 
     m = counterexample_map()
     sn = secant_newton(3)

@@ -14,7 +14,7 @@ for the lower endpoint and the Newton tangent at U for the upper one.
 Canonical form (p0 = q0 = -1 and p1..pn = q1..qn = 0) makes the numerators
 exactly x - L^n and x - U^n; the analysis module turns any non-canonical map
 into a concrete contraction counterexample, so coefficients are stored
-verbatim and canonicalization is always explicit.
+verbatim and never canonicalized.
 
 MapEvaluator holds every map, canonical or not, as Secant-Newton plus its
 differences: per side, the head where it is not canonical and the
@@ -162,13 +162,6 @@ def check_canonical(m: MapCoefficients) -> CanonicalReport:
             if coeffs[i] != zero:
                 violations.append((f"{name}{i}", zero, coeffs[i]))
     return CanonicalReport(tuple(violations))
-
-
-def canonicalize(m: MapCoefficients) -> MapCoefficients:
-    """Force the head coefficients to canonical values, keeping both
-    denominator tails untouched.  Idempotent."""
-    head = (Fraction(-1),) + (Fraction(0),) * m.n
-    return MapCoefficients(m.n, head + m.p[m.n + 1:], head + m.q[m.n + 1:])
 
 
 class _Side(NamedTuple):

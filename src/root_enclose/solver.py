@@ -14,6 +14,9 @@ The map loop also bounds its endpoints' size, rounding them outward onto a
 dyadic lattice 2**-k_j once they outgrow it, where
 k_j = min(bits(1/eps) + 16, 2*bits(1/width_j) + 32) follows the width of
 the interval the step starts from.
+The float loop builds one pair of power tables per step, read by both
+endpoints, and stops as "non-finite" at any NaN or infinite endpoint or
+width.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import isqrt
+from math import inf, isfinite, isqrt, nan
 
 from .maps import (DenominatorZeroError, MapCoefficients, MapEvaluator, check_degree,
                    secant_newton)
@@ -129,11 +132,15 @@ def _validated(x, eps, max_iter, n):
     return x, eps
 
 
-def _validated_float(x, eps, max_iter, n):
+def _as_floats(values, what):
     try:
-        x, eps = float(x), float(eps)
+        return [float(v) for v in values]
     except OverflowError as exc:
-        raise ValueError(f"x and eps must fit in a float: {exc}") from None
+        raise ValueError(f"{what} must fit in a float: {exc}") from None
+
+
+def _validated_float(x, eps, max_iter, n):
+    x, eps = _as_floats((x, eps), "x and eps")
     if not 0 < x < float("inf"):
         raise ValueError(f"x must be a positive finite float, got {x!r}")
     if not eps > 0:
@@ -310,14 +317,10 @@ class FloatTrace:
         }
 
 
-def _float_endpoint(coeffs, n, a, b, base, x):
-    """base + (x + form(c[0..n])) / form(c[n+1..2n]) in doubles, or None when
+def _float_endpoint(coeffs, n, ap, bp, base, x):
+    """base + (x + form(c[0..n])) / form(c[n+1..2n]) in doubles, the forms
+    read from the powers 0..n of the two endpoints in ap and bp; NaN when
     the denominator form is exactly 0.0."""
-    ap = [1.0] * (n + 1)
-    bp = [1.0] * (n + 1)
-    for i in range(1, n + 1):
-        ap[i] = ap[i - 1] * a
-        bp[i] = bp[i - 1] * b
     num = x
     for i in range(n + 1):
         num += coeffs[i] * ap[n - i] * bp[i]
@@ -325,7 +328,7 @@ def _float_endpoint(coeffs, n, a, b, base, x):
     for i in range(n):
         den += coeffs[n + 1 + i] * ap[n - 1 - i] * bp[i]
     if den == 0.0:
-        return None
+        return nan
     return base + num / den
 
 
@@ -333,19 +336,22 @@ def refine_float_loop(x, n, p, q, eps, max_iter) -> FloatTrace:
     """Double-precision refinement loop from [min(1,x), max(1,x)], with the
     map's coefficients given as lists of floats p and q.
 
+    Each step builds one pair of power tables, lo**0..lo**n and
+    hi**0..hi**n, and both endpoints read them with their roles swapped.
     Stops at "width-reached", "max-iterations", "stalled" (an application
     failed to strictly shrink the width, e.g. endpoints oscillating by one
-    ulp) or "non-finite" (a NaN or infinite value, or a zero denominator;
-    the last finite interval is reported).  Rounding can make converged
-    endpoints cross by one ulp; the pair is reported as-is.
+    ulp) or "non-finite" (a NaN or infinite endpoint or width, a zero
+    denominator among them; the last finite interval is reported).
+    Rounding can make converged endpoints cross by one ulp; the pair is
+    reported as-is.
     """
     lo = x if x < 1.0 else 1.0
     hi = x if x > 1.0 else 1.0
     it = 0
-    prev_w = float("inf")
+    prev_w = inf
     while True:
         w = hi - lo
-        if w != w or w == float("inf"):
+        if not isfinite(w):
             return FloatTrace(it, lo, hi, NON_FINITE)
         if w <= eps:
             return FloatTrace(it, lo, hi, WIDTH_REACHED)
@@ -353,11 +359,14 @@ def refine_float_loop(x, n, p, q, eps, max_iter) -> FloatTrace:
             return FloatTrace(it, lo, hi, MAX_ITERATIONS)
         if w >= prev_w:
             return FloatTrace(it, lo, hi, STALLED)
-        nlo = _float_endpoint(p, n, lo, hi, lo, x)
-        nhi = _float_endpoint(q, n, hi, lo, hi, x)
-        if nlo is None or nhi is None:
-            return FloatTrace(it, lo, hi, NON_FINITE)
-        if nlo != nlo or nhi != nhi or nlo == float("-inf") or nhi == float("inf"):
+        lp = [1.0] * (n + 1)
+        hp = [1.0] * (n + 1)
+        for i in range(1, n + 1):
+            lp[i] = lp[i - 1] * lo
+            hp[i] = hp[i - 1] * hi
+        nlo = _float_endpoint(p, n, lp, hp, lo, x)
+        nhi = _float_endpoint(q, n, hp, lp, hi, x)
+        if not (isfinite(nlo) and isfinite(nhi)):
             return FloatTrace(it, lo, hi, NON_FINITE)
         prev_w = w
         lo = nlo
@@ -372,13 +381,15 @@ def refine_float(x: float, n: int, eps: float, m: MapCoefficients | None = None,
     NOT rigorous: round-to-nearest arithmetic, no directed rounding, no
     enclosure guarantee.  It exists for performance measurements.  Stops
     additionally when the map reproduces the same interval (a float fixed
-    point, reported as "stalled") and reports NaN/overflow or a zero
-    denominator as "non-finite", keeping the last finite interval.
+    point, reported as "stalled") and reports any NaN or infinite endpoint
+    or width, a zero denominator among them, as "non-finite", keeping the
+    last finite interval.  A map coefficient beyond the float range is an
+    input error (ValueError), as an x or eps beyond it is.
     """
     x, eps = _validated_float(x, eps, max_iter, n)
     m = _map_of_degree(m, n)
-    p = [float(c) for c in m.p]
-    q = [float(c) for c in m.q]
+    p = _as_floats(m.p, "map coefficients")
+    q = _as_floats(m.q, "map coefficients")
     return refine_float_loop(x, n, p, q, eps, max_iter)
 
 

@@ -93,6 +93,18 @@ def test_root_float_backend():
     assert abs(lo - 1.4142135623730951) < 1e-11
 
 
+# p3 = 1/10^310, a subnormal double: the first lower endpoint overflows to +inf
+TINY_P3_SPEC = {"n": 2, "p": ["-1", "0", "0", "1/1" + "0" * 310, "0"],
+                "q": ["-1", "0", "0", "2", "0"]}
+
+
+def test_root_float_infinite_endpoint_is_non_finite(write_map):
+    out = run_cli("root", "--x", "2", "--n", "2", "--eps", "1e-12",
+                  "--backend", "float", "--map", write_map(TINY_P3_SPEC))
+    assert out.returncode == 1
+    assert out.stdout == "[1.0, 2.0]\niterations: 0\nterminated: non-finite\n"
+
+
 def test_root_max_iter_exit_code():
     out = run_cli("root", "--x", "2", "--n", "2", "--eps", "1e-9",
                   "--max-iter", "1")
@@ -239,10 +251,10 @@ def test_counterexample_locus_flag():
 def test_counterexample_unrepaired_q0():
     out = run_cli("counterexample", "--unrepaired-q0")
     assert out.returncode == 1
-    assert "corner" in out.stdout
+    assert "head probe" in out.stdout
     assert "witness" in out.stdout
-    # the probe fails at its first point, the fixed corner (1, 1, 1), before
-    # any seeded sample is drawn
+    # the first head probe, (L, r, U) = (1, 1, 1), fails before any seeded
+    # sample is drawn
     out = run_cli("counterexample", "--unrepaired-q0", "--json")
     assert out.returncode == 1
     verdict = json.loads(out.stdout)["contraction"]
@@ -310,13 +322,24 @@ _TOO_BIG_FOR_A_FLOAT = "1" + "0" * 400
     ("root", "--backend", "float", "--map", "bisection", "--x", "2", "--n", "2",
      "--eps", "1e-3"),
     ("bench", "SPEC"),
+    # a map coefficient beyond the float range
+    ("root", "--backend", "float", "--map", "BIG_MAP", "--x", "2", "--n", "2",
+     "--eps", "1e-3"),
+    ("bench", "BIG_MAP_SPEC"),
 ])
 def test_float_path_rejects_what_it_cannot_run(argv, tmp_path):
-    spec = tmp_path / "float-spec.json"
-    spec.write_text(json.dumps({
-        "maps": ["secant-newton"], "xs": ["2", _TOO_BIG_FOR_A_FLOAT], "ns": [2],
-        "epses": ["1/10"], "backend": "float", "reps": 1}))
-    out = run_cli(*(str(spec) if arg == "SPEC" else arg for arg in argv))
+    big_map = tmp_path / "big-map.json"
+    big_map.write_text(json.dumps({
+        "n": 2, "p": ["-1", "0", "0", _TOO_BIG_FOR_A_FLOAT, "1"],
+        "q": ["-1", "0", "0", "2", "0"]}))
+    files = {"BIG_MAP": big_map}
+    for name, spec in (("SPEC", {"maps": ["secant-newton"],
+                                 "xs": ["2", _TOO_BIG_FOR_A_FLOAT]}),
+                       ("BIG_MAP_SPEC", {"maps": [str(big_map)], "xs": ["2"]})):
+        files[name] = tmp_path / f"{name}.json"
+        files[name].write_text(json.dumps({
+            **spec, "ns": [2], "epses": ["1/10"], "backend": "float", "reps": 1}))
+    out = run_cli(*(str(files[arg]) if arg in files else arg for arg in argv))
     assert out.returncode == 2
     assert out.stderr.startswith("error:")
     assert "Traceback" not in out.stderr

@@ -14,7 +14,6 @@ from root_enclose.maps import (
     MapEvaluator,
     MapSpecError,
     apply_pair,
-    canonicalize,
     check_canonical,
     counterexample_map,
     denominators,
@@ -262,29 +261,6 @@ def test_evaluator_matches_the_map_formula(m, t):
         assert exc.value.side == ("lower" if den_p == 0 else "upper")
     else:
         assert MapEvaluator(m).pair(L, U, x) == (L + num_p / den_p, U + num_q / den_q)
-
-
-def test_canonicalize_fixed_point():
-    m = secant_newton(4)
-    assert canonicalize(m) == m
-
-
-def test_canonicalize_forces_head():
-    m = MapCoefficients(2, (F(5), 1, 0, 1, 1), (F(-1), 0, 0, 2, 0))
-    fixed = canonicalize(m)
-    assert fixed.p == (F(-1), 0, 0, 1, 1)
-    assert check_canonical(fixed).is_canonical
-
-
-def test_canonicalize_repairs_published_vector():
-    # the counterexample vector as sometimes printed, with q0 = +1
-    m = MapCoefficients(3, (F(-1), 0, 0, 0, 2, F(1, 2), 1), (F(1), 0, 0, 0, 3, 0, 0))
-    assert canonicalize(m).q == (F(-1), 0, 0, 0, 3, 0, 0)
-
-
-@given(canonical_maps())
-def test_canonicalize_idempotent(m):
-    assert canonicalize(canonicalize(m)) == canonicalize(m)
 
 
 # --- map spec files -------------------------------------------------------

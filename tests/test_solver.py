@@ -1,3 +1,4 @@
+import hashlib
 import random
 import sys
 from fractions import Fraction as F
@@ -5,7 +6,8 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from map_generators import perturbed_contracting_map, random_canonical_map
+from map_generators import (perturbed_contracting_map, random_canonical_map,
+                            random_noncanonical_map)
 from root_enclose import solver
 from root_enclose.maps import (
     DenominatorZeroError,
@@ -560,6 +562,46 @@ def test_bisect_float_overflow_is_reported():
     assert (trace.iterations, trace.lo, trace.hi) == (0, 1.0, 1e100)
 
 
+# p3 = 1/10^310 is a subnormal double: the form is about 1e-310, and the
+# first endpoint overflows to +inf on the lower side or -inf on the upper one
+_TINY_TAIL = (F(-1), 0, 0, F(1, 10 ** 310), 0)
+
+
+@pytest.mark.parametrize("m", [
+    MapCoefficients(2, _TINY_TAIL, secant_newton(2).q),
+    MapCoefficients(2, secant_newton(2).p, _TINY_TAIL),
+], ids=["lower-plus-inf", "upper-minus-inf"])
+def test_refine_float_infinite_endpoint_is_non_finite(m):
+    trace = refine_float(2.0, 2, 1e-12, m)
+    assert (trace.iterations, trace.lo, trace.hi, trace.terminated) == (
+        0, 1.0, 2.0, NON_FINITE)
+
+
+def _float_path_results():
+    """repr((lo, hi, iterations, terminated)) of refine_float on seeded
+    inputs: x ~ U[0.1, 100] with n cycling 2, 3, 5 on Secant-Newton, then
+    random canonical, non-canonical and perturbed maps at several max_iter."""
+    rng = random.Random(2024)
+    for i in range(3000):
+        trace = refine_float(rng.uniform(0.1, 100.0), (2, 3, 5)[i % 3], 1e-12)
+        yield repr((trace.lo, trace.hi, trace.iterations, trace.terminated))
+    generators = (random_canonical_map, random_noncanonical_map, perturbed_contracting_map)
+    for i in range(270):
+        m = generators[i // 3 % 3]((2, 3, 5)[i % 3], rng)
+        x = rng.uniform(0.1, 100.0)
+        for max_iter in (1, 5, 100, 10 ** 4):
+            trace = refine_float(x, m.n, 1e-12, m, max_iter=max_iter)
+            yield repr((trace.lo, trace.hi, trace.iterations, trace.terminated))
+
+
+def test_refine_float_is_pinned_bit_for_bit():
+    # a deliberate change to the float step's arithmetic or exit rules
+    # changes this digest, and must re-pin it
+    text = "\n".join(_float_path_results())
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "2533e5efc8597ae0a3b24572536974f5cde20854c8c6538944eb8618f04a92ab")
+
+
 def test_refine_float_rejects_bad_inputs():
     with pytest.raises(ValueError):
         refine_float(0.0, 2, 1e-3)
@@ -567,6 +609,9 @@ def test_refine_float_rejects_bad_inputs():
         refine_float(float("nan"), 2, 1e-3)
     with pytest.raises(ValueError):
         refine_float(2.0, 2, 0.0)
+    beyond_float = MapCoefficients(2, (F(-1), 0, 0, 10 ** 400, 1), secant_newton(2).q)
+    with pytest.raises(ValueError, match="map coefficients must fit in a float"):
+        refine_float(2.0, 2, 1e-3, beyond_float)
 
 
 @pytest.mark.parametrize("solve", [refine_float, bisect_float])
