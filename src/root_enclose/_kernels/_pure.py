@@ -4,9 +4,10 @@ These are the hot inner loops of the exact arithmetic: evaluating one member
 of the refinement-map family at one (L, U, x) point.  ``form_pair`` is the
 one evaluator of the homogeneous forms sum_i c_i * a**(k-1-i) * b**i that
 every map numerator and denominator is built from (with unit coefficients
-it is the secant form); both map kernels finish each endpoint through one
-routine, ``endpoint_pair``.  This is their only implementation; the package
-imports them through ``root_enclose._kernels``.
+it is the secant form); both map kernels, and MapEvaluator.beside, finish
+each endpoint through one routine, ``endpoint_pair``, from the forms'
+numerators alone.  This is their only implementation; the package imports
+them through ``root_enclose._kernels``.
 
 A coefficient vector is passed as a list of integer numerators over one
 positive common denominator, which ``maps.MapEvaluator`` computes once per
@@ -26,10 +27,11 @@ def form_pair(c, den, an, ad, bn, bd):
     """sum_i c_i * a**(k-1-i) * b**i with k = len(c) >= 1 and c_i = c[i]/den.
 
     This is the homogeneous degree-(k-1) form both map denominators use
-    (and, with the leading x added by the caller, the numerators).
-    Trailing zero coefficients, such as the n-1 zeros of Secant-Newton's
-    Newton tail (n, 0, ..., 0), cost one power of a instead of a Horner
-    step each.
+    (and, with the leading x added by the caller, the numerators).  Its
+    denominator is the side's shared scale den*(ad*bd)**(k-1), so forms of
+    one side and degree add as numerators.  Trailing zero coefficients, such
+    as the n-1 zeros of Secant-Newton's Newton tail (n, 0, ..., 0), cost
+    one power of a instead of a Horner step each.
     """
     # Horner in a over the common denominator den*(ad*bd)**(k-1), where a
     # and b become x = an*bd and y = bn*ad; the loop stops at the last
@@ -50,18 +52,32 @@ def form_pair(c, den, an, ad, bn, bd):
     return sn, den * (ad * bd) ** (k - 1)
 
 
-def endpoint_pair(an, ad, hn, hd, den_n, den_d, xn, xd):
-    """a + (x + h) / den as a pair with a positive denominator, or None when
-    the form den = den_n/den_d is exactly zero: one endpoint of a map, given
-    its numerator form h and denominator form den at (L, U)."""
-    if den_n == 0:
+def endpoint_pair(n, hn, fn, den, an, ad, bd, xn, xd):
+    """One endpoint a + (x + h) / f of a map side at (a, b) = (L, U) for the
+    lower and (U, L) for the upper endpoint, as a pair with a positive
+    denominator, or None when the denominator form f is exactly zero.
+
+    The forms come as their numerators over the side's shared scale
+    den*(ad*bd)**k (form_pair's denominators): fn that of f (k = n-1), and
+    hn that of the head form h (k = n), or None for a canonical head, whose
+    numerator x + h is x - a**n.  The scale's common factor is never
+    multiplied in; the endpoint is
+
+        (an*xd*f + (xn*ad**n - an**n*xd)*den*bd**(n-1)) / (ad*xd*f)
+
+    on a canonical side and (an*xd*bd*f + xn*den*(ad*bd)**n + h*xd) /
+    (ad*bd*xd*f) otherwise, with f's sign moved to the numerator.
+    """
+    if not fn:
         return None
-    num_n = hn * xd + xn * hd
-    qd = hd * xd * den_n
-    if qd < 0:
-        qd = -qd
-        den_d = -den_d
-    return an * qd + num_n * den_d * ad, ad * qd
+    if hn is None:
+        num = an * xd * fn + (xn * ad ** n - an ** n * xd) * den * bd ** (n - 1)
+        q = ad * xd * fn
+    else:
+        ab = ad * bd
+        num = (an * bd * fn + hn) * xd + xn * den * ab ** n
+        q = ab * xd * fn
+    return (num, q) if fn > 0 else (-num, -q)
 
 
 def apply_pairs(n, p, pden, q, qden, ln, ld, un, ud, xn, xd):
@@ -73,29 +89,30 @@ def apply_pairs(n, p, pden, q, qden, ln, ld, un, ud, xn, xd):
     upper one is (the pair slots are 0/1 placeholders then).
     """
     # lower endpoint: L + (x + sum_{i<=n} p_i L^(n-i) U^i) / (sum_i p_{n+1+i} L^(n-1-i) U^i)
-    lo = endpoint_pair(ln, ld, *form_pair(p[: n + 1], pden, ln, ld, un, ud),
-                        *form_pair(p[n + 1:], pden, ln, ld, un, ud), xn, xd)
+    lo = endpoint_pair(n, form_pair(p[: n + 1], pden, ln, ld, un, ud)[0],
+                       form_pair(p[n + 1:], pden, ln, ld, un, ud)[0], pden, ln, ld, ud, xn, xd)
     if lo is None:
         return 1, 0, 1, 0, 1
     # upper endpoint: same shape with the roles of L and U swapped
-    hi = endpoint_pair(un, ud, *form_pair(q[: n + 1], qden, un, ud, ln, ld),
-                        *form_pair(q[n + 1:], qden, un, ud, ln, ld), xn, xd)
+    hi = endpoint_pair(n, form_pair(q[: n + 1], qden, un, ud, ln, ld)[0],
+                       form_pair(q[n + 1:], qden, un, ud, ln, ld)[0], qden, un, ud, ld, xn, xd)
     if hi is None:
         return 2, 0, 1, 0, 1
     return (0, *lo, *hi)
 
 
-def apply_reduced_pairs(n, dpn, dpd, dqn, dqd, ln, ld, un, ud, xn, xd):
+def apply_reduced_pairs(n, dpn, pden, dqn, qden, ln, ld, un, ud, xn, xd):
     """Canonical-map path: the numerators are exactly x - L**n, x - U**n.
 
-    dpn/dpd and dqn/dqd are the values at (L, U) of the lower and upper
-    denominator forms, which the caller evaluates with form_pair (and may
-    use again).  Same return convention as apply_pairs.
+    dpn and dqn are the numerators at (L, U) of the lower and upper
+    denominator forms over their sides' scales, as form_pair gives them for
+    the tails held over pden and qden.  Same return convention as
+    apply_pairs.
     """
-    lo = endpoint_pair(ln, ld, -ln ** n, ld ** n, dpn, dpd, xn, xd)
+    lo = endpoint_pair(n, None, dpn, pden, ln, ld, ud, xn, xd)
     if lo is None:
         return 1, 0, 1, 0, 1
-    hi = endpoint_pair(un, ud, -un ** n, ud ** n, dqn, dqd, xn, xd)
+    hi = endpoint_pair(n, None, dqn, qden, un, ud, ld, xn, xd)
     if hi is None:
         return 2, 0, 1, 0, 1
     return (0, *lo, *hi)

@@ -9,8 +9,9 @@ is evaluated once, on int pairs that are never reduced.  Every map is read
 as Secant-Newton plus its differences (MapEvaluator): at each sample the
 scans evaluate the excess forms Dp - S and Dq - N first, a canonical map's
 endpoints are computed only where an excess is negative, and a map is
-compared with Secant-Newton on Secant-Newton's forms, its excess forms and
-its heads that are not canonical (MapEvaluator.beside).
+compared with Secant-Newton only on the sides whose head or tail differs
+from Secant-Newton's, from Secant-Newton's form there, the excess form and
+a head that is not canonical (MapEvaluator.beside).
 
 Two cases are decided once per map rather than per sample.  A
 non-canonical map fails one of at most 2(n+1) fixed head probes
@@ -456,8 +457,11 @@ def check_dominance(m: MapCoefficients, cfg: SampleConfig) -> DominanceStats:
     and an excess is 0 exactly when its tail is Secant-Newton's, so no form
     is evaluated.  Every other sample, and every sample of a non-canonical
     map, is evaluated beside Secant-Newton (MapEvaluator.beside), from the
-    excess forms and the heads that are not canonical.  Each violation's
-    two sides are reduced once, as recorded.
+    excess forms and the heads that are not canonical, on the sides that
+    differ from Secant-Newton's alone: on an equal side the map's endpoint
+    is Secant-Newton's, and S, N > 0, so that side can neither violate,
+    nor have a zero denominator, nor break equality.  Each violation's two
+    sides are reduced once, as recorded.
     """
     n = m.n
     ev = MapEvaluator(m)
@@ -482,16 +486,21 @@ def check_dominance(m: MapCoefficients, cfg: SampleConfig) -> DominanceStats:
                         and (gq == 0 or (rn == un and rd == ud))):
                     equality.append((ln, ld, rn, rd, un, ud))
                 continue
-        (status, a, b, c, d), sn = beside(ex, ln, ld, un, ud, xn, xd)
-        if status:
+        lo, hi = beside(ex, ln, ld, un, ud, xn, xd)
+        if (lo and lo[0] is None) or (hi and hi[0] is None):
             violations.append((s, "denominator-zero", _ZERO_PAIR, _ZERO_PAIR))
             continue
-        sa, sb, sc, sd = sn
-        if a * sb > sa * b:
-            violations.append((s, "L' <= L*", _reduced(a, b), _reduced(sa, sb)))
-        elif sc * d > c * sd:
-            violations.append((s, "U* <= U'", _reduced(sc, sd), _reduced(c, d)))
-        elif a * sb == sa * b and c * sd == sc * d:
+        if lo:
+            (a, b), (sa, sb) = lo
+            if a * sb > sa * b:
+                violations.append((s, "L' <= L*", _reduced(a, b), _reduced(sa, sb)))
+                continue
+        if hi:
+            (c, d), (sc, sd) = hi
+            if sc * d > c * sd:
+                violations.append((s, "U* <= U'", _reduced(sc, sd), _reduced(c, d)))
+                continue
+        if (not lo or a * sb == sa * b) and (not hi or c * sd == sc * d):
             equality.append((ln, ld, rn, rd, un, ud))
     return DominanceStats(cfg.count, tuple(equality), tuple(violations))
 

@@ -33,6 +33,7 @@ from .numeric import describe, format_rational, parse_int, parse_rational
 from .solver import (
     DEFAULT_MAX_ITER,
     NotContractingError,
+    _as_floats,
     bisect_float,
     bisect_to_eps,
     refine_float,
@@ -159,7 +160,9 @@ def load_spec(path) -> BenchSpec:
 
 
 def _resolve_maps(spec: BenchSpec) -> list[tuple[str, object]]:
-    """Resolve map names eagerly so bad input fails before any run.
+    """Resolve map names eagerly so bad input fails before any run: with the
+    float backend, a map coefficient beyond the float range is rejected
+    here, as an x or eps beyond it is by spec_from_dict.
 
     The resolver slot is "secant-newton" or "bisection" for the parametric
     methods (instantiated per row degree), or a concrete MapCoefficients.
@@ -168,15 +171,22 @@ def _resolve_maps(spec: BenchSpec) -> list[tuple[str, object]]:
     for name in spec.maps:
         if name in ("secant-newton", "bisection"):
             entries.append((name, name))
-        elif name == "counterexample":
-            entries.append((name, counterexample_map()))
+            continue
+        if name == "counterexample":
+            m = counterexample_map()
         elif name.endswith(".json"):
-            entries.append((name, load_map(name)))
+            m = load_map(name)
         else:
             raise BenchSpecError(
                 f"unknown map name {name!r} (named maps: {', '.join(NAMED_MAPS)}; "
                 "anything else must be a .json map-spec path)"
             )
+        if spec.backend == "float":
+            try:
+                _as_floats(m.p + m.q, "coefficients")
+            except ValueError as exc:
+                raise BenchSpecError(f"float backend: map {name}: {exc}") from None
+        entries.append((name, m))
     return entries
 
 

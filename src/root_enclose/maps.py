@@ -193,21 +193,18 @@ _ZERO_PAIR = (0, 1)
 
 
 def _beside(n, side, g, an, ad, bn, bd, xn, xd):
-    """(Secant-Newton's endpoint, the map's) on one side of
-    MapEvaluator.beside, at (a, b) = (L, U) for p and (U, L) for q, where
-    the side's excess form has the numerator g.  The map's denominator form
-    is Secant-Newton's plus g, and its numerator is x - a^n unless its head
-    differs; a side that differs in neither returns Secant-Newton's
-    endpoint twice."""
+    """One side of MapEvaluator.beside, at (a, b) = (L, U) for p and (U, L)
+    for q, where the side's excess form has the numerator g: None for a
+    side that is Secant-Newton's, else (the map's endpoint, Secant-Newton's).
+    The map's denominator form is Secant-Newton's plus g, over the same
+    scale, and its numerator is x - a^n unless its head differs."""
     den, _, head, _, excess, sn_tail = side
-    dn, dd = form_pair(sn_tail, den, an, ad, bn, bd)
-    hn, hd = -an ** n, ad ** n
-    sn_end = endpoint_pair(an, ad, hn, hd, dn, dd, xn, xd)
     if head is None and excess is None:
-        return sn_end, sn_end
-    if head is not None:
-        hn, hd = form_pair(head, den, an, ad, bn, bd)
-    return sn_end, endpoint_pair(an, ad, hn, hd, dn + g, dd, xn, xd)
+        return None
+    s = form_pair(sn_tail, den, an, ad, bn, bd)[0]
+    hn = None if head is None else form_pair(head, den, an, ad, bn, bd)[0]
+    return (endpoint_pair(n, hn, s + g, den, an, ad, bd, xn, xd),
+            endpoint_pair(n, None, s, den, an, ad, bd, xn, xd))
 
 
 class MapEvaluator:
@@ -220,8 +217,8 @@ class MapEvaluator:
     suite checks the two against each other on canonical maps.  excess
     gives the excess forms Dp - S and Dq - N over Secant-Newton's secant
     form S and Newton form N = n*U^(n-1), and beside evaluates the map next
-    to Secant-Newton from them.  canonical says whether both heads are
-    canonical; dominating, whether the map is canonical and no excess
+    to Secant-Newton from them, on the sides that differ from it.
+    canonical says whether both heads are canonical; dominating, whether the map is canonical and no excess
     coefficient is negative, so that Dp - S >= 0 and Dq - N >= 0 at every
     0 < L <= U; same_tails, per side, whether the tail is Secant-Newton's.
     """
@@ -261,13 +258,15 @@ class MapEvaluator:
         """pair() on int pairs with positive denominators, unchecked: the
         kernel's result (status, lo_num, lo_den, hi_num, hi_den), status 1
         or 2 for a zero lower or upper denominator, with the endpoints'
-        denominators positive but not reduced.  The solver rounds on these
-        unreduced denominators, so which kernel a map takes is part of the
-        result."""
+        denominators positive but not reduced (ad*xd*|F| on a canonical
+        side, as the kernels' endpoint_pair gives them).  The solver rounds
+        on these unreduced denominators, so which kernel a map takes is
+        part of the result."""
         p, q = self._p, self._q
         if self.canonical:
-            (dpn, dpd), (dqn, dqd) = self.denominator_pairs(ln, ld, un, ud)
-            return apply_reduced_pairs(self._n, dpn, dpd, dqn, dqd, ln, ld, un, ud, xn, xd)
+            dp = form_pair(p.tail, p.den, ln, ld, un, ud)[0]
+            dq = form_pair(q.tail, q.den, un, ud, ln, ld)[0]
+            return apply_reduced_pairs(self._n, dp, p.den, dq, q.den, ln, ld, un, ud, xn, xd)
         return apply_pairs(self._n, p.whole, p.den, q.whole, q.den, ln, ld, un, ud, xn, xd)
 
     def denominator_pairs(self, ln, ld, un, ud) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -287,21 +286,19 @@ class MapEvaluator:
                 _ZERO_PAIR if q.excess is None else form_pair(q.excess, q.den, un, ud, ln, ld))
 
     def beside(self, excess, ln, ld, un, ud, xn, xd):
-        """(evaluate()'s result, Secant-Newton's endpoints (lo_num, lo_den,
-        hi_num, hi_den)) at (L, U, x), given the excess forms there as
-        excess() returns them, for any map; Secant-Newton's are None where
-        the map's status is not 0.  Each side evaluates Secant-Newton's form
-        S or N and endpoint, and of the map's own forms only a head that is
-        not canonical: its denominator form is S + (Dp - S) or N + (Dq - N).
-        The endpoints are values, not evaluate()'s unreduced pairs."""
+        """Per side at (L, U, x), (lower, upper), the map next to
+        Secant-Newton, given the excess forms there as excess() returns
+        them, for any map: None on a side whose head and tail are
+        Secant-Newton's, where the map's endpoint is Secant-Newton's, else
+        (the map's endpoint, Secant-Newton's) as pairs with positive
+        denominators, the map's None where its denominator form is zero.
+        A side evaluates Secant-Newton's form S or N and, of the map's own
+        forms, only a head that is not canonical: its denominator form is
+        S + (Dp - S) or N + (Dq - N).  The endpoints are values, not
+        evaluate()'s unreduced pairs."""
         n = self._n
-        sn_lo, lo = _beside(n, self._p, excess[0][0], ln, ld, un, ud, xn, xd)
-        if lo is None:
-            return (1, 0, 1, 0, 1), None
-        sn_hi, hi = _beside(n, self._q, excess[1][0], un, ud, ln, ld, xn, xd)
-        if hi is None:
-            return (2, 0, 1, 0, 1), None
-        return (0, *lo, *hi), sn_lo + sn_hi
+        return (_beside(n, self._p, excess[0][0], ln, ld, un, ud, xn, xd),
+                _beside(n, self._q, excess[1][0], un, ud, ln, ld, xn, xd))
 
 
 def apply_pair(m: MapCoefficients, lo, hi, x) -> tuple[Fraction, Fraction]:

@@ -8,8 +8,9 @@ rational solvers loop on integer rows (num, den, num, den) and build no
 Fraction per step.  Every interval either rational solver records
 satisfies lo**n <= x <= hi**n, checked exactly by cross-multiplication:
 bisection reads all its steps from the binary digits of one integer nth
-root and checks its final interval, which every earlier one encloses, and
-the map loop checks each step.
+root and checks its final interval, which every earlier one encloses,
+building the other rows only when they are read, and the map loop checks
+each step.
 The map loop also bounds its endpoints' size, rounding them outward onto a
 dyadic lattice 2**-k_j once they outgrow it, where
 k_j = min(bits(1/eps) + 16, 2*bits(1/width_j) + 32) follows the width of
@@ -258,9 +259,11 @@ def bisect_to_eps(x, n: int, eps, max_iter: int = DEFAULT_MAX_ITER) -> RefineTra
     most T = xn * d**(n-1) * 2**(n*J).  That k is
     m = (floor(T**(1/n)) - a*2**J) // span, and the rows are the binary
     prefixes of m: row j+1 doubles the lower numerator and adds span
-    exactly when bit J-1-j of m is set.  Each step is recorded as the
-    unreduced row (a, d*2**j, a + span, d*2**j): no Fraction or Interval
-    is built, only by the trace's views.  Every row encloses the final one,
+    exactly when bit J-1-j of m is set.  Each step is the unreduced row
+    (a, d*2**j, a + span, d*2**j), and the trace holds only (a, span, d,
+    m, J): the rows are built on first access, and iterations, final and
+    to_json() read none, so a caller of the final interval pays for one
+    root and one check.  Every row encloses the final one,
     which is checked exactly to satisfy lo**n <= x <= hi**n by
     cross-multiplication, so every recorded interval does; a final row
     that fails the check raises RuntimeError.  The width halves each
@@ -274,10 +277,10 @@ def bisect_to_eps(x, n: int, eps, max_iter: int = DEFAULT_MAX_ITER) -> RefineTra
     over, under = span * eps.denominator, eps.numerator * d
     need = (-(-over // under) - 1).bit_length() if over > under else 0
     steps = min(need, max_iter)
-    rows = [(a, d, b, d)]
+    m = 0
     if steps:
         m = (_iroot(xn * d ** (n - 1) << n * steps, n) - (a << steps)) // span
-        # the final row, checked before the rows are built; a row that
+        # the final row, checked before any row is built; a row that
         # encloses the root lies in the start interval, so 0 <= m < 2**steps
         lo, den = (a << steps) + span * m, d << steps
         if not lo ** n * d <= xn * den ** n <= (lo + span) ** n * d:
@@ -285,14 +288,41 @@ def bisect_to_eps(x, n: int, eps, max_iter: int = DEFAULT_MAX_ITER) -> RefineTra
                 f"bisection interval [{format_rational(Fraction(lo, den))}, "
                 f"{format_rational(Fraction(lo + span, den))}] at iteration {steps} "
                 f"misses the root")
-        scale = d
-        for bit in format(m, f"0{steps}b"):
+    return _BisectionTrace(a, span, d, m, steps,
+                           MAX_ITERATIONS if need > max_iter else WIDTH_REACHED)
+
+
+class _BisectionTrace(RefineTrace):
+    """bisect_to_eps's trace, held as the start row's (a, span, d), the
+    step count and m: iterations and final read no row, and the rows are
+    built on first access, row j+1 doubling the lower numerator of row j
+    and adding span exactly when bit steps-1-j of m is set."""
+
+    def __init__(self, a, span, d, m, steps, terminated):
+        object.__setattr__(self, "_bisection", (a, span, d, m, steps))
+        object.__setattr__(self, "terminated", terminated)
+
+    @cached_property
+    def interval_rows(self) -> tuple[tuple[int, int, int, int], ...]:
+        a, span, scale, m, steps = self._bisection
+        rows = [(a, scale, a + span, scale)]
+        for bit in format(m, f"0{steps}b") if steps else ():
             a <<= 1
             scale <<= 1
             if bit == "1":
                 a += span
             rows.append((a, scale, a + span, scale))
-    return RefineTrace(tuple(rows), MAX_ITERATIONS if need > max_iter else WIDTH_REACHED)
+        return tuple(rows)
+
+    @property
+    def iterations(self) -> int:
+        return self._bisection[4]
+
+    @property
+    def final(self) -> Interval:
+        a, span, d, m, steps = self._bisection
+        lo, den = (a << steps) + span * m, d << steps
+        return Interval(Fraction(lo, den), Fraction(lo + span, den))
 
 
 @dataclass(frozen=True)

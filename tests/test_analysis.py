@@ -282,9 +282,10 @@ def test_check_map_computes_no_endpoint_where_the_bounds_hold(m, monkeypatch):
 @pytest.mark.parametrize("side", ["p", "q"])
 def test_noncanonical_compare_evaluates_only_the_moved_head(side, monkeypatch):
     # Secant-Newton's tails with one head coefficient moved: per sample,
-    # compare evaluates Secant-Newton's S and N once and the moved head's
-    # form, and never an excess form, the map's tail forms or its whole
-    # general form; both endpoints are finished without a map kernel
+    # compare evaluates the moved side's S or N once and its head's form,
+    # and never a form of the other side, an excess form, the map's tail
+    # forms or its whole general form; both endpoints are finished without
+    # a map kernel
     n = 3
     sn = secant_newton(n)
     moved = sn.p[:1] + (F(1, 2),) + sn.p[2:] if side == "p" else sn.q[:2] + (F(-1, 3),) + sn.q[3:]
@@ -293,8 +294,35 @@ def test_noncanonical_compare_evaluates_only_the_moved_head(side, monkeypatch):
     calls = _count_kernel_calls(monkeypatch)
     check_dominance(m, cfg)
     assert sorted(set(calls)) == [("form_pair", n), ("form_pair", n + 1)]
-    assert calls.count(("form_pair", n)) == 2 * cfg.count
+    assert calls.count(("form_pair", n)) == cfg.count
     assert calls.count(("form_pair", n + 1)) == cfg.count
+
+
+def test_counterexample_compare_evaluates_no_q_form(monkeypatch):
+    # the counterexample is canonical and differs from Secant-Newton in its
+    # p tail alone: compare evaluates the p excess at every sample, and S
+    # where that excess is negative, but no form of the q side, whose
+    # endpoint is Secant-Newton's
+    m = counterexample_map()
+    cfg = SampleConfig(seed=3, count=300)
+    seen = []
+    form_pair = maps.form_pair
+
+    def recording(c, den, an, ad, bn, bd):
+        seen.append((tuple(c), (an, ad, bn, bd)))
+        return form_pair(c, den, an, ad, bn, bd)
+
+    monkeypatch.setattr(maps, "form_pair", recording)
+    stats = check_dominance(m, cfg)
+    assert stats.violation_rows
+    # over the p side's denominator 2, the excess tail (2, 1/2, 1) - (1, 1, 1)
+    # is [2, -1, 0] and S is [2, 2, 2]; N would be [3, 0, 0]
+    forms = [c for c, _ in seen]
+    assert set(forms) == {(2, -1, 0), (2, 2, 2)}
+    assert forms.count((2, -1, 0)) == cfg.count
+    # and every form is evaluated at (L, U), the p side's order, never at (U, L)
+    samples = {(ln, ld, un, ud) for ln, ld, _, _, un, ud, _, _ in analysis._sample_pairs(3, cfg)}
+    assert all(point in samples for _, point in seen)
 
 
 def test_certificate_does_not_cover_the_near_secant_p_tail():

@@ -14,7 +14,7 @@ from root_enclose.bench import (
     run_bench,
     spec_from_dict,
 )
-from root_enclose.numeric import parse_rational
+from root_enclose.numeric import Interval, parse_rational
 from root_enclose.solver import refine_to_eps
 
 DOMINATED_SPEC = {
@@ -62,6 +62,17 @@ def test_default_spec_iteration_counts():
         by_map.setdefault(row.map_name, set()).add(row.iterations)
     assert by_map["secant-newton"] == {3}
     assert by_map["bisection"] == {10}
+
+
+def test_default_secant_newton_rows_end_on_the_exact_map_output():
+    # the kernel's unreduced denominators stay within the lattice of every
+    # step, so the third step is the map's exact [816/577, 577/408], not a
+    # rounding of it onto the 2^-26 lattice
+    trace = refine_to_eps(F(2), 2, F(1, 1000))
+    assert (trace.iterations, trace.final) == (3, Interval(F(816, 577), F(577, 408)))
+    widths = {row.final_width for row in run_bench(default_spec())
+              if row.map_name == "secant-newton"}
+    assert widths == {"1/235416"}
 
 
 def test_zero_iterations_on_degenerate_x():
@@ -209,3 +220,24 @@ def test_spec_file_numbers_at_the_default_digit_limit(tmp_path):
         sys.set_int_max_str_digits(previous)
     assert spec.xs == (10 ** 5000, 10 ** 5000)
     assert spec.epses == (10 ** 5000,)
+
+
+def test_float_spec_with_an_out_of_range_map_runs_no_row(tmp_path, monkeypatch, capsys):
+    # a map coefficient beyond the float range is rejected with the spec,
+    # before the rows of the maps listed ahead of it run
+    from root_enclose import bench, cli
+
+    big_map = tmp_path / "big-map.json"
+    big_map.write_text(json.dumps({"n": 2, "p": ["-1", "0", "0", "1" + "0" * 400, "1"],
+                                   "q": ["-1", "0", "0", "2", "0"]}))
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"maps": ["secant-newton", "bisection", str(big_map)],
+                                "xs": ["2", "3"], "ns": [2], "epses": ["1/1000"],
+                                "backend": "float", "reps": 2}))
+    calls = []
+    for name in ("refine_float", "bisect_float", "refine_to_eps", "bisect_to_eps"):
+        monkeypatch.setattr(bench, name, lambda *args, name=name: calls.append(name))
+    assert cli.main(["bench", str(spec)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: float backend: map ") and "fit in a float" in err
+    assert calls == []

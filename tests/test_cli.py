@@ -415,7 +415,7 @@ PINNED_OUTPUTS = [
     (("locus", "PERTURBED", "--json"), 0,
      "9d1351bca7275228d68489ce652d64c70a5efd61e7aa43f3bd5e67b94cc683fc"),
     (("bench", "--format", "json"), 0,
-     "fed76c6eb2affcfe5ecdb016218a9b50588352c6ef781e1e077e0b6280fe0299"),
+     "fdb6b2ffd79ed1ecaf986870109f70e29d249958d66e1764162272591f6203be"),
     (("check", "NONCANONICAL", "--samples", "300", "--json"), 1,
      "263c8e582c375d61b959adb615e028fec197bf151ca4501a532d4c99f62e4f38"),
     (("check", "NONCANONICAL", "--samples", "300"), 1,

@@ -8,6 +8,7 @@ import textwrap
 from fractions import Fraction as F
 from pathlib import Path
 
+from hypothesis import given, strategies as st
 
 from root_enclose._kernels import _pure
 
@@ -60,7 +61,7 @@ class TestKernelContracts:
         assert dpd > 0 and dqd > 0
         assert (F(dpn, dpd), F(dqn, dqd)) == (dp, dq)
         results = (
-            _pure.apply_reduced_pairs(2, dpn, dpd, dqn, dqd, *pairs),
+            _pure.apply_reduced_pairs(2, dpn, den, dqn, den, *pairs),
             _pure.apply_pairs(2, side, den, side, den, *pairs),
         )
         for status, a, b, c, d in results:
@@ -72,6 +73,53 @@ class TestKernelContracts:
         # status 1 or 2 names the side whose form is exactly zero
         assert _pure.apply_reduced_pairs(2, 0, 5, 1, 1, 1, 1, 2, 1, 2, 1)[0] == 1
         assert _pure.apply_reduced_pairs(2, 1, 1, 0, 5, 1, 1, 2, 1, 2, 1)[0] == 2
+
+
+_POSITIVE = st.tuples(st.integers(1, 10 ** 9), st.integers(1, 10 ** 9))
+_INTS = st.integers(-50, 50)
+
+
+@st.composite
+def _endpoint_sides(draw):
+    """(n, head or None, tail, den, a, b, x): one map side over den, with a
+    head that is canonical (None) or any, and a tail whose form at (a, b) is
+    any, or made zero as (u*t - v)*h(t) at t = v/u, u = an*bd, v = bn*ad."""
+    n = draw(st.integers(2, 5))
+    den = draw(st.integers(1, 12))
+    a, b, x = draw(_POSITIVE), draw(_POSITIVE), draw(_POSITIVE)
+    head = draw(st.none() | st.lists(_INTS, min_size=n + 1, max_size=n + 1))
+    if draw(st.booleans()):
+        tail = draw(st.lists(_INTS, min_size=n, max_size=n))
+    else:
+        h = draw(st.lists(_INTS, min_size=n - 1, max_size=n - 1))
+        u, v = a[0] * b[1], b[0] * a[1]
+        tail = [u * hi - v * lo for lo, hi in zip(h + [0], [0] + h)]
+    return n, head, tail, den, a, b, x
+
+
+@given(_endpoint_sides())
+def test_endpoint_is_the_fraction_reference(side):
+    # the endpoint a + (x + h)/f from the forms' numerators alone: its value
+    # is the Fraction formula's, its denominator positive, None at f = 0;
+    # on a canonical side the denominator is exactly ad*xd*|f|, with no
+    # power of ad left in it
+    n, head, tail, den, (an, ad), (bn, bd), (xn, xd) = side
+    a, b, x = F(an, ad), F(bn, bd), F(xn, xd)
+    f = sum(F(c, den) * a ** (n - 1 - i) * b ** i for i, c in enumerate(tail))
+    h = (-a ** n if head is None
+         else sum(F(c, den) * a ** (n - i) * b ** i for i, c in enumerate(head)))
+    fn, fd = _pure.form_pair(tail, den, an, ad, bn, bd)
+    assert F(fn, fd) == f
+    hn = None if head is None else _pure.form_pair(head, den, an, ad, bn, bd)[0]
+    got = _pure.endpoint_pair(n, hn, fn, den, an, ad, bd, xn, xd)
+    if f == 0:
+        assert got is None
+        return
+    num, q = got
+    assert q > 0
+    assert F(num, q) == a + (x + h) / f
+    if head is None:
+        assert q == ad * xd * abs(fn)
 
 
 def test_tracer_wraps_the_kernels_at_their_lookup_names(tmp_path):

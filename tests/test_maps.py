@@ -217,9 +217,10 @@ def test_evaluate_is_its_kernel_on_unreduced_pairs(kind, n, map_seed, lo, hi, x,
     ln, ld = ln * scale, ld * scale  # a pair with a common factor
     args = (ln, ld, un, ud, *x)
     if check_canonical(m).is_canonical:
-        dp = form_pair(*_over_lcm(m.p[n + 1:]), ln, ld, un, ud)
-        dq = form_pair(*_over_lcm(m.q[n + 1:]), un, ud, ln, ld)
-        want = apply_reduced_pairs(n, *dp, *dq, *args)
+        (p, pden), (q, qden) = _over_lcm(m.p), _over_lcm(m.q)
+        dp = form_pair(p[n + 1:], pden, ln, ld, un, ud)[0]
+        dq = form_pair(q[n + 1:], qden, un, ud, ln, ld)[0]
+        want = apply_reduced_pairs(n, dp, pden, dq, qden, *args)
     else:
         want = apply_pairs(n, *_over_lcm(m.p), *_over_lcm(m.q), *args)
     assert MapEvaluator(m).evaluate(*args) == want

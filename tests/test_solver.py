@@ -416,6 +416,20 @@ def test_bisection_builds_no_interval(monkeypatch):
     assert built == []
 
 
+def test_bisection_builds_its_rows_only_when_read():
+    # iterations, final and the JSON summary come from the final step
+    # alone; the rows are built on first access, the last one the final
+    # interval
+    trace = bisect_to_eps(F(1, 3), 3, F(1, 10 ** 200))
+    summary = trace.to_json()
+    assert "interval_rows" not in vars(trace)
+    rows = trace.interval_rows
+    assert len(rows) == trace.iterations + 1 == 665
+    a, b, c, d = rows[-1]
+    assert trace.final == Interval(F(a, b), F(c, d))
+    assert trace.to_json() == summary
+
+
 def test_bisection_midpoints_need_not_be_dyadic():
     trace = bisect_to_eps(F(1, 3), 2, F(1, 10))
     assert trace.intervals[1] == Interval(F(1, 3), F(2, 3))
