@@ -11,7 +11,8 @@ scans evaluate the excess forms Dp - S and Dq - N first, a canonical map's
 endpoints are computed only where an excess is negative, and a map is
 compared with Secant-Newton only on the sides whose head or tail differs
 from Secant-Newton's, from Secant-Newton's form there, the excess form and
-a head that is not canonical (MapEvaluator.beside).
+a head that is not canonical (MapEvaluator.beside).  A failed denominator
+bound is reported from the Fraction definitions of its two sides.
 
 Two cases are decided once per map rather than per sample.  A
 non-canonical map fails one of at most 2(n+1) fixed head probes
@@ -53,13 +54,8 @@ from itertools import islice
 from math import gcd
 from typing import NamedTuple
 
-from .maps import MapCoefficients, MapEvaluator, check_canonical, secant_newton
-from .numeric import as_rational, format_pair, format_rational, pow_int
-
-# Not used here; kept importable because perfbench/tracing.py wraps them at
-# these names.
-from .maps import denominators  # noqa: F401
-from .numeric import geom_sum  # noqa: F401
+from .maps import MapCoefficients, MapEvaluator, check_canonical, denominators, secant_newton
+from .numeric import as_rational, check_int, format_pair, format_rational, geom_sum, pow_int
 
 PASSED_ON_SAMPLES = "passed-on-samples"
 FALSIFIED = "falsified"
@@ -72,14 +68,16 @@ MAX_MAGNITUDE = 10 ** 6
 class SampleConfig:
     """Deterministic sampling plan for the universally quantified checks:
     the first count samples of the fixed corner block followed by triples
-    drawn from seed."""
+    drawn from seed.  Both are ints, not bools."""
 
     seed: int = 0
     count: int = 10_000
 
     def __post_init__(self):
+        check_int("count", self.count)
         if self.count < 1:
             raise ValueError("count must be >= 1")
+        check_int("seed", self.seed)
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError("seed must fit in 64 unsigned bits")
 
@@ -406,7 +404,9 @@ def check_map(m: MapCoefficients, cfg: SampleConfig) -> tuple[Verdict | None, Ve
     (U^n - r^n)/(U - r) <= N <= Dq puts U' in [r, U], so the map's
     endpoints are computed only where an excess is negative, and a
     coefficientwise dominating map (MapEvaluator.dominating) draws no
-    sample at all.
+    sample at all.  The bounds witness is built once, at the first sample
+    with a negative excess, on the first such side: r = L, the map's form
+    from denominators, and Secant-Newton's from geom_sum, or n*U^(n-1).
     """
     n = m.n
     ev = MapEvaluator(m)
@@ -428,15 +428,13 @@ def check_map(m: MapCoefficients, cfg: SampleConfig) -> tuple[Verdict | None, Ve
         if ex[0][0] >= 0 and ex[1][0] >= 0:
             continue
         if not bounds.falsified:
-            # the bound on the first side whose excess is negative: the map's
-            # form there against Secant-Newton's, which is the form less the
-            # excess, over the same denominator
-            side = 0 if ex[0][0] < 0 else 1
-            fn, fd = ev.denominator_pairs(ln, ld, un, ud)[side]
-            bounds = Verdict(_witness((ln, ld, ln, ld, un, ud, ln ** n, ld ** n),
-                                      ("p-denominator >= secant form",
-                                       "q-denominator >= n*U^(n-1)")[side],
-                                      (fn, fd), (fn - ex[side][0], fd)), checked)
+            L, U = Fraction(ln, ld), Fraction(un, ud)
+            dp, dq = denominators(m, L, U)
+            if ex[0][0] < 0:
+                bound = "p-denominator >= secant form", dp, geom_sum(L, U, n)
+            else:
+                bound = "q-denominator >= n*U^(n-1)", dq, n * U ** (n - 1)
+            bounds = Verdict(Witness(L, L, U, L ** n, *bound), checked)
         found = _contraction_witness(s, *evaluate(ln, ld, un, ud, xn, xd))
         if found is not None:
             return bounds, Verdict(found, checked)

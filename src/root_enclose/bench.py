@@ -28,8 +28,9 @@ from .maps import (
     check_degree,
     counterexample_map,
     load_map,
+    read_spec,
 )
-from .numeric import describe, format_rational, parse_int, parse_rational
+from .numeric import describe, format_rational, parse_rational
 from .solver import (
     DEFAULT_MAX_ITER,
     NotContractingError,
@@ -92,8 +93,6 @@ def default_spec() -> BenchSpec:
         xs=(Fraction(2),),
         ns=(2,),
         epses=(Fraction(1, 1000),),
-        backend="rational",
-        reps=5,
     )
 
 
@@ -132,7 +131,7 @@ def spec_from_dict(data) -> BenchSpec:
     maps = listing("maps")
     if not all(isinstance(name, str) for name in maps):
         raise BenchSpecError("maps must be names or file paths")
-    backend = data.get("backend", "rational")
+    backend = data.get("backend", BenchSpec.backend)
     if backend not in BACKENDS:
         raise BenchSpecError(f"backend must be one of {BACKENDS}, got {describe(backend)}")
     if backend == "float":
@@ -142,21 +141,14 @@ def spec_from_dict(data) -> BenchSpec:
             finite = False
         if not finite:
             raise BenchSpecError("float backend: xs and epses must be positive finite floats")
-    reps = data.get("reps", 5)
+    reps = data.get("reps", BenchSpec.reps)
     if isinstance(reps, bool) or not isinstance(reps, int) or reps < 1:
         raise BenchSpecError(f"reps must be a positive integer, got {describe(reps)}")
     return BenchSpec(tuple(maps), xs, tuple(ns), epses, backend, reps)
 
 
 def load_spec(path) -> BenchSpec:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh, parse_int=parse_int)
-    except OSError as exc:
-        raise BenchSpecError(f"cannot read bench spec {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise BenchSpecError(f"bench spec {path} is not valid JSON: {exc}") from None
-    return spec_from_dict(data)
+    return spec_from_dict(read_spec(path, "bench", BenchSpecError))
 
 
 def _resolve_maps(spec: BenchSpec) -> list[tuple[str, object]]:

@@ -269,13 +269,6 @@ class MapEvaluator:
             return apply_reduced_pairs(self._n, dp, p.den, dq, q.den, ln, ld, un, ud, xn, xd)
         return apply_pairs(self._n, p.whole, p.den, q.whole, q.den, ln, ld, un, ud, xn, xd)
 
-    def denominator_pairs(self, ln, ld, un, ud) -> tuple[tuple[int, int], tuple[int, int]]:
-        """Both denominator forms at (L, U) = (ln/ld, un/ud) as pairs with
-        positive denominators, not reduced."""
-        p, q = self._p, self._q
-        return (form_pair(p.tail, p.den, ln, ld, un, ud),
-                form_pair(q.tail, q.den, un, ud, ln, ld))
-
     def excess(self, ln, ld, un, ud) -> tuple[tuple[int, int], tuple[int, int]]:
         """The excess forms (Dp - S, Dq - N) at (L, U) as pairs with positive
         denominators, not reduced: each over its side's denominator form's
@@ -316,9 +309,10 @@ def denominators(m: MapCoefficients, lo, hi) -> tuple[Fraction, Fraction]:
     """Exact values of the two denominator forms at (L, U) = (lo, hi)."""
     lo = as_rational(lo)
     hi = as_rational(hi)
-    dp, dq = MapEvaluator(m).denominator_pairs(
-        lo.numerator, lo.denominator, hi.numerator, hi.denominator)
-    return Fraction(*dp), Fraction(*dq)
+    ln, ld, un, ud = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    ev = MapEvaluator(m)
+    return (Fraction(*form_pair(ev._p.tail, ev._p.den, ln, ld, un, ud)),
+            Fraction(*form_pair(ev._q.tail, ev._q.den, un, ud, ln, ld)))
 
 
 def map_from_dict(data) -> MapCoefficients:
@@ -355,13 +349,18 @@ def map_from_dict(data) -> MapCoefficients:
     return MapCoefficients(n, vectors["p"], vectors["q"])
 
 
-def load_map(path) -> MapCoefficients:
-    """Load a map specification from a JSON file."""
+def read_spec(path, kind: str, error: type[ValueError]):
+    """The JSON value in the spec file at path, integers read exactly; an
+    unreadable or invalid file raises error, naming the kind of spec."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh, parse_int=parse_int)
+            return json.load(fh, parse_int=parse_int)
     except OSError as exc:
-        raise MapSpecError(f"cannot read map spec {path}: {exc}") from None
+        raise error(f"cannot read {kind} spec {path}: {exc}") from None
     except json.JSONDecodeError as exc:
-        raise MapSpecError(f"map spec {path} is not valid JSON: {exc}") from None
-    return map_from_dict(data)
+        raise error(f"{kind} spec {path} is not valid JSON: {exc}") from None
+
+
+def load_map(path) -> MapCoefficients:
+    """Load a map specification from a JSON file."""
+    return map_from_dict(read_spec(path, "map", MapSpecError))

@@ -56,6 +56,13 @@ def describe(value) -> str:
         return f"<{type(value).__name__} too long to print>"
 
 
+def check_int(name: str, value) -> None:
+    """Raise ValueError unless value is an int and not a bool, which Python
+    counts as an int; the caller checks the range."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {describe(value)}")
+
+
 def format_pair(num: int, den: int) -> str:
     """Text form 'a' or 'a/b' of a reduced pair num/den with den > 0, exact
     at any size: parts longer than the interpreter's int-to-str digit limit

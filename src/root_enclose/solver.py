@@ -29,7 +29,7 @@ from math import inf, isfinite, isqrt, nan
 
 from .maps import (DenominatorZeroError, MapCoefficients, MapEvaluator, check_degree,
                    secant_newton)
-from .numeric import Interval, as_rational, describe, format_rational
+from .numeric import Interval, as_rational, check_int, describe, format_rational
 # Not used here; kept importable because perfbench/tracing.py wraps it at this name.
 from .numeric import pow_int  # noqa: F401
 
@@ -117,6 +117,7 @@ def initial_interval(x) -> Interval:
 
 
 def _check_n_and_max_iter(n, max_iter):
+    check_int("max_iter", max_iter)
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {describe(max_iter)}")
     check_degree(n)
@@ -257,17 +258,15 @@ def bisect_to_eps(x, n: int, eps, max_iter: int = DEFAULT_MAX_ITER) -> RefineTra
     test monotone along the interval, so after J steps the lower numerator
     is the largest a*2**J + span*k (0 <= k < 2**J) whose nth power is at
     most T = xn * d**(n-1) * 2**(n*J).  That k is
-    m = (floor(T**(1/n)) - a*2**J) // span, and the rows are the binary
-    prefixes of m: row j+1 doubles the lower numerator and adds span
-    exactly when bit J-1-j of m is set.  Each step is the unreduced row
-    (a, d*2**j, a + span, d*2**j), and the trace holds only (a, span, d,
-    m, J): the rows are built on first access, and iterations, final and
-    to_json() read none, so a caller of the final interval pays for one
-    root and one check.  Every row encloses the final one,
-    which is checked exactly to satisfy lo**n <= x <= hi**n by
-    cross-multiplication, so every recorded interval does; a final row
-    that fails the check raises RuntimeError.  The width halves each
-    iteration.
+    m = (floor(T**(1/n)) - a*2**J) // span, and row j is the unreduced
+    (lo, d*2**j, lo + span, d*2**j) with lo = a*2**j + span*(m >> (J - j)).
+    The trace holds only (a, span, d, m, J) and reads that one row formula
+    for the final row checked here, for final and to_json(), and for every
+    row on first access, so a caller of the final interval pays for one
+    root and one check.  Every row encloses the final one, which is checked
+    exactly to satisfy lo**n <= x <= hi**n by cross-multiplication, so
+    every recorded interval does; a final row that fails the check raises
+    RuntimeError.  The width halves each iteration.
     """
     x, eps = _validated(x, eps, max_iter, n)
     xn, d = x.numerator, x.denominator
@@ -280,39 +279,38 @@ def bisect_to_eps(x, n: int, eps, max_iter: int = DEFAULT_MAX_ITER) -> RefineTra
     m = 0
     if steps:
         m = (_iroot(xn * d ** (n - 1) << n * steps, n) - (a << steps)) // span
-        # the final row, checked before any row is built; a row that
-        # encloses the root lies in the start interval, so 0 <= m < 2**steps
-        lo, den = (a << steps) + span * m, d << steps
-        if not lo ** n * d <= xn * den ** n <= (lo + span) ** n * d:
-            raise RuntimeError(
-                f"bisection interval [{format_rational(Fraction(lo, den))}, "
-                f"{format_rational(Fraction(lo + span, den))}] at iteration {steps} "
-                f"misses the root")
-    return _BisectionTrace(a, span, d, m, steps,
-                           MAX_ITERATIONS if need > max_iter else WIDTH_REACHED)
+    trace = _BisectionTrace(a, span, d, m, steps,
+                            MAX_ITERATIONS if need > max_iter else WIDTH_REACHED)
+    # the final row, checked before any other row is built; a row that
+    # encloses the root lies in the start interval, so 0 <= m < 2**steps
+    lo, den, hi, _ = trace._row(steps)
+    if not lo ** n * d <= xn * den ** n <= hi ** n * d:
+        raise RuntimeError(
+            f"bisection interval [{format_rational(Fraction(lo, den))}, "
+            f"{format_rational(Fraction(hi, den))}] at iteration {steps} misses the root")
+    return trace
 
 
 class _BisectionTrace(RefineTrace):
-    """bisect_to_eps's trace, held as the start row's (a, span, d), the
-    step count and m: iterations and final read no row, and the rows are
-    built on first access, row j+1 doubling the lower numerator of row j
-    and adding span exactly when bit steps-1-j of m is set."""
+    """bisect_to_eps's trace, held as the start row's (a, span, d), m and
+    the step count: every row, the final one that bisect_to_eps checks
+    among them, comes from one formula (_row), iterations reads none, and
+    interval_rows is built on first access."""
 
     def __init__(self, a, span, d, m, steps, terminated):
         object.__setattr__(self, "_bisection", (a, span, d, m, steps))
         object.__setattr__(self, "terminated", terminated)
 
+    def _row(self, j: int) -> tuple[int, int, int, int]:
+        """Row j, its lower numerator a*2**j plus span times the number the
+        first j of the steps bits of m spell."""
+        a, span, d, m, steps = self._bisection
+        lo = (a << j) + span * (m >> (steps - j))
+        return lo, d << j, lo + span, d << j
+
     @cached_property
     def interval_rows(self) -> tuple[tuple[int, int, int, int], ...]:
-        a, span, scale, m, steps = self._bisection
-        rows = [(a, scale, a + span, scale)]
-        for bit in format(m, f"0{steps}b") if steps else ():
-            a <<= 1
-            scale <<= 1
-            if bit == "1":
-                a += span
-            rows.append((a, scale, a + span, scale))
-        return tuple(rows)
+        return tuple(map(self._row, range(self.iterations + 1)))
 
     @property
     def iterations(self) -> int:
@@ -320,9 +318,8 @@ class _BisectionTrace(RefineTrace):
 
     @property
     def final(self) -> Interval:
-        a, span, d, m, steps = self._bisection
-        lo, den = (a << steps) + span * m, d << steps
-        return Interval(Fraction(lo, den), Fraction(lo + span, den))
+        lo, den, hi, _ = self._row(self.iterations)
+        return Interval(Fraction(lo, den), Fraction(hi, den))
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ import sys
 import tracemalloc
 from fractions import Fraction as F
 from functools import partial
+from math import lcm
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -100,6 +101,18 @@ def test_sample_config_validation():
         SampleConfig(seed=0, count=0)
     with pytest.raises(ValueError):
         SampleConfig(seed=-1, count=10)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("count", True), ("count", 2.5), ("count", F(10)),
+    ("seed", True), ("seed", 1.5), ("seed", F(3)),
+])
+def test_sample_config_takes_only_ints(field, value):
+    # a bool would be written into the JSON as True, and a float would reach
+    # islice or seed the draw
+    with pytest.raises(ValueError) as exc:
+        SampleConfig(**{field: value})
+    assert str(exc.value) == f"{field} must be an integer, got {value!r}"
 
 
 # --- contraction falsifier ---------------------------------------------------
@@ -223,17 +236,21 @@ def test_excess_forms_are_the_map_forms_less_secant_newtons(kind, n, map_seed, e
          "noncanonical": random_noncanonical_map}[kind](n, map_seed)
     L, U = sorted(ends)
     ev = MapEvaluator(m)
-    ends = (L.numerator, L.denominator, U.numerator, U.denominator)
-    dens, excess = ev.denominator_pairs(*ends), ev.excess(*ends)
-    dp, dq = denominators(m, L, U)
-    assert tuple(F(*g) for g in excess) == (dp - geom_sum(L, U, n), dq - n * U ** (n - 1))
-    # the checks subtract an excess from a form as pairs over one
-    # denominator; a side whose tail is Secant-Newton's gives (0, 1) unevaluated
-    sn_tails = (secant_newton(n).p[n + 1:], secant_newton(n).q[n + 1:])
-    for form, g, tail, sn_tail, same in zip(dens, excess, (m.p[n + 1:], m.q[n + 1:]),
-                                            sn_tails, ev.same_tails):
-        assert same == (tail == sn_tail)
-        assert (g == (0, 1)) if same else (g[1] == form[1])
+    ld, ud = L.denominator, U.denominator
+    excess = ev.excess(L.numerator, ld, U.numerator, ud)
+    sn = secant_newton(n)
+    sn_tails = (sn.p[n + 1:], sn.q[n + 1:])
+    # each excess is the map's form less S or N as a pair over the side's
+    # scale, lcm(side coefficient denominators)*(ld*ud)^(n-1), the checks'
+    # common denominator; a side whose tail is Secant-Newton's gives (0, 1)
+    # unevaluated
+    for coeffs, form, sn_form, sn_tail, g, same in zip(
+            (m.p, m.q), denominators(m, L, U), (geom_sum(L, U, n), n * U ** (n - 1)),
+            sn_tails, excess, ev.same_tails):
+        assert same == (coeffs[n + 1:] == sn_tail)
+        assert F(*g) == form - sn_form
+        scale = lcm(*(c.denominator for c in coeffs)) * (ld * ud) ** (n - 1)
+        assert g == ((0, 1) if same else ((form - sn_form) * scale, scale))
     # dominating: canonical, and no coefficient of either tail below
     # Secant-Newton's
     assert ev.dominating == (check_canonical(m).is_canonical and all(

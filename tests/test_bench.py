@@ -14,6 +14,7 @@ from root_enclose.bench import (
     run_bench,
     spec_from_dict,
 )
+from root_enclose.maps import MapSpecError, load_map
 from root_enclose.numeric import Interval, parse_rational
 from root_enclose.solver import refine_to_eps
 
@@ -241,3 +242,22 @@ def test_float_spec_with_an_out_of_range_map_runs_no_row(tmp_path, monkeypatch, 
     err = capsys.readouterr().err
     assert err.startswith("error: float backend: map ") and "fit in a float" in err
     assert calls == []
+
+
+@pytest.mark.parametrize("load,error,kind", [
+    (load_map, MapSpecError, "map"), (load_spec, BenchSpecError, "bench"),
+])
+def test_spec_readers_name_a_missing_or_invalid_file(tmp_path, load, error, kind):
+    missing = tmp_path / "missing.json"
+    with pytest.raises(OSError) as cause:
+        open(missing, encoding="utf-8")
+    with pytest.raises(error) as exc:
+        load(missing)
+    assert str(exc.value) == f"cannot read {kind} spec {missing}: {cause.value}"
+    invalid = tmp_path / "invalid.json"
+    invalid.write_text('{"n": 2,', encoding="utf-8")
+    with pytest.raises(json.JSONDecodeError) as cause:
+        json.loads('{"n": 2,')
+    with pytest.raises(error) as exc:
+        load(invalid)
+    assert str(exc.value) == f"{kind} spec {invalid} is not valid JSON: {cause.value}"

@@ -164,6 +164,11 @@ def test_tracer_wraps_the_kernels_at_their_lookup_names(tmp_path):
     # it first fails to contract at its 7th
     assert metrics["kernels.apply_reduced_pairs.calls"] == 7
     assert metrics["kernels.form_pair.calls"] == 3 * 7 + 2
+    # the witness's two sides come from their Fraction definitions, the
+    # map's form from maps.denominators (its two forms counted above) and
+    # the secant form from numeric.geom_sum
+    assert metrics["maps.denominators.calls"] == 1
+    assert metrics["numeric.geom_sum.calls"] == 1
     assert metrics["analysis.points_checked"] == 10 + 7
     # the tracer reads trace.iterations and stats.samples from the results;
     # a record that stopped answering either would lose these counts

@@ -669,6 +669,16 @@ def test_a_max_iter_past_the_digit_limit_is_rejected(solve):
 
 
 @pytest.mark.parametrize("solve", [refine_to_eps, bisect_to_eps, refine_float, bisect_float])
+@pytest.mark.parametrize("max_iter", [True, 2.5, F(7)])
+def test_max_iter_must_be_an_int(solve, max_iter):
+    # True would pass for 1 and could come back as a trace's iteration
+    # count, and 2.5 would fail bisection's shift: both are rejected first
+    with pytest.raises(ValueError) as exc:
+        solve(2, 2, 1, max_iter=max_iter)
+    assert str(exc.value) == f"max_iter must be an integer, got {max_iter!r}"
+
+
+@pytest.mark.parametrize("solve", [refine_to_eps, bisect_to_eps, refine_float, bisect_float])
 def test_a_degree_too_large_to_index_is_rejected(solve):
     # at x = 1 no step runs, so nothing but the check stands between the
     # degree and the solver
