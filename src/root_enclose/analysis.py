@@ -352,7 +352,7 @@ def _contraction_witness(s, status, a, b, c, d) -> Witness | None:
     return None
 
 
-def _head_probes(m: MapCoefficients):
+def _head_probes(n: int, same_heads: tuple[bool, bool]):
     """For t = 1, ..., n+1: the sample (L, r, U) = (1, 1, t), x = 1, if a p
     head coefficient is not canonical, then (1, t, t), x = t**n, if a q one
     is not.  At the p probe r = L, so contraction forces L' = L, yet the
@@ -361,12 +361,10 @@ def _head_probes(m: MapCoefficients):
     Off-canonical heads make these nonzero polynomials of degree <= n, so
     each is nonzero at one of its n+1 probes, and there a denominator is
     zero or the endpoint moves: one of at most 2(n+1) probes fails."""
-    n = m.n
-    sides = {name[0] for name, _, _ in check_canonical(m).violations}
     for t in range(1, n + 2):
-        if "p" in sides:
+        if not same_heads[0]:
             yield 1, 1, 1, 1, t, 1, 1, 1
-        if "q" in sides:
+        if not same_heads[1]:
             yield 1, 1, t, 1, t, 1, t ** n, 1
 
 
@@ -411,7 +409,7 @@ def check_map(m: MapCoefficients, cfg: SampleConfig) -> tuple[Verdict | None, Ve
     n = m.n
     ev = MapEvaluator(m)
     if not ev.canonical:
-        for checked, s in enumerate(_head_probes(m), 1):
+        for checked, s in enumerate(_head_probes(n, ev.same_heads), 1):
             ln, ld, _, _, un, ud, xn, xd = s
             found = _contraction_witness(s, *ev.evaluate(ln, ld, un, ud, xn, xd))
             if found is not None:

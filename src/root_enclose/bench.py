@@ -24,15 +24,14 @@ from fractions import Fraction
 
 from .maps import (
     DenominatorZeroError,
-    MapCoefficients,
     check_degree,
     counterexample_map,
     load_map,
     read_spec,
 )
-from .numeric import describe, format_rational, parse_rational
+from .numeric import describe, format_rational, is_int, parse_rational
 from .solver import (
-    DEFAULT_MAX_ITER,
+    NON_FINITE,
     NotContractingError,
     _as_floats,
     bisect_float,
@@ -142,7 +141,7 @@ def spec_from_dict(data) -> BenchSpec:
         if not finite:
             raise BenchSpecError("float backend: xs and epses must be positive finite floats")
     reps = data.get("reps", BenchSpec.reps)
-    if isinstance(reps, bool) or not isinstance(reps, int) or reps < 1:
+    if not is_int(reps) or reps < 1:
         raise BenchSpecError(f"reps must be a positive integer, got {describe(reps)}")
     return BenchSpec(tuple(maps), xs, tuple(ns), epses, backend, reps)
 
@@ -202,11 +201,9 @@ def _run(resolver, backend: str, x, n, eps):
         return exc.iteration or 0, "denominator-zero"
     except NotContractingError as exc:
         return exc.iteration, "not-contracting"
-    if backend == "rational":
-        return trace.iterations, format_rational(trace.final.width)
-    if trace.terminated == "non-finite":
-        return trace.iterations, "non-finite"
-    return trace.iterations, repr(trace.width)
+    if trace.terminated == NON_FINITE:
+        return trace.iterations, NON_FINITE
+    return trace.iterations, trace.to_json()["final_width"]
 
 
 def run_bench(spec: BenchSpec) -> list[BenchRow]:

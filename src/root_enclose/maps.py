@@ -33,7 +33,7 @@ from math import lcm
 from typing import NamedTuple
 
 from ._kernels import apply_pairs, apply_reduced_pairs, endpoint_pair, form_pair
-from .numeric import as_rational, describe, format_rational, parse_int, parse_rational
+from .numeric import as_rational, describe, format_rational, is_int, parse_int, parse_rational
 
 
 class DenominatorZeroError(ArithmeticError):
@@ -59,7 +59,7 @@ class MapSpecError(ValueError):
 def check_degree(n) -> None:
     """Raise ValueError unless n is an integer 2 <= n <= sys.maxsize, the
     largest sequence length: no map of a larger degree can be built."""
-    if isinstance(n, bool) or not isinstance(n, int) or not 2 <= n <= sys.maxsize:
+    if not is_int(n) or not 2 <= n <= sys.maxsize:
         raise ValueError(f"n must be an integer from 2 to {sys.maxsize}, got {describe(n)}")
 
 
@@ -218,12 +218,13 @@ class MapEvaluator:
     gives the excess forms Dp - S and Dq - N over Secant-Newton's secant
     form S and Newton form N = n*U^(n-1), and beside evaluates the map next
     to Secant-Newton from them, on the sides that differ from it.
-    canonical says whether both heads are canonical; dominating, whether the map is canonical and no excess
+    same_heads says per side, and canonical for both, whether the head is
+    canonical; dominating, whether the map is canonical and no excess
     coefficient is negative, so that Dp - S >= 0 and Dq - N >= 0 at every
     0 < L <= U; same_tails, per side, whether the tail is Secant-Newton's.
     """
 
-    __slots__ = ("_n", "_p", "_q", "canonical", "dominating", "same_tails")
+    __slots__ = ("_n", "_p", "_q", "canonical", "dominating", "same_heads", "same_tails")
 
     def __init__(self, m: MapCoefficients):
         n = self._n = m.n
@@ -231,7 +232,8 @@ class MapEvaluator:
         # form (n, 0, ..., 0)
         p = self._p = _side(n, m.p, [1] * n)
         q = self._q = _side(n, m.q, [n] + [0] * (n - 1))
-        self.canonical = p.head is None and q.head is None
+        self.same_heads = (p.head is None, q.head is None)
+        self.canonical = all(self.same_heads)
         self.same_tails = (p.excess is None, q.excess is None)
         self.dominating = self.canonical and all(
             c >= 0 for side in (p, q) for c in side.excess or ())

@@ -56,10 +56,14 @@ def describe(value) -> str:
         return f"<{type(value).__name__} too long to print>"
 
 
+def is_int(value) -> bool:
+    """Whether value is an int and not a bool, which Python counts as an int."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def check_int(name: str, value) -> None:
-    """Raise ValueError unless value is an int and not a bool, which Python
-    counts as an int; the caller checks the range."""
-    if isinstance(value, bool) or not isinstance(value, int):
+    """Raise ValueError unless is_int(value); the caller checks the range."""
+    if not is_int(value):
         raise ValueError(f"{name} must be an integer, got {describe(value)}")
 
 

@@ -22,6 +22,7 @@ width.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -66,12 +67,12 @@ class RefineTrace:
 
     Each interval is stored as an exact integer row
     (lo_num, lo_den, hi_num, hi_den) with positive denominators, not
-    necessarily reduced.  The iteration count follows from the rows;
-    `intervals` is a view built on first access, `widths` reads it, and
-    `final` builds the last interval alone.
+    necessarily reduced; bisection's are built as they are read.  The
+    rows give the iteration count; `intervals` is a view built on first
+    access, `widths` reads it, and `final` builds the last interval alone.
     """
 
-    interval_rows: tuple[tuple[int, int, int, int], ...]
+    interval_rows: Sequence[tuple[int, int, int, int]]
     terminated: str
 
     @property
@@ -260,13 +261,12 @@ def bisect_to_eps(x, n: int, eps, max_iter: int = DEFAULT_MAX_ITER) -> RefineTra
     most T = xn * d**(n-1) * 2**(n*J).  That k is
     m = (floor(T**(1/n)) - a*2**J) // span, and row j is the unreduced
     (lo, d*2**j, lo + span, d*2**j) with lo = a*2**j + span*(m >> (J - j)).
-    The trace holds only (a, span, d, m, J) and reads that one row formula
-    for the final row checked here, for final and to_json(), and for every
-    row on first access, so a caller of the final interval pays for one
-    root and one check.  Every row encloses the final one, which is checked
-    exactly to satisfy lo**n <= x <= hi**n by cross-multiplication, so
-    every recorded interval does; a final row that fails the check raises
-    RuntimeError.  The width halves each iteration.
+    The trace's interval_rows holds only (a, span, d, m, J) and builds
+    each row read from that one formula, the final row checked here among
+    them, so a caller of the final interval pays for one root and one
+    check.  Every row encloses the final one, which is checked exactly to
+    satisfy lo**n <= x <= hi**n by cross-multiplication, so every recorded
+    interval does; a final row that fails the check raises RuntimeError.
     """
     x, eps = _validated(x, eps, max_iter, n)
     xn, d = x.numerator, x.denominator
@@ -279,47 +279,45 @@ def bisect_to_eps(x, n: int, eps, max_iter: int = DEFAULT_MAX_ITER) -> RefineTra
     m = 0
     if steps:
         m = (_iroot(xn * d ** (n - 1) << n * steps, n) - (a << steps)) // span
-    trace = _BisectionTrace(a, span, d, m, steps,
-                            MAX_ITERATIONS if need > max_iter else WIDTH_REACHED)
+    rows = _BisectionRows(a, span, d, m, steps)
     # the final row, checked before any other row is built; a row that
     # encloses the root lies in the start interval, so 0 <= m < 2**steps
-    lo, den, hi, _ = trace._row(steps)
+    lo, den, hi, _ = rows[-1]
     if not lo ** n * d <= xn * den ** n <= hi ** n * d:
         raise RuntimeError(
             f"bisection interval [{format_rational(Fraction(lo, den))}, "
             f"{format_rational(Fraction(hi, den))}] at iteration {steps} misses the root")
-    return trace
+    return RefineTrace(rows, MAX_ITERATIONS if need > max_iter else WIDTH_REACHED)
 
 
-class _BisectionTrace(RefineTrace):
-    """bisect_to_eps's trace, held as the start row's (a, span, d), m and
-    the step count: every row, the final one that bisect_to_eps checks
-    among them, comes from one formula (_row), iterations reads none, and
-    interval_rows is built on first access."""
+class _BisectionRows(Sequence):
+    """bisect_to_eps's interval_rows, from the start row's (a, span, d), m
+    and the step count: row j, built when it is read, has the lower
+    numerator a*2**j plus span times the number the first j of the steps
+    bits of m spell.  Equal to, and hashed as, the tuple of its rows."""
 
-    def __init__(self, a, span, d, m, steps, terminated):
-        object.__setattr__(self, "_bisection", (a, span, d, m, steps))
-        object.__setattr__(self, "terminated", terminated)
+    def __init__(self, a: int, span: int, d: int, m: int, steps: int):
+        self._params = (a, span, d, m, steps)
+
+    def __len__(self) -> int:
+        return self._params[4] + 1
+
+    def __getitem__(self, j):
+        js = range(len(self))[j]  # negative indices and slices, as a tuple's
+        return tuple(map(self._row, js)) if isinstance(j, slice) else self._row(js)
 
     def _row(self, j: int) -> tuple[int, int, int, int]:
-        """Row j, its lower numerator a*2**j plus span times the number the
-        first j of the steps bits of m spell."""
-        a, span, d, m, steps = self._bisection
+        a, span, d, m, steps = self._params
         lo = (a << j) + span * (m >> (steps - j))
         return lo, d << j, lo + span, d << j
 
-    @cached_property
-    def interval_rows(self) -> tuple[tuple[int, int, int, int], ...]:
-        return tuple(map(self._row, range(self.iterations + 1)))
+    def __eq__(self, other):
+        if isinstance(other, (tuple, _BisectionRows)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
 
-    @property
-    def iterations(self) -> int:
-        return self._bisection[4]
-
-    @property
-    def final(self) -> Interval:
-        lo, den, hi, _ = self._row(self.iterations)
-        return Interval(Fraction(lo, den), Fraction(hi, den))
+    def __hash__(self) -> int:
+        return hash(tuple(self))
 
 
 @dataclass(frozen=True)

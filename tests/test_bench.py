@@ -130,6 +130,16 @@ def test_failure_rows_do_not_abort(write_map):
         assert rows[1].iterations == 2
 
 
+def test_a_map_that_leaves_the_root_gives_not_contracting_rows(write_map):
+    # p-denominator (L + U)/2, below the secant form: the first step
+    # already misses the root
+    path = write_map({"n": 2, "p": ["-1", "0", "0", "1/2", "1/2"],
+                      "q": ["-1", "0", "0", "2", "0"]}, "half-secant-2.json")
+    rows = run_bench(BenchSpec((path,), (F(2), F(3)), (2,), (F(1, 1000),), "rational", 1))
+    assert [(r.x, r.iterations, r.final_width) for r in rows] == [
+        (F(2), 0, "not-contracting"), (F(3), 0, "not-contracting")]
+
+
 def test_float_bisection_overflow_is_a_row():
     spec = spec_from_dict({"maps": ["bisection"], "xs": [str(10 ** 100)], "ns": [7],
                            "epses": ["1/1000000000000"], "backend": "float", "reps": 1})
@@ -195,6 +205,26 @@ def test_spec_from_dict_validation():
         spec_from_dict({**good, **bad})
         with pytest.raises(BenchSpecError, match="positive finite floats"):
             spec_from_dict({**good, **bad, "backend": "float"})
+
+
+_GOOD_SPEC = {"maps": ["secant-newton"], "xs": ["2"], "ns": [2], "epses": ["1/1000"]}
+
+
+@pytest.mark.parametrize("data,message", [
+    ([_GOOD_SPEC], "bench spec must be a JSON object"),
+    ({**_GOOD_SPEC, "xs": ["2", "0"]}, "xs must be positive"),
+    ({**_GOOD_SPEC, "xs": ["-1/2"]}, "xs must be positive"),
+    ({**_GOOD_SPEC, "maps": ["secant-newton", 2]}, "maps must be names or file paths"),
+], ids=["not-an-object", "zero-x", "negative-x", "non-string-map"])
+def test_spec_from_dict_rejects_with_its_message(data, message):
+    with pytest.raises(BenchSpecError) as exc:
+        spec_from_dict(data)
+    assert str(exc.value) == message
+
+
+def test_emit_rejects_an_unknown_format():
+    with pytest.raises(ValueError, match="^unknown format 'xml'$"):
+        emit([], "xml")
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),

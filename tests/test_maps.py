@@ -132,6 +132,15 @@ def test_denominator_zero_is_an_error():
     assert exc.value.side == "lower"
 
 
+def test_upper_denominator_zero_on_the_general_kernel():
+    # a p head off its canonical value sends the map to the general kernel;
+    # the q tail (0, 0) makes its upper denominator zero everywhere
+    m = MapCoefficients(2, (F(-1), 1, 0, 1, 1), (F(-1), 0, 0, 0, 0))
+    with pytest.raises(DenominatorZeroError) as exc:
+        apply_pair(m, F(1), F(2), F(2))
+    assert exc.value.side == "upper"
+
+
 def test_denominators_helper():
     dp, dq = denominators(counterexample_map(), F(1), F(4))
     assert dp == F(20)
@@ -300,6 +309,16 @@ def test_map_from_dict_rejects_bad_entries():
 def test_map_from_dict_rejects_bad_n(n):
     with pytest.raises(MapSpecError):
         map_from_dict({**COUNTEREXAMPLE_SPEC, "n": n})
+
+
+@pytest.mark.parametrize("data,message", [
+    ([COUNTEREXAMPLE_SPEC], "map spec must be a JSON object"),
+    ({**COUNTEREXAMPLE_SPEC, "p": "-1 0 0 0 2 1/2 1"}, "p must be an array of rational strings"),
+], ids=["not-an-object", "p-not-an-array"])
+def test_map_from_dict_rejects_a_wrong_shape(data, message):
+    with pytest.raises(MapSpecError) as exc:
+        map_from_dict(data)
+    assert str(exc.value) == message
 
 
 def test_map_from_dict_rejects_missing_fields():

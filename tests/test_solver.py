@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import random
 import sys
@@ -416,18 +417,62 @@ def test_bisection_builds_no_interval(monkeypatch):
     assert built == []
 
 
-def test_bisection_builds_its_rows_only_when_read():
-    # iterations, final and the JSON summary come from the final step
-    # alone; the rows are built on first access, the last one the final
-    # interval
+def test_bisection_builds_its_rows_only_when_read(monkeypatch):
+    # the check, iterations, final and the JSON summary build the final
+    # row alone, once for the check and once each for final and to_json;
+    # a full read of interval_rows builds every row, the last one the
+    # final interval
+    built = []
+    row = solver._BisectionRows._row
+
+    def counting(self, j):
+        built.append(j)
+        return row(self, j)
+
+    monkeypatch.setattr(solver._BisectionRows, "_row", counting)
     trace = bisect_to_eps(F(1, 3), 3, F(1, 10 ** 200))
+    assert built == [664]
+    built.clear()
+    assert trace.iterations == 664
+    final = trace.final
     summary = trace.to_json()
-    assert "interval_rows" not in vars(trace)
-    rows = trace.interval_rows
+    assert built == [664, 664]
+    built.clear()
+    rows = tuple(trace.interval_rows)
+    assert built == list(range(665))
     assert len(rows) == trace.iterations + 1 == 665
     a, b, c, d = rows[-1]
-    assert trace.final == Interval(F(a, b), F(c, d))
+    assert final == Interval(F(a, b), F(c, d))
     assert trace.to_json() == summary
+
+
+def test_bisection_trace_is_a_plain_refine_trace():
+    trace = bisect_to_eps(F(2), 2, F(1, 1000))
+    assert type(trace) is RefineTrace
+    capped = dataclasses.replace(trace, terminated=MAX_ITERATIONS)
+    assert (capped.terminated, capped.interval_rows) == (MAX_ITERATIONS, trace.interval_rows)
+    # two calls with the same arguments give traces that are equal and
+    # hash alike, and equal to the trace of the same rows held as a tuple
+    again = bisect_to_eps(F(2), 2, F(1, 1000))
+    assert trace == again and hash(trace) == hash(again)
+    as_tuple = RefineTrace(tuple(trace.interval_rows), WIDTH_REACHED)
+    assert trace == as_tuple and hash(trace) == hash(as_tuple)
+    assert trace != bisect_to_eps(F(2), 2, F(1, 100))
+    assert trace != capped
+
+
+def test_bisection_rows_index_like_a_tuple():
+    trace = bisect_to_eps(F(1, 3), 2, F(1, 100))
+    rows = trace.interval_rows
+    full = tuple(rows)
+    assert len(full) == len(rows) == trace.iterations + 1 == 8
+    for j in range(-len(full), len(full)):
+        assert rows[j] == full[j]
+    for cut in (slice(None), slice(2, 5), slice(None, None, -2), slice(-3, None), slice(9, 12)):
+        assert rows[cut] == full[cut]
+    for j in (len(full), -len(full) - 1):
+        with pytest.raises(IndexError):
+            rows[j]
 
 
 def test_bisection_midpoints_need_not_be_dyadic():
@@ -646,6 +691,20 @@ def test_refine_float_rejects_bad_inputs():
 def test_float_solvers_reject_bad_inputs(solve, x, n, eps, max_iter):
     with pytest.raises(ValueError):
         solve(x, n, eps, max_iter=max_iter)
+
+
+def test_bisect_float_stops_at_max_iter():
+    trace = bisect_float(2.0, 2, 1e-3, max_iter=3)
+    assert (trace.iterations, trace.lo, trace.hi, trace.terminated) == (
+        3, 1.375, 1.5, MAX_ITERATIONS)
+
+
+def test_bisect_float_stalls_where_the_midpoint_is_an_endpoint():
+    # 1e-300 is far below one ulp of sqrt(2): after 52 halvings the two
+    # endpoints are adjacent doubles, and the midpoint rounds onto one
+    trace = bisect_float(2.0, 2, 1e-300)
+    assert (trace.iterations, trace.terminated) == (52, STALLED)
+    assert trace.lo < trace.hi and trace.lo ** 2 <= 2.0 <= trace.hi ** 2
 
 
 def test_bisect_float_matches_rational_iterations():
