@@ -33,7 +33,7 @@ from .numeric import describe, format_rational, is_int, parse_rational
 from .solver import (
     NON_FINITE,
     NotContractingError,
-    _as_floats,
+    _float_sides,
     bisect_float,
     bisect_to_eps,
     refine_float,
@@ -152,8 +152,9 @@ def load_spec(path) -> BenchSpec:
 
 def _resolve_maps(spec: BenchSpec) -> list[tuple[str, object]]:
     """Resolve map names eagerly so bad input fails before any run: with the
-    float backend, a map coefficient beyond the float range is rejected
-    here, as an x or eps beyond it is by spec_from_dict.
+    float backend, a map whose coefficients the float step cannot take
+    (solver._float_sides: one beyond the float range) is rejected here, as
+    an x or eps beyond it is by spec_from_dict.
 
     The resolver slot is "secant-newton" or "bisection" for the parametric
     methods (instantiated per row degree), or a concrete MapCoefficients.
@@ -174,7 +175,7 @@ def _resolve_maps(spec: BenchSpec) -> list[tuple[str, object]]:
             )
         if spec.backend == "float":
             try:
-                _as_floats(m.p + m.q, "coefficients")
+                _float_sides(m)
             except ValueError as exc:
                 raise BenchSpecError(f"float backend: map {name}: {exc}") from None
         entries.append((name, m))

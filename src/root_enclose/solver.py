@@ -15,9 +15,11 @@ The map loop also bounds its endpoints' size, rounding them outward onto a
 dyadic lattice 2**-k_j once they outgrow it, where
 k_j = min(bits(1/eps) + 16, 2*bits(1/width_j) + 32) follows the width of
 the interval the step starts from.
-The float loop builds one pair of power tables per step, read by both
-endpoints, and stops as "non-finite" at any NaN or infinite endpoint or
-width.
+The float loop builds one pair of power tables per step, from which both
+endpoints read only their side's nonzero terms, and stops as "non-finite"
+at any NaN or infinite endpoint or width, or at an infinite top power
+before the terms are read.  Secant-Newton's float terms are built once per
+degree.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import inf, isfinite, isqrt, nan
 
 from .maps import (DenominatorZeroError, MapCoefficients, MapEvaluator, check_degree,
@@ -342,16 +344,46 @@ class FloatTrace:
         }
 
 
-def _float_endpoint(coeffs, n, ap, bp, base, x):
-    """base + (x + form(c[0..n])) / form(c[n+1..2n]) in doubles, the forms
-    read from the powers 0..n of the two endpoints in ap and bp; NaN when
-    the denominator form is exactly 0.0."""
+def _float_side(coeffs, n):
+    """One map side as the float terms (c, i, j) of its nonzero
+    coefficients, each read as c * a**i * b**j: the head form's c[0..n] at
+    (n - k, k), then the denominator tail's c[n+1..2n] at (n - 1 - k, k),
+    each in index order.  A coefficient beyond the float range is a
+    ValueError; one that rounds to 0.0 has no term."""
+    c = _as_floats(coeffs, "map coefficients")
+    head = tuple((c[k], n - k, k) for k in range(n + 1) if c[k])
+    tail = tuple((c[n + 1 + k], n - 1 - k, k) for k in range(n) if c[n + 1 + k])
+    return head, tail
+
+
+def _float_sides(m: MapCoefficients):
+    """The float terms of m's p and q sides, as the float step reads them."""
+    return _float_side(m.p, m.n), _float_side(m.q, m.n)
+
+
+# degrees whose Secant-Newton float sides refine_float keeps
+_SECANT_NEWTON_DEGREES = 8
+
+
+@lru_cache(maxsize=_SECANT_NEWTON_DEGREES)
+def _secant_newton_sides(n: int):
+    """Secant-Newton's float sides at degree n, built once per degree.  n
+    must already have passed check_degree: lru_cache does not promise to
+    tell 2.0 or True from the key 2."""
+    return _float_sides(secant_newton(n))
+
+
+def _float_endpoint(side, ap, bp, base, x):
+    """base + (x + head form) / (tail form) in doubles, summing the side's
+    nonzero terms c * ap[i] * bp[j] in index order from the power tables
+    ap and bp of the two endpoints; NaN when the tail form is exactly 0.0."""
+    head, tail = side
     num = x
-    for i in range(n + 1):
-        num += coeffs[i] * ap[n - i] * bp[i]
+    for c, i, j in head:
+        num += c * ap[i] * bp[j]
     den = 0.0
-    for i in range(n):
-        den += coeffs[n + 1 + i] * ap[n - 1 - i] * bp[i]
+    for c, i, j in tail:
+        den += c * ap[i] * bp[j]
     if den == 0.0:
         return nan
     return base + num / den
@@ -359,14 +391,18 @@ def _float_endpoint(coeffs, n, ap, bp, base, x):
 
 def refine_float_loop(x, n, p, q, eps, max_iter) -> FloatTrace:
     """Double-precision refinement loop from [min(1,x), max(1,x)], with the
-    map's coefficients given as lists of floats p and q.
+    map's sides p and q given as the float terms _float_side builds.
 
     Each step builds one pair of power tables, lo**0..lo**n and
-    hi**0..hi**n, and both endpoints read them with their roles swapped.
+    hi**0..hi**n, and both endpoints read only their side's nonzero terms
+    from them, with the tables' roles swapped.  An infinite lo**n or
+    hi**n ends the step as "non-finite" before any term is read: a
+    dropped zero term, read as 0 * inf, would have made an endpoint NaN,
+    so the results are those of summing every coefficient.
     Stops at "width-reached", "max-iterations", "stalled" (an application
     failed to strictly shrink the width, e.g. endpoints oscillating by one
-    ulp) or "non-finite" (a NaN or infinite endpoint or width, a zero
-    denominator among them; the last finite interval is reported).
+    ulp) or "non-finite" (a NaN or infinite endpoint, power or width, a
+    zero denominator among them; the last finite interval is reported).
     Rounding can make converged endpoints cross by one ulp; the pair is
     reported as-is.
     """
@@ -389,8 +425,10 @@ def refine_float_loop(x, n, p, q, eps, max_iter) -> FloatTrace:
         for i in range(1, n + 1):
             lp[i] = lp[i - 1] * lo
             hp[i] = hp[i - 1] * hi
-        nlo = _float_endpoint(p, n, lp, hp, lo, x)
-        nhi = _float_endpoint(q, n, hp, lp, hi, x)
+        if not (isfinite(lp[n]) and isfinite(hp[n])):
+            return FloatTrace(it, lo, hi, NON_FINITE)
+        nlo = _float_endpoint(p, lp, hp, lo, x)
+        nhi = _float_endpoint(q, hp, lp, hi, x)
         if not (isfinite(nlo) and isfinite(nhi)):
             return FloatTrace(it, lo, hi, NON_FINITE)
         prev_w = w
@@ -406,15 +444,19 @@ def refine_float(x: float, n: int, eps: float, m: MapCoefficients | None = None,
     NOT rigorous: round-to-nearest arithmetic, no directed rounding, no
     enclosure guarantee.  It exists for performance measurements.  Stops
     additionally when the map reproduces the same interval (a float fixed
-    point, reported as "stalled") and reports any NaN or infinite endpoint
-    or width, a zero denominator among them, as "non-finite", keeping the
-    last finite interval.  A map coefficient beyond the float range is an
-    input error (ValueError), as an x or eps beyond it is.
+    point, reported as "stalled") and reports any NaN or infinite endpoint,
+    power or width, a zero denominator among them, as "non-finite",
+    keeping the last finite interval.  A map coefficient beyond the float
+    range is an input error (ValueError), as an x or eps beyond it is.
+    Only the nonzero coefficients become terms of the step; Secant-Newton's
+    (m=None) are built once per degree and kept for later calls, an
+    explicit map's on every call.
     """
     x, eps = _validated_float(x, eps, max_iter, n)
-    m = _map_of_degree(m, n)
-    p = _as_floats(m.p, "map coefficients")
-    q = _as_floats(m.q, "map coefficients")
+    if m is None:
+        p, q = _secant_newton_sides(n)
+    else:
+        p, q = _float_sides(_map_of_degree(m, n))
     return refine_float_loop(x, n, p, q, eps, max_iter)
 
 

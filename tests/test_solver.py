@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import math
 import random
 import sys
 from fractions import Fraction as F
@@ -659,6 +660,134 @@ def test_refine_float_is_pinned_bit_for_bit():
     text = "\n".join(_float_path_results())
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "2533e5efc8597ae0a3b24572536974f5cde20854c8c6538944eb8618f04a92ab")
+
+
+def _dense_refine_float(x, n, eps, m, max_iter=DEFAULT_MAX_ITER):
+    """The float loop summing every coefficient, zero or not, with no
+    power check: repr((lo, hi, iterations, terminated)) of the run."""
+    p = [float(c) for c in m.p]
+    q = [float(c) for c in m.q]
+
+    def endpoint(c, ap, bp, base):
+        num = x
+        for i in range(n + 1):
+            num += c[i] * ap[n - i] * bp[i]
+        den = 0.0
+        for i in range(n):
+            den += c[n + 1 + i] * ap[n - 1 - i] * bp[i]
+        return math.nan if den == 0.0 else base + num / den
+
+    lo, hi = min(x, 1.0), max(x, 1.0)
+    it, prev_w = 0, math.inf
+    while True:
+        w = hi - lo
+        if not math.isfinite(w):
+            stop = NON_FINITE
+        elif w <= eps:
+            stop = WIDTH_REACHED
+        elif it >= max_iter:
+            stop = MAX_ITERATIONS
+        elif w >= prev_w:
+            stop = STALLED
+        else:
+            lp = [1.0] * (n + 1)
+            hp = [1.0] * (n + 1)
+            for i in range(1, n + 1):
+                lp[i] = lp[i - 1] * lo
+                hp[i] = hp[i - 1] * hi
+            nlo = endpoint(p, lp, hp, lo)
+            nhi = endpoint(q, hp, lp, hi)
+            if math.isfinite(nlo) and math.isfinite(nhi):
+                prev_w, lo, hi, it = w, nlo, nhi, it + 1
+                continue
+            stop = NON_FINITE
+        return repr((lo, hi, it, stop))
+
+
+def _float_result(x, n, eps, m=None, max_iter=DEFAULT_MAX_ITER):
+    trace = refine_float(x, n, eps, m, max_iter)
+    return repr((trace.lo, trace.hi, trace.iterations, trace.terminated))
+
+
+def _with(coeffs, at):
+    """coeffs with the coefficients at the keys of at replaced by its values."""
+    return tuple(at.get(k, c) for k, c in enumerate(coeffs))
+
+
+_ROUNDS_TO_ZERO = F(1, 10 ** 400)
+_SUBNORMAL = F(1, 10 ** 310)
+_SN2, _SN3 = secant_newton(2), secant_newton(3)
+# a non-contracting map: the lower endpoint is 2L - x/L, -1 at x = 3 from [1, 3]
+_NEGATIVE_LO = MapCoefficients(2, (F(-1), 0, 0, -1, 0), _SN2.q)
+
+
+def test_the_float_step_reads_only_nonzero_terms():
+    # Secant-Newton at n = 5: 14 of its 22 coefficients are zero
+    p, q = solver._float_sides(secant_newton(5))
+    assert p == (((-1.0, 5, 0),), tuple((1.0, 4 - k, k) for k in range(5)))
+    assert q == (((-1.0, 5, 0),), ((5.0, 4, 0),))
+    assert solver._float_side(_with(_SN2.p, {3: _ROUNDS_TO_ZERO, 4: _SUBNORMAL}), 2) == (
+        ((-1.0, 2, 0),), ((float(_SUBNORMAL), 0, 1),))
+
+
+@pytest.mark.parametrize("x,n,m,max_iter", [
+    (1e300, 7, secant_newton(7), DEFAULT_MAX_ITER),
+    (1e300, 7, secant_newton(7), 1),
+    (1e-300, 7, secant_newton(7), DEFAULT_MAX_ITER),
+    (3.0, 2, _NEGATIVE_LO, 1),
+    (3.0, 2, _NEGATIVE_LO, DEFAULT_MAX_ITER),
+    (2.0, 2, MapCoefficients(2, _with(_SN2.p, {1: _ROUNDS_TO_ZERO, 3: _ROUNDS_TO_ZERO}), _SN2.q),
+     DEFAULT_MAX_ITER),
+    (2.0, 2, MapCoefficients(2, _SN2.p, _with(_SN2.q, {3: _ROUNDS_TO_ZERO})), DEFAULT_MAX_ITER),
+    (2.0, 2, MapCoefficients(2, _with(_SN2.p, {3: _SUBNORMAL}), _SN2.q), DEFAULT_MAX_ITER),
+    (5.0, 3, MapCoefficients(3, _with(_SN3.p, {6: _SUBNORMAL, 2: _ROUNDS_TO_ZERO}),
+                             _with(_SN3.q, {5: _SUBNORMAL})), DEFAULT_MAX_ITER),
+], ids=["overflow", "overflow-one-step", "tiny-x", "negative-lo-one-step", "negative-lo",
+        "rounds-to-zero-p", "rounds-to-zero-q-tail", "subnormal-p", "subnormal-mixed"])
+def test_the_sparse_float_step_equals_the_dense_one(x, n, m, max_iter):
+    assert _float_result(x, n, 1e-12, m, max_iter) == _dense_refine_float(x, n, 1e-12, m,
+                                                                          max_iter)
+
+
+def test_the_non_contracting_case_reads_negative_powers():
+    assert refine_float(3.0, 2, 1e-12, _NEGATIVE_LO, max_iter=1).lo == -1.0
+
+
+def test_the_sparse_float_step_equals_the_dense_one_on_seeded_maps():
+    rng = random.Random(28)
+    generators = (random_canonical_map, random_noncanonical_map, perturbed_contracting_map)
+    for i in range(90):
+        m = generators[i % 3]((2, 3, 5)[i // 3 % 3], rng)
+        # some coefficients zero, the head's among them
+        p, q = ([F(0) if rng.random() < 0.3 else c for c in side] for side in (m.p, m.q))
+        m = MapCoefficients(m.n, tuple(p), tuple(q))
+        x = rng.choice((rng.uniform(0.1, 100.0), 10.0 ** rng.randint(-300, 300)))
+        for max_iter in (1, 5, DEFAULT_MAX_ITER):
+            assert _float_result(x, m.n, 1e-12, m, max_iter) == _dense_refine_float(
+                x, m.n, 1e-12, m, max_iter), (i, m, x, max_iter)
+
+
+def test_secant_newton_float_terms_are_kept_only_after_the_degree_check():
+    refine_float(2.0, 2, 1e-12)
+    kept = solver._secant_newton_sides.cache_info()
+    for bad in (2.0, True, 1, "2"):
+        with pytest.raises(ValueError, match="n must be an integer from 2"):
+            refine_float(2.0, bad, 1e-12)
+    # a rejected degree never reaches the cache, not even as a miss
+    assert solver._secant_newton_sides.cache_info() == kept
+    refine_float(2.0, 3, 1e-12)
+    with pytest.raises(ValueError, match="map degree 2 does not match n=3"):
+        refine_float(2.0, 3, 1e-12, secant_newton(2))
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_the_default_map_is_secant_newton_bit_for_bit(n):
+    solver._secant_newton_sides.cache_clear()
+    xs = (0.3, 2.0, 77.7, 1e-300, 1e300)
+    for _ in range(3):  # the first call builds the terms, the others reuse them
+        assert [_float_result(x, n, 1e-12) for x in xs] == [
+            _float_result(x, n, 1e-12, secant_newton(n)) for x in xs]
+    assert solver._secant_newton_sides.cache_info().currsize == 1
 
 
 def test_refine_float_rejects_bad_inputs():
