@@ -422,13 +422,13 @@ def check_map(m: MapCoefficients, cfg: SampleConfig) -> tuple[Verdict | None, Ve
     bounds = passed
     for checked, s in enumerate(_sample_pairs(n, cfg), 1):
         ln, ld, _, _, un, ud, xn, xd = s
-        ex = excess(ln, ld, un, ud)
-        if ex[0][0] >= 0 and ex[1][0] >= 0:
+        gp, gq = excess(ln, ld, un, ud)
+        if gp >= 0 and gq >= 0:
             continue
         if not bounds.falsified:
             L, U = Fraction(ln, ld), Fraction(un, ud)
             dp, dq = denominators(m, L, U)
-            if ex[0][0] < 0:
+            if gp < 0:
                 bound = "p-denominator >= secant form", dp, geom_sum(L, U, n)
             else:
                 bound = "q-denominator >= n*U^(n-1)", dq, n * U ** (n - 1)
@@ -474,15 +474,13 @@ def check_dominance(m: MapCoefficients, cfg: SampleConfig) -> DominanceStats:
     violations = []
     for s in _sample_pairs(n, cfg):
         ln, ld, rn, rd, un, ud, xn, xd = s
-        ex = excess(ln, ld, un, ud)
-        if canonical:
-            gp, gq = ex[0][0], ex[1][0]
-            if gp >= 0 and gq >= 0:
-                if ((gp == 0 or (rn == ln and rd == ld))
-                        and (gq == 0 or (rn == un and rd == ud))):
-                    equality.append((ln, ld, rn, rd, un, ud))
-                continue
-        lo, hi = beside(ex, ln, ld, un, ud, xn, xd)
+        gp, gq = excess(ln, ld, un, ud)
+        if canonical and gp >= 0 and gq >= 0:
+            if ((gp == 0 or (rn == ln and rd == ld))
+                    and (gq == 0 or (rn == un and rd == ud))):
+                equality.append((ln, ld, rn, rd, un, ud))
+            continue
+        lo, hi = beside(gp, gq, ln, ld, un, ud, xn, xd)
         if (lo and lo[0] is None) or (hi and hi[0] is None):
             violations.append((s, "denominator-zero", _ZERO_PAIR, _ZERO_PAIR))
             continue
@@ -565,8 +563,8 @@ def _check_locus_map(m: MapCoefficients) -> None:
 
 def evaluate_locus(m: MapCoefficients, L, U, x) -> tuple[Fraction, Fraction]:
     """Evaluate both locus polynomials at (L, U, x), as
-    ((x - L^n)(Dp - S), (x - U^n)(Dq - N)) from the excess forms of
-    MapEvaluator.excess at (L, U).
+    ((x - L^n)(Dp - S), (x - U^n)(Dq - N)) from the Fraction definitions
+    check_map's bounds witness reads: denominators, geom_sum and n*U^(n-1).
 
     Provided neither map hits a zero denominator there, the result is (0, 0)
     exactly when the checked map and Secant-Newton return the identical
@@ -581,5 +579,5 @@ def evaluate_locus(m: MapCoefficients, L, U, x) -> tuple[Fraction, Fraction]:
     if not low <= x <= high:
         raise ValueError(f"need L^n <= x <= U^n, got x={format_rational(x)}")
     _check_locus_map(m)
-    gp, gq = MapEvaluator(m).excess(L.numerator, L.denominator, U.numerator, U.denominator)
-    return (x - low) * Fraction(*gp), (x - high) * Fraction(*gq)
+    dp, dq = denominators(m, L, U)
+    return (x - low) * (dp - geom_sum(L, U, m.n)), (x - high) * (dq - m.n * U ** (m.n - 1))

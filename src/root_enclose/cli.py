@@ -3,11 +3,13 @@
 Subcommands: root, check, compare, locus, counterexample, bench.
 
 Exit codes: 0 success / property held, 1 property falsified (a witness is
-printed), 2 usage or input error.  All rationals are read and written in the
-exact "a/b" text form; eps additionally accepts the shorthand "1e-k" which
-expands to the exact rational 1/10**k.  Every rational is written through
-``format_rational``, so no process-wide setting (such as the int-to-str
-digit limit) is touched, and the argument parser is built once per process.
+printed), 2 usage or input error, among them a spec file that cannot be
+read or is not JSON text and an --out file that cannot be written.  All
+rationals are read and written in the exact "a/b" text form; eps
+additionally accepts the shorthand "1e-k" which expands to the exact
+rational 1/10**k.  Every rational is written through ``format_rational``,
+so no process-wide setting (such as the int-to-str digit limit) is
+touched, and the argument parser is built once per process.
 """
 
 from __future__ import annotations
@@ -71,8 +73,13 @@ def _write(args, text: str):
     # copied to append it
     end = "" if text.endswith("\n") else "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            print(text, end=end, file=fh)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                print(text, end=end, file=fh)
+        except OSError as exc:
+            # an input error like an unreadable spec: exit 1 is kept for
+            # a falsified property
+            raise ValueError(f"cannot write {args.out}: {exc}") from None
     else:
         print(text, end=end)
 

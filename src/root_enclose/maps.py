@@ -19,8 +19,8 @@ verbatim and never canonicalized.
 MapEvaluator holds every map, canonical or not, as Secant-Newton plus its
 differences: per side, the head where it is not canonical and the
 denominator tail's excess over Secant-Newton's where it is not zero.  Its
-excess forms Dp - S and Dq - N are what the analysis module's checks, the
-equality locus and the comparison with Secant-Newton (beside) read.
+excess forms Dp - S and Dq - N are what the analysis module's checks and
+the comparison with Secant-Newton (beside) read.
 """
 
 from __future__ import annotations
@@ -189,9 +189,6 @@ def _side(n: int, coeffs, sn_tail) -> _Side:
     return _Side(den, whole, head, tail, excess if any(excess) else None, sn_tail)
 
 
-_ZERO_PAIR = (0, 1)
-
-
 def _beside(n, side, g, an, ad, bn, bd, xn, xd):
     """One side of MapEvaluator.beside, at (a, b) = (L, U) for p and (U, L)
     for q, where the side's excess form has the numerator g: None for a
@@ -201,8 +198,8 @@ def _beside(n, side, g, an, ad, bn, bd, xn, xd):
     den, _, head, _, excess, sn_tail = side
     if head is None and excess is None:
         return None
-    s = form_pair(sn_tail, den, an, ad, bn, bd)[0]
-    hn = None if head is None else form_pair(head, den, an, ad, bn, bd)[0]
+    s = form_pair(sn_tail, an, ad, bn, bd)
+    hn = None if head is None else form_pair(head, an, ad, bn, bd)
     return (endpoint_pair(n, hn, s + g, den, an, ad, bd, xn, xd),
             endpoint_pair(n, None, s, den, an, ad, bd, xn, xd))
 
@@ -266,34 +263,34 @@ class MapEvaluator:
         part of the result."""
         p, q = self._p, self._q
         if self.canonical:
-            dp = form_pair(p.tail, p.den, ln, ld, un, ud)[0]
-            dq = form_pair(q.tail, q.den, un, ud, ln, ld)[0]
+            dp = form_pair(p.tail, ln, ld, un, ud)
+            dq = form_pair(q.tail, un, ud, ln, ld)
             return apply_reduced_pairs(self._n, dp, p.den, dq, q.den, ln, ld, un, ud, xn, xd)
         return apply_pairs(self._n, p.whole, p.den, q.whole, q.den, ln, ld, un, ud, xn, xd)
 
-    def excess(self, ln, ld, un, ud) -> tuple[tuple[int, int], tuple[int, int]]:
-        """The excess forms (Dp - S, Dq - N) at (L, U) as pairs with positive
-        denominators, not reduced: each over its side's denominator form's
-        denominator, or (0, 1), with no form evaluated, on a side whose tail
-        is Secant-Newton's."""
+    def excess(self, ln, ld, un, ud) -> tuple[int, int]:
+        """The excess forms (Dp - S, Dq - N) at (L, U) as the numerators
+        over their sides' scales that form_pair gives, so each has the sign
+        of its value: 0, with no form evaluated, on a side whose tail is
+        Secant-Newton's."""
         p, q = self._p, self._q
-        return (_ZERO_PAIR if p.excess is None else form_pair(p.excess, p.den, ln, ld, un, ud),
-                _ZERO_PAIR if q.excess is None else form_pair(q.excess, q.den, un, ud, ln, ld))
+        return (0 if p.excess is None else form_pair(p.excess, ln, ld, un, ud),
+                0 if q.excess is None else form_pair(q.excess, un, ud, ln, ld))
 
-    def beside(self, excess, ln, ld, un, ud, xn, xd):
+    def beside(self, gp, gq, ln, ld, un, ud, xn, xd):
         """Per side at (L, U, x), (lower, upper), the map next to
-        Secant-Newton, given the excess forms there as excess() returns
-        them, for any map: None on a side whose head and tail are
+        Secant-Newton, given the excess forms gp, gq there as excess()
+        returns them, for any map: None on a side whose head and tail are
         Secant-Newton's, where the map's endpoint is Secant-Newton's, else
         (the map's endpoint, Secant-Newton's) as pairs with positive
         denominators, the map's None where its denominator form is zero.
-        A side evaluates Secant-Newton's form S or N and, of the map's own
-        forms, only a head that is not canonical: its denominator form is
-        S + (Dp - S) or N + (Dq - N).  The endpoints are values, not
-        evaluate()'s unreduced pairs."""
+        A side evaluates, as numerators over its scale, Secant-Newton's form
+        S or N and, of the map's own forms, only a head that is not
+        canonical: its denominator form is S + (Dp - S) or N + (Dq - N).
+        The endpoints are values, not evaluate()'s unreduced pairs."""
         n = self._n
-        return (_beside(n, self._p, excess[0][0], ln, ld, un, ud, xn, xd),
-                _beside(n, self._q, excess[1][0], un, ud, ln, ld, xn, xd))
+        return (_beside(n, self._p, gp, ln, ld, un, ud, xn, xd),
+                _beside(n, self._q, gq, un, ud, ln, ld, xn, xd))
 
 
 def apply_pair(m: MapCoefficients, lo, hi, x) -> tuple[Fraction, Fraction]:
@@ -308,13 +305,15 @@ def apply_pair(m: MapCoefficients, lo, hi, x) -> tuple[Fraction, Fraction]:
 
 
 def denominators(m: MapCoefficients, lo, hi) -> tuple[Fraction, Fraction]:
-    """Exact values of the two denominator forms at (L, U) = (lo, hi)."""
+    """Exact values of the two denominator forms at (L, U) = (lo, hi), the
+    one place a form's numerator is divided by its scale den*(ad*bd)**(n-1)."""
     lo = as_rational(lo)
     hi = as_rational(hi)
     ln, ld, un, ud = lo.numerator, lo.denominator, hi.numerator, hi.denominator
     ev = MapEvaluator(m)
-    return (Fraction(*form_pair(ev._p.tail, ev._p.den, ln, ld, un, ud)),
-            Fraction(*form_pair(ev._q.tail, ev._q.den, un, ud, ln, ld)))
+    scale = (ld * ud) ** (m.n - 1)
+    return (Fraction(form_pair(ev._p.tail, ln, ld, un, ud), ev._p.den * scale),
+            Fraction(form_pair(ev._q.tail, un, ud, ln, ld), ev._q.den * scale))
 
 
 def map_from_dict(data) -> MapCoefficients:
@@ -353,13 +352,14 @@ def map_from_dict(data) -> MapCoefficients:
 
 def read_spec(path, kind: str, error: type[ValueError]):
     """The JSON value in the spec file at path, integers read exactly; an
-    unreadable or invalid file raises error, naming the kind of spec."""
+    unreadable file, or one that is not JSON text (invalid, not UTF-8, or
+    nested too deep to parse), raises error, naming the kind of spec."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh, parse_int=parse_int)
     except OSError as exc:
         raise error(f"cannot read {kind} spec {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise error(f"{kind} spec {path} is not valid JSON: {exc}") from None
 
 

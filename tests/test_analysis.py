@@ -240,17 +240,17 @@ def test_excess_forms_are_the_map_forms_less_secant_newtons(kind, n, map_seed, e
     excess = ev.excess(L.numerator, ld, U.numerator, ud)
     sn = secant_newton(n)
     sn_tails = (sn.p[n + 1:], sn.q[n + 1:])
-    # each excess is the map's form less S or N as a pair over the side's
-    # scale, lcm(side coefficient denominators)*(ld*ud)^(n-1), the checks'
-    # common denominator; a side whose tail is Secant-Newton's gives (0, 1)
-    # unevaluated
+    # each excess is the numerator of the map's form less S or N over the
+    # side's scale, lcm(side coefficient denominators)*(ld*ud)^(n-1), the
+    # checks' common denominator; a side whose tail is Secant-Newton's gives
+    # 0 unevaluated
     for coeffs, form, sn_form, sn_tail, g, same in zip(
             (m.p, m.q), denominators(m, L, U), (geom_sum(L, U, n), n * U ** (n - 1)),
             sn_tails, excess, ev.same_tails):
         assert same == (coeffs[n + 1:] == sn_tail)
-        assert F(*g) == form - sn_form
         scale = lcm(*(c.denominator for c in coeffs)) * (ld * ud) ** (n - 1)
-        assert g == ((0, 1) if same else ((form - sn_form) * scale, scale))
+        assert F(g, scale) == form - sn_form
+        assert type(g) is int and g == (0 if same else (form - sn_form) * scale)
     # dominating: canonical, and no coefficient of either tail below
     # Secant-Newton's
     assert ev.dominating == (check_canonical(m).is_canonical and all(
@@ -325,9 +325,9 @@ def test_counterexample_compare_evaluates_no_q_form(monkeypatch):
     seen = []
     form_pair = maps.form_pair
 
-    def recording(c, den, an, ad, bn, bd):
+    def recording(c, an, ad, bn, bd):
         seen.append((tuple(c), (an, ad, bn, bd)))
-        return form_pair(c, den, an, ad, bn, bd)
+        return form_pair(c, an, ad, bn, bd)
 
     monkeypatch.setattr(maps, "form_pair", recording)
     stats = check_dominance(m, cfg)

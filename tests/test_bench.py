@@ -291,3 +291,9 @@ def test_spec_readers_name_a_missing_or_invalid_file(tmp_path, load, error, kind
     with pytest.raises(error) as exc:
         load(invalid)
     assert str(exc.value) == f"{kind} spec {invalid} is not valid JSON: {cause.value}"
+    # not JSON text either: nested past the parser's recursion limit, or not
+    # UTF-8
+    for content in (b"[" * 100_000, b'{"n": \xff}'):
+        invalid.write_bytes(content)
+        with pytest.raises(error, match=f"^{kind} spec .* is not valid JSON: "):
+            load(invalid)

@@ -296,6 +296,46 @@ def test_bench_json_format_and_out_file(tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
+    ["root", "--x", "2", "--n", "2", "--eps", "1/10"],
+    ["check", "MAP", "--samples", "50"],
+    ["compare", "MAP", "--samples", "50"],
+    ["bench"],
+], ids=["root", "check", "compare", "bench"])
+@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+def test_an_unwritable_out_is_an_input_error(argv, target, tmp_path, write_map, capsys):
+    # exit 1 is kept for a falsified property: an --out that cannot be
+    # written exits 2 with one error line, as an unreadable spec does
+    from root_enclose import cli
+
+    out = tmp_path / "missing" / "o.txt" if target == "missing-directory" else tmp_path
+    argv = [write_map(SN3_SPEC) if a == "MAP" else a for a in argv]
+    assert cli.main([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {out}: ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("content", [b"[" * 100_000, b'{"n": \xff}'],
+                         ids=["nested", "not-utf-8"])
+@pytest.mark.parametrize("command,kind", [
+    ("check", "map"), ("compare", "map"), ("locus", "map"), ("bench", "bench"),
+])
+def test_a_spec_that_is_not_json_text_is_an_input_error(content, command, kind, tmp_path,
+                                                         capsys):
+    # nested past the parser's recursion limit, or not UTF-8: exit 2 with
+    # one error line that names the spec
+    from root_enclose import cli
+
+    path = tmp_path / "spec.json"
+    path.write_bytes(content)
+    assert cli.main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {kind} spec {path} is not valid JSON: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
     ("root", "--x", "2", "--n", "2", "--eps", "1/6", "--jobs", "2"),
     ("bench", "--json"),
     ("check", "m.json", "--jobs", "2"),

@@ -19,18 +19,18 @@ class TestKernelContracts:
     # the kernels return unreduced pairs: the scans compare them by
     # cross-multiplication and the evaluator's Fractions reduce them, so the
     # contract is a positive denominator and the exact value.  A coefficient
-    # vector is given as integer numerators over one common denominator.
+    # vector is given as integer numerators over one common denominator den,
+    # and a form as its numerator over the side's scale den*(ad*bd)**(k-1).
 
     def test_form_pair_value(self):
         a, b = F(6, 4), F(10, 15)
         # the tail (1/2, 1/3) over 6, and (1/2, 1/3, -3/4) over 12
         for c, den, coeffs in (([3, 2], 6, (F(1, 2), F(1, 3))),
                                ([6, 4, -9], 12, (F(1, 2), F(1, 3), F(-3, 4)))):
-            num, d = _pure.form_pair(c, den, 6, 4, 10, 15)
-            assert d > 0
+            num = _pure.form_pair(c, 6, 4, 10, 15)
             k = len(coeffs)
-            assert F(num, d) == sum(ci * a ** (k - 1 - i) * b ** i
-                                    for i, ci in enumerate(coeffs))
+            assert F(num, den * (4 * 15) ** (k - 1)) == sum(
+                ci * a ** (k - 1 - i) * b ** i for i, ci in enumerate(coeffs))
 
     def test_form_pair_trailing_zeros(self):
         # the loop stops at the last nonzero coefficient and multiplies by
@@ -39,10 +39,9 @@ class TestKernelContracts:
         a, b = F(-6, 4), F(10, 15)
         for c in ([3, 0, 0], [5, 0, 0, 0, 0], [1, 2, 0], [2, 0, 3, 0, 0], [2, 0],
                   [0, 0, 0], [7]):
-            num, d = _pure.form_pair(c, 3, -6, 4, 10, 15)
-            assert d > 0
+            num = _pure.form_pair(c, -6, 4, 10, 15)
             k = len(c)
-            assert F(num, d) == sum(F(ci, 3) * a ** (k - 1 - i) * b ** i
+            assert F(num, 3 * (4 * 15) ** (k - 1)) == sum(F(ci, 3) * a ** (k - 1 - i) * b ** i
                                     for i, ci in enumerate(c)), c
 
     def test_map_outputs_match_fraction_reference(self):
@@ -56,10 +55,9 @@ class TestKernelContracts:
         dp, dq = a0 * L + a1 * U, a0 * U + a1 * L
         assert dp < 0 and dq < 0
         expected = (L + (x - L ** 2) / dp, U + (x - U ** 2) / dq)
-        (dpn, dpd), (dqn, dqd) = (_pure.form_pair(tail, den, 2, 3, 5, 4),
-                                  _pure.form_pair(tail, den, 5, 4, 2, 3))
-        assert dpd > 0 and dqd > 0
-        assert (F(dpn, dpd), F(dqn, dqd)) == (dp, dq)
+        dpn, dqn = _pure.form_pair(tail, 2, 3, 5, 4), _pure.form_pair(tail, 5, 4, 2, 3)
+        scale = den * 3 * 4  # den*(ad*bd)**(n-1), the same on both sides
+        assert (F(dpn, scale), F(dqn, scale)) == (dp, dq)
         results = (
             _pure.apply_reduced_pairs(2, dpn, den, dqn, den, *pairs),
             _pure.apply_pairs(2, side, den, side, den, *pairs),
@@ -108,9 +106,9 @@ def test_endpoint_is_the_fraction_reference(side):
     f = sum(F(c, den) * a ** (n - 1 - i) * b ** i for i, c in enumerate(tail))
     h = (-a ** n if head is None
          else sum(F(c, den) * a ** (n - i) * b ** i for i, c in enumerate(head)))
-    fn, fd = _pure.form_pair(tail, den, an, ad, bn, bd)
-    assert F(fn, fd) == f
-    hn = None if head is None else _pure.form_pair(head, den, an, ad, bn, bd)[0]
+    fn = _pure.form_pair(tail, an, ad, bn, bd)
+    assert F(fn, den * (ad * bd) ** (n - 1)) == f
+    hn = None if head is None else _pure.form_pair(head, an, ad, bn, bd)
     got = _pure.endpoint_pair(n, hn, fn, den, an, ad, bd, xn, xd)
     if f == 0:
         assert got is None

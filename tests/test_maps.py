@@ -227,12 +227,39 @@ def test_evaluate_is_its_kernel_on_unreduced_pairs(kind, n, map_seed, lo, hi, x,
     args = (ln, ld, un, ud, *x)
     if check_canonical(m).is_canonical:
         (p, pden), (q, qden) = _over_lcm(m.p), _over_lcm(m.q)
-        dp = form_pair(p[n + 1:], pden, ln, ld, un, ud)[0]
-        dq = form_pair(q[n + 1:], qden, un, ud, ln, ld)[0]
+        dp = form_pair(p[n + 1:], ln, ld, un, ud)
+        dq = form_pair(q[n + 1:], un, ud, ln, ld)
         want = apply_reduced_pairs(n, dp, pden, dq, qden, *args)
     else:
         want = apply_pairs(n, *_over_lcm(m.p), *_over_lcm(m.q), *args)
     assert MapEvaluator(m).evaluate(*args) == want
+
+
+@given(st.sampled_from(sorted(_GENERATORS)), st.integers(2, 6), st.integers(0, 2 ** 32),
+       _PAIR, _PAIR)
+def test_excess_has_the_sign_of_the_fraction_excess(kind, n, map_seed, lo, hi):
+    # excess() gives the excess forms as numerators over positive scales,
+    # which only denominators divides by: each has the sign of the Fraction
+    # value Dp - S or Dq - N, and is 0 where that side's tail is
+    # Secant-Newton's; the tails' forms are summed here term by term
+    m = _GENERATORS[kind](n, map_seed)
+    L, U = sorted([F(*lo), F(*hi)])
+
+    def tail_forms(c):
+        return tuple(sum(ci * a ** (n - 1 - i) * b ** i for i, ci in enumerate(v[n + 1:]))
+                     for v, a, b in ((c.p, L, U), (c.q, U, L)))
+
+    sn = secant_newton(n)
+    forms = tail_forms(m)
+    assert denominators(m, L, U) == forms
+    excess = MapEvaluator(m).excess(L.numerator, L.denominator, U.numerator, U.denominator)
+    for g, form, sn_form, tail, sn_tail in zip(excess, forms, tail_forms(sn),
+                                               (m.p[n + 1:], m.q[n + 1:]),
+                                               (sn.p[n + 1:], sn.q[n + 1:])):
+        assert type(g) is int
+        assert (g > 0) - (g < 0) == (form > sn_form) - (form < sn_form)
+        if tail == sn_tail:
+            assert g == 0
 
 
 @st.composite
