@@ -15,8 +15,10 @@ touched, and the argument parser is built once per process.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -66,6 +68,18 @@ def _load_map_argument(text: str) -> MapCoefficients:
     if text == "counterexample":
         return counterexample_map()
     return load_map(text)
+
+
+def _check_out(path: str) -> None:
+    """Reject, as _write would, an --out that is a directory or lies in a
+    missing one, before the command's work; nothing is created."""
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(parent := os.path.dirname(path) or "."):
+        code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+    else:
+        return
+    raise ValueError(f"cannot write {path}: {OSError(code, os.strerror(code), path)}")
 
 
 def _write(args, text: str):
@@ -150,7 +164,7 @@ def cmd_root(args) -> int:
 
 
 def cmd_check(args) -> int:
-    m = load_map(args.map_file)
+    m = _load_map_argument(args.map_file)
     cfg = SampleConfig(args.seed, args.samples)
     report = check_canonical(m)
     bounds, verdict = analysis.check_map(m, cfg)
@@ -186,7 +200,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    m = load_map(args.map_file)
+    m = _load_map_argument(args.map_file)
     cfg = SampleConfig(args.seed, args.samples)
     stats = analysis.check_dominance(m, cfg)
     # the exit code, the counts and the output come from the integer rows:
@@ -220,7 +234,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_locus(args) -> int:
-    m = load_map(args.map_file)
+    m = _load_map_argument(args.map_file)
     f_p, f_q = analysis.equality_locus(m)
     point = [v is not None for v in (args.L, args.U, args.x)]
     if any(point) and not all(point):
@@ -268,22 +282,6 @@ def cmd_locus(args) -> int:
 
 
 def cmd_counterexample(args) -> int:
-    if args.unrepaired_q0:
-        m = counterexample_map(repair_q0=False)
-        # a non-canonical map is decided at its head probes, which draw no
-        # sample; the first, (L, r, U) = (1, 1, 1), fails
-        verdict = analysis.falsify_contraction(m, SampleConfig())
-        if args.json:
-            _emit_json(args, {"unrepaired_q0": True,
-                              "contraction": verdict.to_json()})
-        else:
-            _write(args, "\n".join([
-                "unrepaired variant: q0 = +1 instead of -1",
-                "no contracting map can have q0 != -1; the first head probe "
-                "exposes it:",
-                *_witness_lines(m, verdict.witness)]))
-        return 1
-
     m = counterexample_map()
     sn = secant_newton(3)
     L, U = Fraction(1), Fraction(2)
@@ -312,12 +310,6 @@ def cmd_counterexample(args) -> int:
         "a map other than secant-newton can reproduce its interval exactly, "
         "but only on a measure-zero set of points",
     ]
-    if args.locus:
-        f_p, f_q = map(analysis.locus_text, analysis.equality_locus(m))
-        payload["f_p"] = f_p
-        payload["f_q"] = f_q
-        lines.append(f"f_p = {f_p}")
-        lines.append(f"f_q = {f_q}")
     if args.json:
         _emit_json(args, payload)
     else:
@@ -363,6 +355,9 @@ def build_parser() -> argparse.ArgumentParser:
     sampled.add_argument("--samples", type=int, default=10_000,
                          help="sample count for property checks")
 
+    mapped = argparse.ArgumentParser(add_help=False)
+    mapped.add_argument("map_file", help="map-spec file or 'counterexample'")
+
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("root", parents=[json_output],
@@ -380,22 +375,19 @@ def build_parser() -> argparse.ArgumentParser:
                    help="include the full interval sequence")
     p.set_defaults(func=cmd_root)
 
-    p = sub.add_parser("check", parents=[json_output, sampled],
+    p = sub.add_parser("check", parents=[json_output, sampled, mapped],
                        help="canonical form, denominator bounds and "
-                            "contraction falsifier for a map-spec file")
-    p.add_argument("map_file")
+                            "contraction falsifier for a map")
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("compare", parents=[json_output, sampled],
+    p = sub.add_parser("compare", parents=[json_output, sampled, mapped],
                        help="dominance statistics of secant-newton against "
                             "the given map")
-    p.add_argument("map_file")
     p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("locus", parents=[json_output],
+    p = sub.add_parser("locus", parents=[json_output, mapped],
                        help="equality-locus polynomials of a canonical map, "
                             "optionally evaluated at a point")
-    p.add_argument("map_file")
     p.add_argument("--L", type=_parse_positive_rational, default=None)
     p.add_argument("--U", type=_parse_positive_rational, default=None)
     p.add_argument("--x", type=_parse_positive_rational, default=None)
@@ -404,11 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("counterexample", parents=[json_output],
                        help="reproduce the bundled equality-point "
                             "counterexample exactly")
-    p.add_argument("--locus", action="store_true",
-                   help="also print the locus polynomials")
-    p.add_argument("--unrepaired-q0", action="store_true",
-                   help="use the q0 = +1 variant and show the head "
-                        "probe that rejects it")
     p.set_defaults(func=cmd_counterexample)
 
     p = sub.add_parser("bench", parents=[output],
@@ -426,6 +413,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if args.out:
+            _check_out(args.out)
         return args.func(args)
     except (DenominatorZeroError, NotContractingError) as exc:
         print(f"failed: {exc}", file=sys.stderr)

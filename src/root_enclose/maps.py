@@ -26,7 +26,6 @@ the comparison with Secant-Newton (beside) read.
 from __future__ import annotations
 
 import json
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -56,11 +55,17 @@ class MapSpecError(ValueError):
     """Malformed map specification (file or dict)."""
 
 
+# The largest degree accepted.  A degree-n map holds 2(2n+1) Fractions and
+# each exact step evaluates forms of n terms; the README's performance
+# notes give the measured cost in n.
+MAX_DEGREE = 10_000
+
+
 def check_degree(n) -> None:
-    """Raise ValueError unless n is an integer 2 <= n <= sys.maxsize, the
-    largest sequence length: no map of a larger degree can be built."""
-    if not is_int(n) or not 2 <= n <= sys.maxsize:
-        raise ValueError(f"n must be an integer from 2 to {sys.maxsize}, got {describe(n)}")
+    """Raise ValueError unless n is an integer 2 <= n <= MAX_DEGREE, before
+    anything of degree n is built."""
+    if not is_int(n) or not 2 <= n <= MAX_DEGREE:
+        raise ValueError(f"n must be an integer from 2 to {MAX_DEGREE}, got {describe(n)}")
 
 
 @dataclass(frozen=True)
@@ -132,21 +137,18 @@ def secant_newton(n: int) -> MapCoefficients:
     return MapCoefficients(n, p, q)
 
 
-def counterexample_map(repair_q0: bool = True) -> MapCoefficients:
+def counterexample_map() -> MapCoefficients:
     """A degree-3 map that is not Secant-Newton yet returns the identical
     interval at ([1, 2], x = 27/8): an equality point of the dominance
     relation.
 
-    The vector is sometimes quoted with q0 = +1, which cannot belong to any
-    contracting map (the first head probe, at x = U^n = 1, exposes it), so
-    the repaired q0 = -1 is the default; pass ``repair_q0=False`` to get the
-    unrepaired variant for that diagnostic.
+    The vector is sometimes quoted with q0 = +1, which no contracting map can
+    have (``check`` rejects it at its first head probe); this is q0 = -1.
     """
-    q0 = Fraction(-1) if repair_q0 else Fraction(1)
     return MapCoefficients(
         3,
         p=(Fraction(-1), 0, 0, 0, Fraction(2), Fraction(1, 2), Fraction(1)),
-        q=(q0, 0, 0, 0, Fraction(3), 0, 0),
+        q=(Fraction(-1), 0, 0, 0, Fraction(3), 0, 0),
     )
 
 

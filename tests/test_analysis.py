@@ -512,7 +512,9 @@ _REFERENCE_MAPS = {
     "secant-newton": secant_newton(3),
     "perturbed": perturbed_contracting_map(3, 5),
     "counterexample": counterexample_map(),
-    "unrepaired-counterexample": counterexample_map(repair_q0=False),
+    # the counterexample as it is sometimes quoted, with q0 = +1
+    "unrepaired-counterexample": MapCoefficients(
+        3, (F(-1), 0, 0, 0, 2, F(1, 2), 1), (F(1), 0, 0, 0, 3, 0, 0)),
     "noncanonical-2": random_noncanonical_map(2, 0),
     "noncanonical-3": random_noncanonical_map(3, 4),
     "p-head-only": MapCoefficients(2, (F(0), 0, 0, 1, 1), (F(-1), 0, 0, 2, 0)),

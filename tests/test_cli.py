@@ -27,6 +27,12 @@ ZERO_DENOMINATOR_SPEC = {
     "p": ["-1", "0", "0", "1", "-1"],
     "q": ["-1", "0", "0", "2", "0"],
 }
+# the bundled counterexample as it is sometimes quoted, with q0 = +1
+UNREPAIRED_Q0_SPEC = {
+    "n": 3,
+    "p": ["-1", "0", "0", "0", "2", "1/2", "1"],
+    "q": ["1", "0", "0", "0", "3", "0", "0"],
+}
 PERTURBED_SPEC = {
     "n": 3,
     "p": ["-1", "0", "0", "0", "2", "1", "1"],
@@ -199,6 +205,22 @@ def test_compare_certified_perturbed_map(write_map):
     assert data["proper_subset_count"] > 0
 
 
+@pytest.mark.parametrize("command", ["check", "compare"])
+def test_the_bundled_counterexample_is_read_by_name(command, write_map, tmp_path, capsys,
+                                                    monkeypatch):
+    # the same bytes as the spec file, and the name shadows a spec file
+    # named counterexample in the working directory
+    from root_enclose import cli
+
+    argv = ["--samples", "300", "--json"]
+    code = cli.main([command, write_map(COUNTEREXAMPLE_SPEC), *argv])
+    from_file = capsys.readouterr().out
+    write_map(SN3_SPEC, name="counterexample")
+    monkeypatch.chdir(tmp_path)
+    assert cli.main([command, "counterexample", *argv]) == code == 1
+    assert capsys.readouterr().out == from_file
+
+
 def test_compare_counterexample_reports_equality_point(write_map):
     out = run_cli("compare", write_map(COUNTEREXAMPLE_SPEC), "--samples", "200")
     assert out.returncode == 1  # not contracting, so dominance fails somewhere
@@ -239,29 +261,38 @@ def test_counterexample_reproduction():
     assert "identical: yes" in out.stdout
 
 
-def test_counterexample_locus_flag():
-    out = run_cli("counterexample", "--locus", "--json")
+def test_locus_of_the_bundled_counterexample():
+    # locus reads the bundled map by name, as root --map does
+    out = run_cli("counterexample", "--json")
     assert out.returncode == 0
     data = json.loads(out.stdout)
     assert data["identical"] is True
     assert data["map_output"] == ["75/56", "155/96"]
+    out = run_cli("locus", "counterexample", "--json")
+    assert out.returncode == 0
+    data = json.loads(out.stdout)
     assert data["f_p"] == "L^2*x - 1/2*L*U*x - L^5 + 1/2*L^4*U"
+    assert data["f_q"] == "0"
 
 
-def test_counterexample_unrepaired_q0():
-    out = run_cli("counterexample", "--unrepaired-q0")
+def test_counterexample_unrepaired_q0(write_map):
+    # the map sometimes quoted with q0 = +1 is not contracting: check
+    # rejects it at the first head probe, (L, r, U) = (1, 1, 1), before any
+    # seeded sample is drawn
+    path = write_map(UNREPAIRED_Q0_SPEC)
+    out = run_cli("check", path)
     assert out.returncode == 1
-    assert "head probe" in out.stdout
-    assert "witness" in out.stdout
-    # the first head probe, (L, r, U) = (1, 1, 1), fails before any seeded
-    # sample is drawn
-    out = run_cli("counterexample", "--unrepaired-q0", "--json")
+    assert "q0 must be -1, got 1" in out.stdout
+    assert "witness: L=1  r=1  U=1  x=1" in out.stdout
+    assert "violated: U' <= U  with lhs=5/3, rhs=1" in out.stdout
+    out = run_cli("check", path, "--json")
     assert out.returncode == 1
     verdict = json.loads(out.stdout)["contraction"]
-    assert verdict["samples_checked"] == 1
-    witness = verdict["witness"]
-    assert witness["L"] == witness["r"] == witness["U"] == witness["x"] == "1"
-    assert witness["violated"] == "U' <= U"
+    assert verdict == {
+        "outcome": "falsified", "samples_checked": 1,
+        "witness": {"L": "1", "U": "1", "lhs": "5/3", "r": "1", "rhs": "1",
+                    "violated": "U' <= U", "x": "1"},
+    }
 
 
 def test_bench_default_csv():
@@ -301,19 +332,33 @@ def test_bench_json_format_and_out_file(tmp_path):
     ["compare", "MAP", "--samples", "50"],
     ["bench"],
 ], ids=["root", "check", "compare", "bench"])
-@pytest.mark.parametrize("target", ["missing-directory", "directory"])
-def test_an_unwritable_out_is_an_input_error(argv, target, tmp_path, write_map, capsys):
+@pytest.mark.parametrize("target", ["missing-directory", "directory", "under-a-file"])
+def test_an_unwritable_out_is_an_input_error(argv, target, tmp_path, write_map, capsys,
+                                             monkeypatch):
     # exit 1 is kept for a falsified property: an --out that cannot be
-    # written exits 2 with one error line, as an unreadable spec does
-    from root_enclose import cli
+    # written exits 2 with one error line, as an unreadable spec does, and
+    # before the command's work, which creates nothing
+    from root_enclose import analysis, bench, cli
 
-    out = tmp_path / "missing" / "o.txt" if target == "missing-directory" else tmp_path
-    argv = [write_map(SN3_SPEC) if a == "MAP" else a for a in argv]
+    def work(*args, **kwargs):
+        raise AssertionError("the command ran before its --out was checked")
+
+    for module, name in ((cli, "refine_to_eps"), (analysis, "check_map"),
+                         (analysis, "check_dominance"), (bench, "run_bench")):
+        monkeypatch.setattr(module, name, work)
+    spec = write_map(SN3_SPEC)
+    out = {"missing-directory": tmp_path / "missing" / "o.txt", "directory": tmp_path,
+           "under-a-file": tmp_path / "map.json" / "o.txt"}[target]
+    argv = [spec if a == "MAP" else a for a in argv]
+    before = sorted(tmp_path.rglob("*"))
     assert cli.main([*argv, "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(f"error: cannot write {out}: ")
-    assert captured.err.count("\n") == 1
+    # the reason is the one opening the file gives
+    with pytest.raises(OSError) as opened:
+        open(out, "w")
+    assert captured.err == f"error: cannot write {out}: {opened.value}\n"
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 @pytest.mark.parametrize("content", [b"[" * 100_000, b'{"n": \xff}'],
@@ -340,8 +385,11 @@ def test_a_spec_that_is_not_json_text_is_an_input_error(content, command, kind, 
     ("bench", "--json"),
     ("check", "m.json", "--jobs", "2"),
     ("compare", "m.json", "--jobs", "2"),
-    # the --unrepaired-q0 probe draws no seeded sample
     ("counterexample", "--seed", "1"),
+    # removed: locus counterexample, and check on the q0 = +1 spec, print
+    # what they printed
+    ("counterexample", "--locus"),
+    ("counterexample", "--unrepaired-q0"),
 ])
 def test_options_a_subcommand_does_not_read_are_rejected(argv):
     out = run_cli(*argv)
@@ -445,12 +493,14 @@ PINNED_OUTPUTS = [
      "a2441c5c4a6326e3a5c13819e87f1b2faa8f1dc1e5320a79c39482c5f50f14d3"),
     (("locus", "COUNTEREXAMPLE", "--json"), 0,
      "62d5edd8a9c11343480a9108133c77fa7e834194c49e04f314edd0dc4eb72acc"),
-    (("counterexample", "--json", "--locus"), 0,
-     "b9e8738dbc157ee7285ed4fddbb030de2cb83c2608f456dac1adf94018d41e50"),
+    (("counterexample", "--json"), 0,
+     "1e22d0eb35c1301b615ccd1379288fced82587b75a423bebe77efc00644e62b3"),
+    (("locus", "counterexample", "--json"), 0,
+     "62d5edd8a9c11343480a9108133c77fa7e834194c49e04f314edd0dc4eb72acc"),
     (("locus", "COUNTEREXAMPLE", "--L", "1", "--U", "3", "--x", "27"), 0,
      "06df5a24d9cb170e0cc1fa30e01fb5cfdb793aa8149884714b1b0c037d6b3b4f"),
-    (("counterexample", "--locus"), 0,
-     "92401257973b958938e9d1151a8034b5325c48b69c808992cea15c2411c6b171"),
+    (("counterexample",), 0,
+     "203a3aba798f76e29119cb81ce3bd613d326b1eb93f923d35f332be3f9f98f1e"),
     # nonzero excess on both sides: also pins the order of the q-side terms
     (("locus", "PERTURBED", "--json"), 0,
      "9d1351bca7275228d68489ce652d64c70a5efd61e7aa43f3bd5e67b94cc683fc"),
@@ -740,16 +790,23 @@ def test_locus_points_past_the_digit_limit_are_input_errors(point, message, writ
     assert err == message
 
 
-def test_a_degree_too_large_to_index_is_an_input_error(tmp_path, capsys):
-    from root_enclose import cli
+def test_a_degree_too_large_to_index_is_an_input_error(tmp_path, capsys, monkeypatch):
+    # the degree is checked against MAX_DEGREE before any map is built
+    from root_enclose import cli, solver
+    from root_enclose.maps import MAX_DEGREE
 
-    huge = str(2 ** 64)
-    spec = tmp_path / "spec.json"
-    spec.write_text('{"maps": ["secant-newton"], "xs": ["2"], "ns": [%s], "epses": ["1/10"],'
-                    ' "reps": 1}' % huge)
-    for argv in (["root", "--x", "2", "--n", huge, "--eps", "1/10"],
-                 ["root", "--x", "2", "--n", huge, "--eps", "1/10", "--backend", "float"],
-                 ["bench", str(spec)]):
-        assert cli.main(argv) == 2
-        assert capsys.readouterr().err == (
-            f"error: n must be an integer from 2 to {sys.maxsize}, got {huge}\n")
+    def build(n):
+        raise AssertionError("a map was built before its degree was checked")
+
+    monkeypatch.setattr(solver, "secant_newton", build)
+    for huge in (str(2 ** 64), str(10 ** 9), "10001"):
+        spec = tmp_path / "spec.json"
+        spec.write_text('{"maps": ["secant-newton"], "xs": ["2"], "ns": [%s],'
+                        ' "epses": ["1/10"], "reps": 1}' % huge)
+        for argv in (["root", "--x", "2", "--n", huge, "--eps", "1/10"],
+                     ["root", "--x", "2", "--n", huge, "--eps", "1/10", "--map", "bisection"],
+                     ["root", "--x", "2", "--n", huge, "--eps", "1/10", "--backend", "float"],
+                     ["bench", str(spec)]):
+            assert cli.main(argv) == 2
+            assert capsys.readouterr().err == (
+                f"error: n must be an integer from 2 to {MAX_DEGREE}, got {huge}\n")

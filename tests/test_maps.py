@@ -94,7 +94,9 @@ def test_check_canonical_reports_violation():
 
 
 def test_check_canonical_unrepaired_q0():
-    report = check_canonical(counterexample_map(repair_q0=False))
+    # the bundled map as it is sometimes quoted, with q0 = +1
+    m = counterexample_map()
+    report = check_canonical(MapCoefficients(3, m.p, (F(1),) + m.q[1:]))
     assert report.violations == (("q0", F(-1), F(1)),)
 
 

@@ -172,6 +172,20 @@ def test_rounding_keeps_the_exact_iteration_counts(n, eps_exp):
     assert counts == DEEP_ITERATIONS[n, eps_exp]
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_secant_newton_needs_no_more_iterations_than_a_dominating_map(n):
+    # a map whose denominators dominate Secant-Newton's coefficientwise is
+    # contracting, and its intervals contain Secant-Newton's step by step in
+    # exact arithmetic; the rounded solver keeps the iteration order here
+    maps = [perturbed_contracting_map(n, 1000 * n + s) for s in range(5)]
+    assert all(MapEvaluator(m).dominating for m in maps)
+    for eps in (F(1, 10 ** 12), F(1, 10 ** 50)):
+        for x in DEEP_XS + (F(7), F(100), F(1, 50)):
+            sn = refine_to_eps(x, n, eps).iterations
+            for m in maps:
+                assert refine_to_eps(x, n, eps, m).iterations >= sn, (x, eps, m)
+
+
 def test_deep_endpoints_stay_on_the_lattice():
     # exact endpoints would reach 160,031 bits here
     eps = F(1, 10 ** 200)
