@@ -7,9 +7,10 @@ printed), 2 usage or input error, among them a spec file that cannot be
 read or is not JSON text and an --out file that cannot be written.  All
 rationals are read and written in the exact "a/b" text form; eps
 additionally accepts the shorthand "1e-k" which expands to the exact
-rational 1/10**k.  Every rational is written through ``format_rational``,
-so no process-wide setting (such as the int-to-str digit limit) is
-touched, and the argument parser is built once per process.
+rational 1/10**k, for k up to MAX_EPS_EXPONENT.  Every rational is
+written through ``format_rational``, so no process-wide setting (such as
+the int-to-str digit limit) is touched, and the argument parser is built
+once per process.
 """
 
 from __future__ import annotations
@@ -45,12 +46,17 @@ from .solver import (
 )
 
 _EPS_SHORTHAND = re.compile(r"1[eE]-([0-9]+)\Z")
+# largest k the shorthand 1e-k expands; 10**k is built only up to it
+MAX_EPS_EXPONENT = 1_000_000
 
 
 def _parse_eps(text: str) -> Fraction:
     m = _EPS_SHORTHAND.match(text)
     if m:
-        return Fraction(1, 10 ** int(m.group(1)))
+        k = int(m.group(1))
+        if k > MAX_EPS_EXPONENT:
+            raise ValueError(f"the shorthand 1e-k takes k up to {MAX_EPS_EXPONENT}, got {text!r}")
+        return Fraction(1, 10 ** k)
     value = parse_rational(text)
     if value <= 0:
         raise ValueError(f"eps must be positive, got {text!r}")

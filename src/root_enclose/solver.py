@@ -15,11 +15,12 @@ The map loop also bounds its endpoints' size, rounding them outward onto a
 dyadic lattice 2**-k_j once they outgrow it, where
 k_j = min(bits(1/eps) + 16, 2*bits(1/width_j) + 32) follows the width of
 the interval the step starts from.
-The float loop builds one pair of power tables per step, from which both
-endpoints read only their side's nonzero terms, and stops as "non-finite"
-at any NaN or infinite endpoint or width, or at an infinite top power
-before the terms are read.  Secant-Newton's float terms are built once per
-degree.
+The float loop allocates one pair of power tables per call and refills
+them by running products each step, with results bit for bit those of
+building them anew; both endpoints read only their side's nonzero terms
+from them.  It stops as "non-finite" at any NaN or infinite endpoint or
+width, or at an infinite top power before the terms are read.
+Secant-Newton's float terms are built once per degree.
 """
 
 from __future__ import annotations
@@ -146,7 +147,7 @@ def _as_floats(values, what):
 
 def _validated_float(x, eps, max_iter, n):
     x, eps = _as_floats((x, eps), "x and eps")
-    if not 0 < x < float("inf"):
+    if not 0 < x < inf:
         raise ValueError(f"x must be a positive finite float, got {x!r}")
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps!r}")
@@ -393,12 +394,14 @@ def refine_float_loop(x, n, p, q, eps, max_iter) -> FloatTrace:
     """Double-precision refinement loop from [min(1,x), max(1,x)], with the
     map's sides p and q given as the float terms _float_side builds.
 
-    Each step builds one pair of power tables, lo**0..lo**n and
-    hi**0..hi**n, and both endpoints read only their side's nonzero terms
-    from them, with the tables' roles swapped.  An infinite lo**n or
-    hi**n ends the step as "non-finite" before any term is read: a
-    dropped zero term, read as 0 * inf, would have made an endpoint NaN,
-    so the results are those of summing every coefficient.
+    The power tables lo**0..lo**n and hi**0..hi**n are allocated once per
+    call; each step refills them by running products (the same IEEE
+    products, in the same order, as lo**i = lo**(i-1) * lo), and both
+    endpoints read only their side's nonzero terms from them, with the
+    tables' roles swapped.  An infinite lo**n or hi**n ends the step as
+    "non-finite" before any term is read: a dropped zero term, read as
+    0 * inf, would have made an endpoint NaN, so the results are those of
+    summing every coefficient.
     Stops at "width-reached", "max-iterations", "stalled" (an application
     failed to strictly shrink the width, e.g. endpoints oscillating by one
     ulp) or "non-finite" (a NaN or infinite endpoint, power or width, a
@@ -410,6 +413,8 @@ def refine_float_loop(x, n, p, q, eps, max_iter) -> FloatTrace:
     hi = x if x > 1.0 else 1.0
     it = 0
     prev_w = inf
+    lp = [1.0] * (n + 1)
+    hp = [1.0] * (n + 1)
     while True:
         w = hi - lo
         if not isfinite(w):
@@ -420,12 +425,13 @@ def refine_float_loop(x, n, p, q, eps, max_iter) -> FloatTrace:
             return FloatTrace(it, lo, hi, MAX_ITERATIONS)
         if w >= prev_w:
             return FloatTrace(it, lo, hi, STALLED)
-        lp = [1.0] * (n + 1)
-        hp = [1.0] * (n + 1)
+        a = b = 1.0
         for i in range(1, n + 1):
-            lp[i] = lp[i - 1] * lo
-            hp[i] = hp[i - 1] * hi
-        if not (isfinite(lp[n]) and isfinite(hp[n])):
+            a *= lo
+            b *= hi
+            lp[i] = a
+            hp[i] = b
+        if not (isfinite(a) and isfinite(b)):
             return FloatTrace(it, lo, hi, NON_FINITE)
         nlo = _float_endpoint(p, lp, hp, lo, x)
         nhi = _float_endpoint(q, hp, lp, hi, x)

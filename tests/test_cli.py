@@ -810,3 +810,22 @@ def test_a_degree_too_large_to_index_is_an_input_error(tmp_path, capsys, monkeyp
             assert cli.main(argv) == 2
             assert capsys.readouterr().err == (
                 f"error: n must be an integer from 2 to {MAX_DEGREE}, got {huge}\n")
+
+
+def test_the_eps_shorthand_is_capped_before_its_power_is_built(capsys, monkeypatch):
+    # 10**k for a k of ten digits would take days; k is checked first
+    from fractions import Fraction as F
+
+    from root_enclose import cli
+
+    def solve(*args, **kwargs):
+        raise AssertionError("the solver ran on an eps past the cap")
+
+    monkeypatch.setattr(cli, "refine_to_eps", solve)
+    for k in (cli.MAX_EPS_EXPONENT + 1, 10 ** 20 - 1):
+        assert cli.main(["root", "--x", "2", "--n", "2", "--eps", f"1e-{k}"]) == 2
+        assert f"argument --eps: invalid _parse_eps value: '1e-{k}'" in capsys.readouterr().err
+    monkeypatch.setattr(cli, "MAX_EPS_EXPONENT", 5)
+    assert cli._parse_eps("1e-5") == F(1, 10 ** 5)
+    with pytest.raises(ValueError, match="the shorthand 1e-k takes k up to 5"):
+        cli._parse_eps("1e-6")

@@ -730,7 +730,7 @@ def _with(coeffs, at):
 
 _ROUNDS_TO_ZERO = F(1, 10 ** 400)
 _SUBNORMAL = F(1, 10 ** 310)
-_SN2, _SN3 = secant_newton(2), secant_newton(3)
+_SN2, _SN3, _SN5 = secant_newton(2), secant_newton(3), secant_newton(5)
 # a non-contracting map: the lower endpoint is 2L - x/L, -1 at x = 3 from [1, 3]
 _NEGATIVE_LO = MapCoefficients(2, (F(-1), 0, 0, -1, 0), _SN2.q)
 
@@ -779,6 +779,53 @@ def test_the_sparse_float_step_equals_the_dense_one_on_seeded_maps():
         for max_iter in (1, 5, DEFAULT_MAX_ITER):
             assert _float_result(x, m.n, 1e-12, m, max_iter) == _dense_refine_float(
                 x, m.n, 1e-12, m, max_iter), (i, m, x, max_iter)
+
+
+def _loop_result(x, m, max_iter=DEFAULT_MAX_ITER, sides=None):
+    """refine_float_loop called directly on m's float sides (or on sides)."""
+    p, q = sides or solver._float_sides(m)
+    trace = solver.refine_float_loop(x, m.n, p, q, 1e-12, max_iter)
+    return repr((trace.lo, trace.hi, trace.iterations, trace.terminated))
+
+
+def test_no_power_table_state_crosses_float_loop_calls():
+    # the degree grows past, falls below and returns to an earlier call's,
+    # so a table kept from one call would be read by the next at another size
+    rng = random.Random(33)
+    for n in (5, 2, 7, 3, 5):
+        maps = [secant_newton(n), random_canonical_map(n, rng)]
+        if n == 2:
+            maps.append(_NEGATIVE_LO)
+        x = rng.uniform(0.1, 100.0)
+        assert _float_result(x, n, 1e-12) == _dense_refine_float(x, n, 1e-12, maps[0]), n
+        for m in maps:
+            for max_iter in (1, DEFAULT_MAX_ITER):
+                assert _loop_result(x, m, max_iter) == _dense_refine_float(
+                    x, n, 1e-12, m, max_iter), (n, m, max_iter)
+
+
+class _CallsInside(float):
+    """A float coefficient of a degree-5 map whose product first runs the
+    float loop at degree 5 on another x, so that a call of the same degree
+    happens in the middle of a step."""
+
+    calls = 0
+
+    def __mul__(self, other):
+        self.calls += 1
+        _loop_result(7.0, _SN5)
+        return float(self) * other
+
+
+def test_a_float_loop_run_inside_a_step_leaves_that_step_unchanged():
+    # tables shared between calls would be overwritten by the inner call
+    # after the outer step filled them and before it read them
+    (head, tail), q = solver._float_sides(_SN5)
+    (c, i, j), *rest = head
+    c = _CallsInside(c)
+    sides = ((((c, i, j), *rest), tail), q)
+    assert _loop_result(2.0, _SN5, sides=sides) == _dense_refine_float(2.0, 5, 1e-12, _SN5)
+    assert c.calls > 0
 
 
 def test_secant_newton_float_terms_are_kept_only_after_the_degree_check():
