@@ -54,7 +54,7 @@ from itertools import islice
 from math import gcd
 from typing import NamedTuple
 
-from .maps import MapCoefficients, MapEvaluator, check_canonical, denominators, secant_newton
+from .maps import MapCoefficients, check_canonical, denominators, secant_newton
 from .numeric import as_rational, check_int, format_pair, format_rational, geom_sum, pow_int
 
 PASSED_ON_SAMPLES = "passed-on-samples"
@@ -407,7 +407,7 @@ def check_map(m: MapCoefficients, cfg: SampleConfig) -> tuple[Verdict | None, Ve
     from denominators, and Secant-Newton's from geom_sum, or n*U^(n-1).
     """
     n = m.n
-    ev = MapEvaluator(m)
+    ev = m.evaluator
     if not ev.canonical:
         for checked, s in enumerate(_head_probes(n, ev.same_heads), 1):
             ln, ld, _, _, un, ud, xn, xd = s
@@ -460,7 +460,7 @@ def check_dominance(m: MapCoefficients, cfg: SampleConfig) -> DominanceStats:
     sides are reduced once, as recorded.
     """
     n = m.n
-    ev = MapEvaluator(m)
+    ev = m.evaluator
     if ev.dominating:
         p_equal, q_equal = ev.same_tails
         equality = tuple(

@@ -33,7 +33,6 @@ from .numeric import describe, format_rational, is_int, parse_rational
 from .solver import (
     NON_FINITE,
     NotContractingError,
-    _float_sides,
     bisect_float,
     bisect_to_eps,
     refine_float,
@@ -152,9 +151,9 @@ def load_spec(path) -> BenchSpec:
 
 def _resolve_maps(spec: BenchSpec) -> list[tuple[str, object]]:
     """Resolve map names eagerly so bad input fails before any run: with the
-    float backend, a map whose coefficients the float step cannot take
-    (solver._float_sides: one beyond the float range) is rejected here, as
-    an x or eps beyond it is by spec_from_dict.
+    float backend, a map with a coefficient beyond the float range is
+    rejected here, as an x or eps is by spec_from_dict, by building the
+    float terms (MapCoefficients.float_sides) that its rows then read.
 
     The resolver slot is "secant-newton" or "bisection" for the parametric
     methods (instantiated per row degree), or a concrete MapCoefficients.
@@ -175,7 +174,7 @@ def _resolve_maps(spec: BenchSpec) -> list[tuple[str, object]]:
             )
         if spec.backend == "float":
             try:
-                _float_sides(m)
+                m.float_sides
             except ValueError as exc:
                 raise BenchSpecError(f"float backend: map {name}: {exc}") from None
         entries.append((name, m))

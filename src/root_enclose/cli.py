@@ -57,17 +57,24 @@ def _parse_eps(text: str) -> Fraction:
         if k > MAX_EPS_EXPONENT:
             raise ValueError(f"the shorthand 1e-k takes k up to {MAX_EPS_EXPONENT}, got {text!r}")
         return Fraction(1, 10 ** k)
+    return _parse_positive_rational(text, "eps")
+
+
+def _parse_positive_rational(text: str, name: str = "the value") -> Fraction:
     value = parse_rational(text)
     if value <= 0:
-        raise ValueError(f"eps must be positive, got {text!r}")
+        raise ValueError(f"{name} must be positive, got {text!r}")
     return value
 
 
-def _parse_positive_rational(text: str) -> Fraction:
-    value = parse_rational(text)
-    if value <= 0:
-        raise ValueError(f"expected a positive rational, got {text!r}")
-    return value
+def _argument(parse):
+    """parse as an argparse type, which prints the text of its ValueError."""
+    def argument(text):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return argument
 
 
 def _load_map_argument(text: str) -> MapCoefficients:
@@ -368,9 +375,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("root", parents=[json_output],
                        help="compute an enclosure of the nth root of x")
-    p.add_argument("--x", type=_parse_positive_rational, required=True)
+    p.add_argument("--x", type=_argument(_parse_positive_rational), required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--eps", type=_parse_eps, required=True,
+    p.add_argument("--eps", type=_argument(_parse_eps), required=True,
                    help="width bound, e.g. 1/1000 or 1e-12")
     p.add_argument("--map", default=None,
                    help="map-spec file, 'secant-newton' (default), "
@@ -394,9 +401,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("locus", parents=[json_output, mapped],
                        help="equality-locus polynomials of a canonical map, "
                             "optionally evaluated at a point")
-    p.add_argument("--L", type=_parse_positive_rational, default=None)
-    p.add_argument("--U", type=_parse_positive_rational, default=None)
-    p.add_argument("--x", type=_parse_positive_rational, default=None)
+    p.add_argument("--L", type=_argument(_parse_positive_rational), default=None)
+    p.add_argument("--U", type=_argument(_parse_positive_rational), default=None)
+    p.add_argument("--x", type=_argument(_parse_positive_rational), default=None)
     p.set_defaults(func=cmd_locus)
 
     p = sub.add_parser("counterexample", parents=[json_output],

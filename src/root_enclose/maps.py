@@ -21,6 +21,9 @@ differences: per side, the head where it is not canonical and the
 denominator tail's excess over Secant-Newton's where it is not zero.  Its
 excess forms Dp - S and Dq - N are what the analysis module's checks and
 the comparison with Secant-Newton (beside) read.
+
+Every map is prepared once: a MapCoefficients keeps the MapEvaluator and
+float terms it builds on first use, and secant_newton keeps one per degree.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, lru_cache
 from math import lcm
 from typing import NamedTuple
 
@@ -88,6 +92,27 @@ class MapCoefficients:
                     f"got {len(coeffs)}"
                 )
 
+    @cached_property
+    def evaluator(self) -> MapEvaluator:
+        """The map prepared for exact evaluation, built on first use."""
+        return MapEvaluator(self)
+
+    @cached_property
+    def float_sides(self):
+        """The p and q sides as the float step reads them, built on first
+        use: the terms (c, i, j) of a side's nonzero coefficients, each read
+        as c * a**i * b**j, the head's c[0..n] at (n - k, k), then the tail's
+        c[n+1..2n] at (n - 1 - k, k), in index order.  A coefficient beyond
+        the float range is a ValueError at every use; one that rounds to 0.0
+        has no term."""
+        n = self.n
+        sides = []
+        for coeffs in (self.p, self.q):
+            c = _as_floats(coeffs, "map coefficients")
+            sides.append((tuple((c[k], n - k, k) for k in range(n + 1) if c[k]),
+                          tuple((c[n + 1 + k], n - 1 - k, k) for k in range(n) if c[n + 1 + k])))
+        return tuple(sides)
+
     def to_json(self) -> dict:
         return {
             "n": self.n,
@@ -122,8 +147,17 @@ class CanonicalReport:
         }
 
 
+def _as_floats(values, what):
+    try:
+        return [float(v) for v in values]
+    except OverflowError as exc:
+        raise ValueError(f"{what} must fit in a float: {exc}") from None
+
+
+# the last 8 degrees; typed, so that 2.0 never finds a map kept for an int 2
+@lru_cache(maxsize=8, typed=True)
 def secant_newton(n: int) -> MapCoefficients:
-    """The Secant-Newton member of the degree-n family.
+    """The Secant-Newton member of the degree-n family, one per degree.
 
     p = (-1, 0 x n, 1 x n) gives the secant chord for the lower endpoint;
     q = (-1, 0 x n, n, 0 x (n-1)) gives the Newton tangent at U for the
@@ -303,7 +337,7 @@ def apply_pair(m: MapCoefficients, lo, hi, x) -> tuple[Fraction, Fraction]:
     be inspected.  Raises DenominatorZeroError when a denominator form is
     exactly zero at (lo, hi).
     """
-    return MapEvaluator(m).pair(as_rational(lo), as_rational(hi), as_rational(x))
+    return m.evaluator.pair(as_rational(lo), as_rational(hi), as_rational(x))
 
 
 def denominators(m: MapCoefficients, lo, hi) -> tuple[Fraction, Fraction]:
@@ -312,7 +346,7 @@ def denominators(m: MapCoefficients, lo, hi) -> tuple[Fraction, Fraction]:
     lo = as_rational(lo)
     hi = as_rational(hi)
     ln, ld, un, ud = lo.numerator, lo.denominator, hi.numerator, hi.denominator
-    ev = MapEvaluator(m)
+    ev = m.evaluator
     scale = (ld * ud) ** (m.n - 1)
     return (Fraction(form_pair(ev._p.tail, ln, ld, un, ud), ev._p.den * scale),
             Fraction(form_pair(ev._q.tail, un, ud, ln, ld), ev._q.den * scale))

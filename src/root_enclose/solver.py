@@ -20,7 +20,7 @@ them by running products each step, with results bit for bit those of
 building them anew; both endpoints read only their side's nonzero terms
 from them.  It stops as "non-finite" at any NaN or infinite endpoint or
 width, or at an infinite top power before the terms are read.
-Secant-Newton's float terms are built once per degree.
+A map's evaluator and float terms are built on its first use (maps).
 """
 
 from __future__ import annotations
@@ -28,11 +28,10 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import inf, isfinite, isqrt, nan
 
-from .maps import (DenominatorZeroError, MapCoefficients, MapEvaluator, check_degree,
-                   secant_newton)
+from .maps import DenominatorZeroError, MapCoefficients, _as_floats, check_degree, secant_newton
 from .numeric import Interval, as_rational, check_int, describe, format_rational
 # Not used here; kept importable because perfbench/tracing.py wraps it at this name.
 from .numeric import pow_int  # noqa: F401
@@ -138,13 +137,6 @@ def _validated(x, eps, max_iter, n):
     return x, eps
 
 
-def _as_floats(values, what):
-    try:
-        return [float(v) for v in values]
-    except OverflowError as exc:
-        raise ValueError(f"{what} must fit in a float: {exc}") from None
-
-
 def _validated_float(x, eps, max_iter, n):
     x, eps = _as_floats((x, eps), "x and eps")
     if not 0 < x < inf:
@@ -192,7 +184,7 @@ def refine_to_eps(x, n: int, eps, m: MapCoefficients | None = None,
     m = _map_of_degree(m, n)
     en, ed = eps.numerator, eps.denominator
     k = (ed // en).bit_length() + 16
-    evaluate = MapEvaluator(m).evaluate
+    evaluate = m.evaluator.evaluate
     xn, xd = x.numerator, x.denominator
     iv = initial_interval(x)
     ln, ld, un, ud = iv.lo.numerator, iv.lo.denominator, iv.hi.numerator, iv.hi.denominator
@@ -345,35 +337,6 @@ class FloatTrace:
         }
 
 
-def _float_side(coeffs, n):
-    """One map side as the float terms (c, i, j) of its nonzero
-    coefficients, each read as c * a**i * b**j: the head form's c[0..n] at
-    (n - k, k), then the denominator tail's c[n+1..2n] at (n - 1 - k, k),
-    each in index order.  A coefficient beyond the float range is a
-    ValueError; one that rounds to 0.0 has no term."""
-    c = _as_floats(coeffs, "map coefficients")
-    head = tuple((c[k], n - k, k) for k in range(n + 1) if c[k])
-    tail = tuple((c[n + 1 + k], n - 1 - k, k) for k in range(n) if c[n + 1 + k])
-    return head, tail
-
-
-def _float_sides(m: MapCoefficients):
-    """The float terms of m's p and q sides, as the float step reads them."""
-    return _float_side(m.p, m.n), _float_side(m.q, m.n)
-
-
-# degrees whose Secant-Newton float sides refine_float keeps
-_SECANT_NEWTON_DEGREES = 8
-
-
-@lru_cache(maxsize=_SECANT_NEWTON_DEGREES)
-def _secant_newton_sides(n: int):
-    """Secant-Newton's float sides at degree n, built once per degree.  n
-    must already have passed check_degree: lru_cache does not promise to
-    tell 2.0 or True from the key 2."""
-    return _float_sides(secant_newton(n))
-
-
 def _float_endpoint(side, ap, bp, base, x):
     """base + (x + head form) / (tail form) in doubles, summing the side's
     nonzero terms c * ap[i] * bp[j] in index order from the power tables
@@ -392,7 +355,7 @@ def _float_endpoint(side, ap, bp, base, x):
 
 def refine_float_loop(x, n, p, q, eps, max_iter) -> FloatTrace:
     """Double-precision refinement loop from [min(1,x), max(1,x)], with the
-    map's sides p and q given as the float terms _float_side builds.
+    map's sides p and q given as MapCoefficients.float_sides holds them.
 
     The power tables lo**0..lo**n and hi**0..hi**n are allocated once per
     call; each step refills them by running products (the same IEEE
@@ -454,15 +417,11 @@ def refine_float(x: float, n: int, eps: float, m: MapCoefficients | None = None,
     power or width, a zero denominator among them, as "non-finite",
     keeping the last finite interval.  A map coefficient beyond the float
     range is an input error (ValueError), as an x or eps beyond it is.
-    Only the nonzero coefficients become terms of the step; Secant-Newton's
-    (m=None) are built once per degree and kept for later calls, an
-    explicit map's on every call.
+    The step reads the map's nonzero terms, MapCoefficients.float_sides,
+    which each map builds once; the default map is one per degree.
     """
     x, eps = _validated_float(x, eps, max_iter, n)
-    if m is None:
-        p, q = _secant_newton_sides(n)
-    else:
-        p, q = _float_sides(_map_of_degree(m, n))
+    p, q = _map_of_degree(m, n).float_sides
     return refine_float_loop(x, n, p, q, eps, max_iter)
 
 

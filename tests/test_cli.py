@@ -824,7 +824,17 @@ def test_the_eps_shorthand_is_capped_before_its_power_is_built(capsys, monkeypat
     monkeypatch.setattr(cli, "refine_to_eps", solve)
     for k in (cli.MAX_EPS_EXPONENT + 1, 10 ** 20 - 1):
         assert cli.main(["root", "--x", "2", "--n", "2", "--eps", f"1e-{k}"]) == 2
-        assert f"argument --eps: invalid _parse_eps value: '1e-{k}'" in capsys.readouterr().err
+        assert capsys.readouterr().err.endswith(
+            "error: argument --eps: the shorthand 1e-k takes k up to "
+            f"{cli.MAX_EPS_EXPONENT}, got '1e-{k}'\n")
+    # the other type= parsers' messages reach stderr too; the last
+    # --x or --eps given is the one parsed
+    for option, value, message in (("--eps", "0", "eps must be positive, got '0'"),
+                                   ("--x", "0", "the value must be positive, got '0'"),
+                                   ("--eps", "1/0", "zero denominator: '1/0'")):
+        argv = ["root", "--x", "2", "--n", "2", "--eps", "1/10", option, value]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.endswith(f"error: argument {option}: {message}\n")
     monkeypatch.setattr(cli, "MAX_EPS_EXPONENT", 5)
     assert cli._parse_eps("1e-5") == F(1, 10 ** 5)
     with pytest.raises(ValueError, match="the shorthand 1e-k takes k up to 5"):

@@ -7,7 +7,9 @@ from hypothesis import assume, given, strategies as st
 
 from map_generators import (perturbed_contracting_map, random_canonical_map,
                             random_noncanonical_map)
+from root_enclose import maps
 from root_enclose._kernels import apply_pairs, apply_reduced_pairs, form_pair
+from root_enclose.analysis import SampleConfig, check_map
 from root_enclose.maps import (
     DenominatorZeroError,
     MapCoefficients,
@@ -22,6 +24,7 @@ from root_enclose.maps import (
     secant_newton,
 )
 from root_enclose.numeric import geom_sum, pow_int
+from root_enclose.solver import refine_to_eps
 
 small_rationals = st.builds(F, st.integers(-12, 12), st.integers(1, 6))
 positive_rationals = st.builds(F, st.integers(1, 60), st.integers(1, 20))
@@ -67,6 +70,36 @@ def test_secant_newton_n5_pattern():
 def test_secant_newton_rejects_small_n(bad_n):
     with pytest.raises(ValueError):
         secant_newton(bad_n)
+
+
+class _Int(int):
+    """An int subclass, which check_degree accepts as a degree."""
+
+
+def test_no_wrong_degree_is_served_from_the_secant_newton_cache():
+    assert secant_newton(2) is secant_newton(2)
+    assert secant_newton(_Int(2)).q == (F(-1), 0, 0, 2, 0)
+    # untyped, the key kept for _Int(2) would equal 2.0's and serve its map
+    for bad in (2.0, True):
+        with pytest.raises(ValueError, match="n must be an integer from 2"):
+            secant_newton(bad)
+
+
+def test_each_map_builds_one_evaluator(monkeypatch):
+    sides = []
+    side = maps._side
+    monkeypatch.setattr(maps, "_side", lambda *args: sides.append(args) or side(*args))
+    secant_newton.cache_clear()
+    for x in (2, 3, F(1, 3), 7, F(27, 8)):
+        refine_to_eps(x, 3, F(1, 10 ** 20))
+    assert len(sides) == 2  # one evaluator: its p and q sides
+    m = perturbed_contracting_map(3, 5)
+    for x in (2, 3, 7):
+        refine_to_eps(x, 3, F(1, 10 ** 6), m)
+    apply_pair(m, 1, 2, 3)
+    denominators(m, 1, 2)
+    check_map(m, SampleConfig(seed=0, count=20))
+    assert len(sides) == 4
 
 
 def test_map_coefficients_validates_lengths():

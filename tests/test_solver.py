@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from map_generators import (perturbed_contracting_map, random_canonical_map,
                             random_noncanonical_map)
-from root_enclose import solver
+from root_enclose import maps, solver
 from root_enclose.maps import (
     DenominatorZeroError,
     MapCoefficients,
@@ -184,6 +184,31 @@ def test_secant_newton_needs_no_more_iterations_than_a_dominating_map(n):
             sn = refine_to_eps(x, n, eps).iterations
             for m in maps:
                 assert refine_to_eps(x, n, eps, m).iterations >= sn, (x, eps, m)
+
+
+@st.composite
+def _dominating_maps(draw):
+    """Secant-Newton with every denominator tail coefficient raised by some
+    k/d >= 0, d up to 10**6: a map that dominates it coefficientwise."""
+    n = draw(st.integers(2, 5))
+    d = draw(st.integers(1, 10 ** 6))
+    bump = st.one_of(st.just(0), st.integers(0, 4 * d).map(lambda k: F(k, d)))
+    sn = secant_newton(n)
+    return MapCoefficients(n, sn.p[:n + 1] + tuple(c + draw(bump) for c in sn.p[n + 1:]),
+                           sn.q[:n + 1] + tuple(c + draw(bump) for c in sn.q[n + 1:]))
+
+
+@settings(max_examples=600, deadline=None)
+@given(_dominating_maps(), st.integers(1, 60), st.integers(1, 60), st.integers(1, 80))
+def test_no_dominating_map_takes_fewer_iterations_than_secant_newton(m, a, b, eps_exp):
+    # the paper's optimality in iteration counts, through the rounded
+    # solver; a run stopped at Secant-Newton's count is the prefix of the
+    # full run, so a map that reaches the width sooner shows there
+    x, eps = F(a, b), F(1, 10 ** eps_exp)
+    sn = refine_to_eps(x, m.n, eps).iterations
+    trace = refine_to_eps(x, m.n, eps, m, max_iter=max(sn, 1))
+    assert trace.iterations >= sn, (trace.interval_rows,
+                                    refine_to_eps(x, m.n, eps).interval_rows)
 
 
 def test_deep_endpoints_stay_on_the_lattice():
@@ -737,11 +762,11 @@ _NEGATIVE_LO = MapCoefficients(2, (F(-1), 0, 0, -1, 0), _SN2.q)
 
 def test_the_float_step_reads_only_nonzero_terms():
     # Secant-Newton at n = 5: 14 of its 22 coefficients are zero
-    p, q = solver._float_sides(secant_newton(5))
+    p, q = secant_newton(5).float_sides
     assert p == (((-1.0, 5, 0),), tuple((1.0, 4 - k, k) for k in range(5)))
     assert q == (((-1.0, 5, 0),), ((5.0, 4, 0),))
-    assert solver._float_side(_with(_SN2.p, {3: _ROUNDS_TO_ZERO, 4: _SUBNORMAL}), 2) == (
-        ((-1.0, 2, 0),), ((float(_SUBNORMAL), 0, 1),))
+    m = MapCoefficients(2, _with(_SN2.p, {3: _ROUNDS_TO_ZERO, 4: _SUBNORMAL}), _SN2.q)
+    assert m.float_sides[0] == (((-1.0, 2, 0),), ((float(_SUBNORMAL), 0, 1),))
 
 
 @pytest.mark.parametrize("x,n,m,max_iter", [
@@ -783,7 +808,7 @@ def test_the_sparse_float_step_equals_the_dense_one_on_seeded_maps():
 
 def _loop_result(x, m, max_iter=DEFAULT_MAX_ITER, sides=None):
     """refine_float_loop called directly on m's float sides (or on sides)."""
-    p, q = sides or solver._float_sides(m)
+    p, q = sides or m.float_sides
     trace = solver.refine_float_loop(x, m.n, p, q, 1e-12, max_iter)
     return repr((trace.lo, trace.hi, trace.iterations, trace.terminated))
 
@@ -820,7 +845,7 @@ class _CallsInside(float):
 def test_a_float_loop_run_inside_a_step_leaves_that_step_unchanged():
     # tables shared between calls would be overwritten by the inner call
     # after the outer step filled them and before it read them
-    (head, tail), q = solver._float_sides(_SN5)
+    (head, tail), q = _SN5.float_sides
     (c, i, j), *rest = head
     c = _CallsInside(c)
     sides = ((((c, i, j), *rest), tail), q)
@@ -830,12 +855,12 @@ def test_a_float_loop_run_inside_a_step_leaves_that_step_unchanged():
 
 def test_secant_newton_float_terms_are_kept_only_after_the_degree_check():
     refine_float(2.0, 2, 1e-12)
-    kept = solver._secant_newton_sides.cache_info()
+    kept = secant_newton.cache_info()
     for bad in (2.0, True, 1, "2"):
         with pytest.raises(ValueError, match="n must be an integer from 2"):
             refine_float(2.0, bad, 1e-12)
     # a rejected degree never reaches the cache, not even as a miss
-    assert solver._secant_newton_sides.cache_info() == kept
+    assert secant_newton.cache_info() == kept
     refine_float(2.0, 3, 1e-12)
     with pytest.raises(ValueError, match="map degree 2 does not match n=3"):
         refine_float(2.0, 3, 1e-12, secant_newton(2))
@@ -843,12 +868,35 @@ def test_secant_newton_float_terms_are_kept_only_after_the_degree_check():
 
 @pytest.mark.parametrize("n", range(2, 8))
 def test_the_default_map_is_secant_newton_bit_for_bit(n):
-    solver._secant_newton_sides.cache_clear()
+    # against a map built apart from the kept one, with its own float terms
+    secant_newton.cache_clear()
+    sn = secant_newton(n)
+    fresh = MapCoefficients(n, sn.p, sn.q)
     xs = (0.3, 2.0, 77.7, 1e-300, 1e300)
     for _ in range(3):  # the first call builds the terms, the others reuse them
         assert [_float_result(x, n, 1e-12) for x in xs] == [
-            _float_result(x, n, 1e-12, secant_newton(n)) for x in xs]
-    assert solver._secant_newton_sides.cache_info().currsize == 1
+            _float_result(x, n, 1e-12, fresh) for x in xs]
+    assert secant_newton.cache_info().currsize == 1
+    assert secant_newton(n) is sn and "float_sides" in vars(sn)
+
+
+def test_a_maps_float_terms_are_built_once_and_a_failure_is_not_kept(monkeypatch):
+    built = []
+    as_floats = maps._as_floats
+    monkeypatch.setattr(maps, "_as_floats", lambda values, what: built.append(what)
+                        or as_floats(values, what))
+    secant_newton.cache_clear()
+    m = MapCoefficients(3, _SN3.p, _SN3.q)
+    for _ in range(3):
+        for x in (0.3, 2.0, 77.7):
+            refine_float(x, 3, 1e-12)
+            refine_float(x, 3, 1e-12, m)
+    assert len(built) == 4  # p and q, once for the default map and once for m
+    beyond_float = MapCoefficients(2, (F(-1), 0, 0, 10 ** 400, 1), _SN2.q)
+    for attempt in range(1, 4):
+        with pytest.raises(ValueError, match="map coefficients must fit in a float"):
+            refine_float(2.0, 2, 1e-3, beyond_float)
+        assert len(built) == 4 + attempt  # the p side is read again each time
 
 
 def test_refine_float_rejects_bad_inputs():
