@@ -1,6 +1,6 @@
 """Command-line front door.
 
-Subcommands: root, check, compare, locus, counterexample, bench.
+Subcommands: root, check, compare, locus, bench.
 
 Exit codes: 0 success / property held, 1 property falsified (a witness is
 printed), 2 usage or input error, among them a spec file that cannot be
@@ -115,6 +115,23 @@ def _emit_json(args, payload) -> None:
     _write(args, json.dumps(payload, indent=2, sort_keys=True))
 
 
+def _outputs_at(m: MapCoefficients, L, U, x):
+    """The map's output at (L, U, x), or None where one of its denominator
+    forms is zero, and Secant-Newton's output there."""
+    try:
+        ours = apply_pair(m, L, U, x)
+    except DenominatorZeroError:
+        ours = None
+    return ours, apply_pair(secant_newton(m.n), L, U, x)
+
+
+def _output_lines(ours, sn) -> list[str]:
+    """The two outputs of _outputs_at, one line each."""
+    text = lambda pair: "[{}, {}]".format(*map(format_rational, pair))
+    mine = "none, a denominator is zero here" if ours is None else text(ours)
+    return [f"map output:           {mine}", f"secant-newton output: {text(sn)}"]
+
+
 def _witness_lines(m: MapCoefficients, w) -> list[str]:
     """Print a witness with everything needed to re-check it by hand."""
     f = format_rational
@@ -127,10 +144,7 @@ def _witness_lines(m: MapCoefficients, w) -> list[str]:
             lines.append(f"  the {exc.side} denominator form is exactly 0 here")
         return lines
     if w.violated in ("L' <= L*", "U* <= U'"):
-        mlo, mhi = apply_pair(m, w.L, w.U, w.x)
-        slo, shi = apply_pair(secant_newton(m.n), w.L, w.U, w.x)
-        lines.append(f"  map output:           [{f(mlo)}, {f(mhi)}]")
-        lines.append(f"  secant-newton output: [{f(slo)}, {f(shi)}]")
+        lines += ["  " + ln for ln in _output_lines(*_outputs_at(m, w.L, w.U, w.x))]
     elif w.violated in ("L <= L'", "L' <= r", "r <= U'", "U' <= U"):
         lo, hi = apply_pair(m, w.L, w.U, w.x)
         lines.append(f"  L={f(w.L)}  L'={f(lo)}  r={f(w.r)}  U'={f(hi)}  U={f(w.U)}")
@@ -252,17 +266,11 @@ def cmd_locus(args) -> int:
     point = [v is not None for v in (args.L, args.U, args.x)]
     if any(point) and not all(point):
         raise ValueError("--L, --U and --x must be given together")
-    evaluation = None
-    if all(point):
+    at_point = all(point)
+    if at_point:
+        # evaluate_locus first: it rejects a point outside the domain
         vp, vq = analysis.evaluate_locus(m, args.L, args.U, args.x)
-        coincide = None
-        try:
-            ours = apply_pair(m, args.L, args.U, args.x)
-            sn = apply_pair(secant_newton(m.n), args.L, args.U, args.x)
-            coincide = ours == sn
-        except DenominatorZeroError:
-            pass
-        evaluation = (vp, vq, coincide)
+        ours, sn = _outputs_at(m, args.L, args.U, args.x)
     f = format_rational
     if args.json:
         payload = {
@@ -271,63 +279,26 @@ def cmd_locus(args) -> int:
             "f_p_terms": [[i, j, k, f(c)] for (i, j, k), c in f_p.items()],
             "f_q_terms": [[i, j, k, f(c)] for (i, j, k), c in f_q.items()],
         }
-        if evaluation:
-            vp, vq, coincide = evaluation
+        if at_point:
             payload["evaluation"] = {
                 "L": f(args.L), "U": f(args.U), "x": f(args.x),
                 "f_p": f(vp), "f_q": f(vq),
-                "outputs_coincide": coincide,
+                "map_output": None if ours is None else [f(ours[0]), f(ours[1])],
+                "secant_newton_output": [f(sn[0]), f(sn[1])],
+                "outputs_coincide": None if ours is None else ours == sn,
             }
         _emit_json(args, payload)
         return 0
     lines = [f"f_p = {analysis.locus_text(f_p)}", f"f_q = {analysis.locus_text(f_q)}"]
-    if evaluation:
-        vp, vq, coincide = evaluation
+    if at_point:
         lines.append(f"at (L, U, x) = ({f(args.L)}, {f(args.U)}, {f(args.x)}): "
                      f"f_p = {f(vp)}, f_q = {f(vq)}")
-        if coincide is None:
-            lines.append("outputs: a denominator is zero here, nothing to compare")
-        else:
+        lines += _output_lines(ours, sn)
+        if ours is not None:
             lines.append("outputs coincide with secant-newton: "
-                         + ("yes" if coincide else "no"))
+                         + ("yes" if ours == sn else "no"))
     _write(args, "\n".join(lines))
     return 0
-
-
-def cmd_counterexample(args) -> int:
-    m = counterexample_map()
-    sn = secant_newton(3)
-    L, U = Fraction(1), Fraction(2)
-    x = Fraction(27, 8)
-    ours = apply_pair(m, L, U, x)
-    theirs = apply_pair(sn, L, U, x)
-    vp, vq = analysis.evaluate_locus(m, L, U, x)
-    equal = ours == theirs and (vp, vq) == (0, 0)
-    f = format_rational
-    payload = {
-        "map": m.to_json(),
-        "point": {"L": f(L), "U": f(U), "x": f(x)},
-        "map_output": [f(ours[0]), f(ours[1])],
-        "secant_newton_output": [f(theirs[0]), f(theirs[1])],
-        "locus": [f(vp), f(vq)],
-        "identical": equal,
-    }
-    lines = [
-        f"map:            p = ({', '.join(map(f, m.p))})",
-        f"                q = ({', '.join(map(f, m.q))})",
-        f"at ([{f(L)}, {f(U)}], x = {f(x)}):",
-        f"  map output:           [{f(ours[0])}, {f(ours[1])}]",
-        f"  secant-newton output: [{f(theirs[0])}, {f(theirs[1])}]",
-        f"  equality locus value: ({f(vp)}, {f(vq)})",
-        f"  identical: {'yes' if equal else 'NO'}",
-        "a map other than secant-newton can reproduce its interval exactly, "
-        "but only on a measure-zero set of points",
-    ]
-    if args.json:
-        _emit_json(args, payload)
-    else:
-        _write(args, "\n".join(lines))
-    return 0 if equal else 1
 
 
 def cmd_bench(args) -> int:
@@ -400,16 +371,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("locus", parents=[json_output, mapped],
                        help="equality-locus polynomials of a canonical map, "
-                            "optionally evaluated at a point")
+                            "optionally evaluated at a point with both "
+                            "maps' outputs there")
     p.add_argument("--L", type=_argument(_parse_positive_rational), default=None)
     p.add_argument("--U", type=_argument(_parse_positive_rational), default=None)
     p.add_argument("--x", type=_argument(_parse_positive_rational), default=None)
     p.set_defaults(func=cmd_locus)
-
-    p = sub.add_parser("counterexample", parents=[json_output],
-                       help="reproduce the bundled equality-point "
-                            "counterexample exactly")
-    p.set_defaults(func=cmd_counterexample)
 
     p = sub.add_parser("bench", parents=[output],
                        help="run a convergence/timing benchmark")

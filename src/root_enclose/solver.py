@@ -138,13 +138,21 @@ def _validated(x, eps, max_iter, n):
 
 
 def _validated_float(x, eps, max_iter, n):
-    x, eps = _as_floats((x, eps), "x and eps")
-    if not 0 < x < inf:
-        raise ValueError(f"x must be a positive finite float, got {x!r}")
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps!r}")
+    fx, feps = _as_floats((x, eps), "x and eps")
+    if not 0 < fx < inf:
+        raise _float_error("x", x, fx, "must be a positive finite float")
+    if not feps > 0:
+        raise _float_error("eps", eps, feps, "must be positive")
     _check_n_and_max_iter(n, max_iter)
-    return x, eps
+    return fx, feps
+
+
+def _float_error(name, value, rounded, requirement) -> ValueError:
+    """The error for an x or eps whose double fails its check; a positive
+    value that rounds to 0.0 is named exactly, as given."""
+    if rounded == 0 and value > 0:
+        return ValueError(f"{name} rounds to 0.0 as a double, got {format_rational(value)}")
+    return ValueError(f"{name} {requirement}, got {rounded!r}")
 
 
 def _map_of_degree(m: MapCoefficients | None, n: int) -> MapCoefficients:

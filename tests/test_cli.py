@@ -254,25 +254,49 @@ def test_locus_rejects_noncanonical(write_map):
 
 
 def test_counterexample_reproduction():
-    out = run_cli("counterexample")
+    # the bundled map and Secant-Newton return the same interval at the
+    # equality point ([1, 2], x = 27/8), where both locus polynomials vanish
+    out = run_cli("locus", "counterexample", "--L", "1", "--U", "2", "--x", "27/8")
     assert out.returncode == 0
     assert out.stdout.count("[75/56, 155/96]") == 2
-    assert "equality locus value: (0, 0)" in out.stdout
-    assert "identical: yes" in out.stdout
+    assert "map output:           [75/56, 155/96]" in out.stdout
+    assert "secant-newton output: [75/56, 155/96]" in out.stdout
+    assert "at (L, U, x) = (1, 2, 27/8): f_p = 0, f_q = 0" in out.stdout
+    assert "outputs coincide with secant-newton: yes" in out.stdout
 
 
 def test_locus_of_the_bundled_counterexample():
     # locus reads the bundled map by name, as root --map does
-    out = run_cli("counterexample", "--json")
-    assert out.returncode == 0
-    data = json.loads(out.stdout)
-    assert data["identical"] is True
-    assert data["map_output"] == ["75/56", "155/96"]
-    out = run_cli("locus", "counterexample", "--json")
+    out = run_cli("locus", "counterexample", "--L", "1", "--U", "2", "--x", "27/8",
+                  "--json")
     assert out.returncode == 0
     data = json.loads(out.stdout)
     assert data["f_p"] == "L^2*x - 1/2*L*U*x - L^5 + 1/2*L^4*U"
     assert data["f_q"] == "0"
+    assert data["evaluation"] == {
+        "L": "1", "U": "2", "x": "27/8", "f_p": "0", "f_q": "0",
+        "map_output": ["75/56", "155/96"],
+        "secant_newton_output": ["75/56", "155/96"],
+        "outputs_coincide": True,
+    }
+
+
+def test_locus_at_a_zero_denominator(write_map):
+    # the map has no output where its p denominator form is 0; Secant-Newton
+    # still has one, and nothing is compared
+    path = write_map(ZERO_DENOMINATOR_SPEC)
+    argv = ("locus", path, "--L", "1", "--U", "1", "--x", "1")
+    out = run_cli(*argv)
+    assert out.returncode == 0
+    assert "map output:           none, a denominator is zero here" in out.stdout
+    assert "secant-newton output: [1, 1]" in out.stdout
+    assert "outputs coincide" not in out.stdout
+    out = run_cli(*argv, "--json")
+    assert out.returncode == 0
+    evaluation = json.loads(out.stdout)["evaluation"]
+    assert evaluation["map_output"] is None
+    assert evaluation["outputs_coincide"] is None
+    assert evaluation["secant_newton_output"] == ["1", "1"]
 
 
 def test_counterexample_unrepaired_q0(write_map):
@@ -385,16 +409,15 @@ def test_a_spec_that_is_not_json_text_is_an_input_error(content, command, kind, 
     ("bench", "--json"),
     ("check", "m.json", "--jobs", "2"),
     ("compare", "m.json", "--jobs", "2"),
-    ("counterexample", "--seed", "1"),
-    # removed: locus counterexample, and check on the q0 = +1 spec, print
-    # what they printed
-    ("counterexample", "--locus"),
-    ("counterexample", "--unrepaired-q0"),
+    # removed: locus counterexample --L 1 --U 2 --x 27/8 prints what it
+    # printed, so argparse rejects its name
+    ("counterexample",),
 ])
 def test_options_a_subcommand_does_not_read_are_rejected(argv):
     out = run_cli(*argv)
     assert out.returncode == 2
-    assert "unrecognized arguments" in out.stderr
+    reason = "invalid choice" if argv[0] == "counterexample" else "unrecognized arguments"
+    assert reason in out.stderr
 
 
 _TOO_BIG_FOR_A_FLOAT = "1" + "0" * 400
@@ -493,14 +516,14 @@ PINNED_OUTPUTS = [
      "a2441c5c4a6326e3a5c13819e87f1b2faa8f1dc1e5320a79c39482c5f50f14d3"),
     (("locus", "COUNTEREXAMPLE", "--json"), 0,
      "62d5edd8a9c11343480a9108133c77fa7e834194c49e04f314edd0dc4eb72acc"),
-    (("counterexample", "--json"), 0,
-     "1e22d0eb35c1301b615ccd1379288fced82587b75a423bebe77efc00644e62b3"),
     (("locus", "counterexample", "--json"), 0,
      "62d5edd8a9c11343480a9108133c77fa7e834194c49e04f314edd0dc4eb72acc"),
     (("locus", "COUNTEREXAMPLE", "--L", "1", "--U", "3", "--x", "27"), 0,
-     "06df5a24d9cb170e0cc1fa30e01fb5cfdb793aa8149884714b1b0c037d6b3b4f"),
-    (("counterexample",), 0,
-     "203a3aba798f76e29119cb81ce3bd613d326b1eb93f923d35f332be3f9f98f1e"),
+     "c7a4ee8892a0b3dcb8cd623dbc0dbbc5e3bcb110637421ab947d6707bd0d38d5"),
+    (("locus", "counterexample", "--L", "1", "--U", "2", "--x", "27/8"), 0,
+     "a7652b85235421bcc41f5ea5b93724329b1f1ec5e7421bcf118b1fa979b676bc"),
+    (("locus", "counterexample", "--L", "1", "--U", "2", "--x", "27/8", "--json"), 0,
+     "69a94245c1b0c2b574adbb0bef15de8eecead65e9e401023fe26520fa8f3a850"),
     # nonzero excess on both sides: also pins the order of the q-side terms
     (("locus", "PERTURBED", "--json"), 0,
      "9d1351bca7275228d68489ce652d64c70a5efd61e7aa43f3bd5e67b94cc683fc"),

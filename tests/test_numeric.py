@@ -27,6 +27,7 @@ from root_enclose.solver import (
     NotContractingError,
     bisect_to_eps,
     initial_interval,
+    refine_float,
     refine_to_eps,
 )
 
@@ -198,8 +199,12 @@ def test_writers_at_the_default_digit_limit(write):
     (lambda: evaluate_locus(counterexample_map(), HUGE, F(1), F(1)), "need 0 < L <= U, got ("),
     (lambda: evaluate_locus(counterexample_map(), F(1), F(2), HUGE), "need L^n <= x <= U^n, got x="),
     (lambda: Interval(HUGE, F(1)), "invalid interval ["),
+    # positive, but 0.0 as a double: named as given, not as 0.0
+    (lambda: refine_float(1 / HUGE, 2, F(1, 10)), "x rounds to 0.0 as a double, got 1/"),
+    (lambda: refine_float(F(2), 2, 1 / HUGE), "eps rounds to 0.0 as a double, got 1/"),
 ], ids=["refine_to_eps-x", "bisect_to_eps-eps", "initial_interval", "MapEvaluator.pair-ends",
-        "MapEvaluator.pair-x", "evaluate_locus-ends", "evaluate_locus-x", "Interval"])
+        "MapEvaluator.pair-x", "evaluate_locus-ends", "evaluate_locus-x", "Interval",
+        "refine_float-x", "refine_float-eps"])
 def test_errors_at_the_default_digit_limit(call, message):
     # the message names the offending 5001-digit value instead of raising
     # the interpreter's int-to-str limit error
