@@ -54,8 +54,9 @@ from itertools import islice
 from math import gcd
 from typing import NamedTuple
 
-from .maps import MapCoefficients, check_canonical, denominators, secant_newton
-from .numeric import as_rational, check_int, format_pair, format_rational, geom_sum, pow_int
+from .maps import MapCoefficients, denominators, secant_newton
+from .numeric import (as_rational, check_int, describe, format_pair, format_rational, geom_sum,
+                      pow_int)
 
 PASSED_ON_SAMPLES = "passed-on-samples"
 FALSIFIED = "falsified"
@@ -76,10 +77,10 @@ class SampleConfig:
     def __post_init__(self):
         check_int("count", self.count)
         if self.count < 1:
-            raise ValueError("count must be >= 1")
+            raise ValueError(f"count must be >= 1, got {describe(self.count)}")
         check_int("seed", self.seed)
         if not 0 <= self.seed < 2 ** 64:
-            raise ValueError("seed must fit in 64 unsigned bits")
+            raise ValueError(f"seed must fit in 64 unsigned bits, got {describe(self.seed)}")
 
 
 class Triple(NamedTuple):
@@ -385,7 +386,7 @@ def check_denominator_bounds(m: MapCoefficients, cfg: SampleConfig) -> Verdict:
     Rejects non-canonical maps: the bounds are statements about the reduced
     form.
     """
-    if not check_canonical(m).is_canonical:
+    if not m.evaluator.canonical:
         raise ValueError("denominator bounds apply to canonical maps only")
     return check_map(m, cfg)[0]
 
@@ -557,7 +558,7 @@ def equality_locus(m: MapCoefficients) -> tuple[dict, dict]:
 
 
 def _check_locus_map(m: MapCoefficients) -> None:
-    if not check_canonical(m).is_canonical:
+    if not m.evaluator.canonical:
         raise ValueError("the equality locus applies to canonical maps only")
 
 

@@ -2,7 +2,9 @@
 
 A bench specification lists maps (by name or map-spec file path), x values,
 degrees, width bounds, a backend and a repetition count; the runner produces
-one row per (map, x, n, eps, repetition) in that nesting order.  Iteration
+one row per (map, x, n, eps, repetition) in that nesting order.  Maps are
+read by maps.map_argument, as root --map reads them, and every x and eps is
+checked by its backend's solver check, all before any row runs.  Iteration
 counts are deterministic per configuration; wall times are reported for
 every repetition, never averaged.
 
@@ -22,19 +24,15 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .maps import (
-    DenominatorZeroError,
-    check_degree,
-    counterexample_map,
-    load_map,
-    read_spec,
-)
+from .maps import DenominatorZeroError, check_degree, map_argument, read_spec
 from .numeric import describe, format_rational, is_int, parse_rational
 from .solver import (
     NON_FINITE,
     NotContractingError,
     bisect_float,
     bisect_to_eps,
+    float_inputs,
+    rational_inputs,
     refine_float,
     refine_to_eps,
 )
@@ -42,7 +40,6 @@ from .solver import (
 CSV_HEADER = "map,backend,n,x,eps,iterations,final_width,wall_time_ns"
 _FIELDS = CSV_HEADER.split(",")
 
-NAMED_MAPS = ("secant-newton", "bisection", "counterexample")
 BACKENDS = ("rational", "float")
 
 
@@ -122,23 +119,20 @@ def spec_from_dict(data) -> BenchSpec:
             check_degree(n)
     except ValueError as exc:
         raise BenchSpecError(str(exc)) from None
-    if any(x <= 0 for x in xs):
-        raise BenchSpecError("xs must be positive")
-    if any(e <= 0 for e in epses):
-        raise BenchSpecError("epses must be positive")
     maps = listing("maps")
     if not all(isinstance(name, str) for name in maps):
         raise BenchSpecError("maps must be names or file paths")
     backend = data.get("backend", BenchSpec.backend)
     if backend not in BACKENDS:
         raise BenchSpecError(f"backend must be one of {BACKENDS}, got {describe(backend)}")
-    if backend == "float":
-        try:
-            finite = all(0 < float(v) < float("inf") for v in xs + epses)
-        except OverflowError:
-            finite = False
-        if not finite:
-            raise BenchSpecError("float backend: xs and epses must be positive finite floats")
+    # every row's x and eps, checked as its solver checks them
+    inputs = rational_inputs if backend == "rational" else float_inputs
+    try:
+        for x in xs:
+            for eps in epses:
+                inputs(x, eps)
+    except ValueError as exc:
+        raise BenchSpecError(str(exc)) from None
     reps = data.get("reps", BenchSpec.reps)
     if not is_int(reps) or reps < 1:
         raise BenchSpecError(f"reps must be a positive integer, got {describe(reps)}")
@@ -163,15 +157,7 @@ def _resolve_maps(spec: BenchSpec) -> list[tuple[str, object]]:
         if name in ("secant-newton", "bisection"):
             entries.append((name, name))
             continue
-        if name == "counterexample":
-            m = counterexample_map()
-        elif name.endswith(".json"):
-            m = load_map(name)
-        else:
-            raise BenchSpecError(
-                f"unknown map name {name!r} (named maps: {', '.join(NAMED_MAPS)}; "
-                "anything else must be a .json map-spec path)"
-            )
+        m = map_argument(name)
         if spec.backend == "float":
             try:
                 m.float_sides

@@ -7,7 +7,9 @@ printed), 2 usage or input error, among them a spec file that cannot be
 read or is not JSON text and an --out file that cannot be written.  All
 rationals are read and written in the exact "a/b" text form; eps
 additionally accepts the shorthand "1e-k" which expands to the exact
-rational 1/10**k, for k up to MAX_EPS_EXPONENT.  Every rational is
+rational 1/10**k, for k up to MAX_EPS_EXPONENT.  The parsers check only
+the text: a map argument is read by maps.map_argument, x and eps are
+checked by the solver and a locus point by evaluate_locus.  Every rational is
 written through ``format_rational``, so no process-wide setting (such as
 the int-to-str digit limit) is touched, and the argument parser is built
 once per process.
@@ -31,8 +33,7 @@ from .maps import (
     MapCoefficients,
     apply_pair,
     check_canonical,
-    counterexample_map,
-    load_map,
+    map_argument,
     secant_newton,
 )
 from .numeric import format_pair, format_rational, parse_rational
@@ -57,14 +58,7 @@ def _parse_eps(text: str) -> Fraction:
         if k > MAX_EPS_EXPONENT:
             raise ValueError(f"the shorthand 1e-k takes k up to {MAX_EPS_EXPONENT}, got {text!r}")
         return Fraction(1, 10 ** k)
-    return _parse_positive_rational(text, "eps")
-
-
-def _parse_positive_rational(text: str, name: str = "the value") -> Fraction:
-    value = parse_rational(text)
-    if value <= 0:
-        raise ValueError(f"{name} must be positive, got {text!r}")
-    return value
+    return parse_rational(text)
 
 
 def _argument(parse):
@@ -75,12 +69,6 @@ def _argument(parse):
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
     return argument
-
-
-def _load_map_argument(text: str) -> MapCoefficients:
-    if text == "counterexample":
-        return counterexample_map()
-    return load_map(text)
 
 
 def _check_out(path: str) -> None:
@@ -161,7 +149,7 @@ def cmd_root(args) -> int:
     # None leaves Secant-Newton of degree n to the solver, which also
     # rejects a loaded map of another degree
     map_name = "secant-newton" if args.map is None else args.map
-    m = None if map_name in ("secant-newton", "bisection") else _load_map_argument(map_name)
+    m = None if map_name in ("secant-newton", "bisection") else map_argument(map_name)
     if args.backend == "float":
         if map_name == "bisection":
             raise ValueError("the float backend supports refinement maps only")
@@ -191,7 +179,7 @@ def cmd_root(args) -> int:
 
 
 def cmd_check(args) -> int:
-    m = _load_map_argument(args.map_file)
+    m = map_argument(args.map_file)
     cfg = SampleConfig(args.seed, args.samples)
     report = check_canonical(m)
     bounds, verdict = analysis.check_map(m, cfg)
@@ -227,7 +215,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    m = _load_map_argument(args.map_file)
+    m = map_argument(args.map_file)
     cfg = SampleConfig(args.seed, args.samples)
     stats = analysis.check_dominance(m, cfg)
     # the exit code, the counts and the output come from the integer rows:
@@ -261,7 +249,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_locus(args) -> int:
-    m = _load_map_argument(args.map_file)
+    m = map_argument(args.map_file)
     f_p, f_q = analysis.equality_locus(m)
     point = [v is not None for v in (args.L, args.U, args.x)]
     if any(point) and not all(point):
@@ -346,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("root", parents=[json_output],
                        help="compute an enclosure of the nth root of x")
-    p.add_argument("--x", type=_argument(_parse_positive_rational), required=True)
+    p.add_argument("--x", type=_argument(parse_rational), required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--eps", type=_argument(_parse_eps), required=True,
                    help="width bound, e.g. 1/1000 or 1e-12")
@@ -373,9 +361,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="equality-locus polynomials of a canonical map, "
                             "optionally evaluated at a point with both "
                             "maps' outputs there")
-    p.add_argument("--L", type=_argument(_parse_positive_rational), default=None)
-    p.add_argument("--U", type=_argument(_parse_positive_rational), default=None)
-    p.add_argument("--x", type=_argument(_parse_positive_rational), default=None)
+    p.add_argument("--L", type=_argument(parse_rational), default=None)
+    p.add_argument("--U", type=_argument(parse_rational), default=None)
+    p.add_argument("--x", type=_argument(parse_rational), default=None)
     p.set_defaults(func=cmd_locus)
 
     p = sub.add_parser("bench", parents=[output],

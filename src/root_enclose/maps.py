@@ -354,7 +354,8 @@ def denominators(m: MapCoefficients, lo, hi) -> tuple[Fraction, Fraction]:
 
 def map_from_dict(data) -> MapCoefficients:
     """Parse a map specification object: {"n": int, "p": [...], "q": [...]}
-    with p and q arrays of exactly 2n+1 rational strings."""
+    with p and q arrays of rational strings; MapCoefficients checks the
+    degree and that each has 2n+1 entries."""
     if not isinstance(data, dict):
         raise MapSpecError("map spec must be a JSON object")
     unknown = sorted(set(data) - {"n", "p", "q"})
@@ -363,27 +364,19 @@ def map_from_dict(data) -> MapCoefficients:
     missing = sorted({"n", "p", "q"} - set(data))
     if missing:
         raise MapSpecError(f"missing fields in map spec: {', '.join(missing)}")
-    n = data["n"]
-    try:
-        check_degree(n)
-    except ValueError as exc:
-        raise MapSpecError(str(exc)) from None
-    want = 2 * n + 1
     vectors = {}
     for name in ("p", "q"):
         arr = data[name]
         if not isinstance(arr, list):
             raise MapSpecError(f"{name} must be an array of rational strings")
-        if len(arr) != want:
-            raise MapSpecError(
-                f"{name} must have exactly {want} entries (2n+1 for n={n}), "
-                f"got {len(arr)}"
-            )
         try:
             vectors[name] = tuple(parse_rational(item) for item in arr)
         except ValueError as exc:
             raise MapSpecError(f"bad entry in {name}: {exc}") from None
-    return MapCoefficients(n, vectors["p"], vectors["q"])
+    try:
+        return MapCoefficients(data["n"], vectors["p"], vectors["q"])
+    except ValueError as exc:
+        raise MapSpecError(str(exc)) from None
 
 
 def read_spec(path, kind: str, error: type[ValueError]):
@@ -402,3 +395,10 @@ def read_spec(path, kind: str, error: type[ValueError]):
 def load_map(path) -> MapCoefficients:
     """Load a map specification from a JSON file."""
     return map_from_dict(read_spec(path, "map", MapSpecError))
+
+
+def map_argument(text: str) -> MapCoefficients:
+    """The map a command-line or bench-spec argument names: the bundled
+    counterexample_map for "counterexample", else the map spec at the path
+    text, whatever its name."""
+    return counterexample_map() if text == "counterexample" else load_map(text)

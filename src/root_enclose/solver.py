@@ -31,7 +31,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import inf, isfinite, isqrt, nan
 
-from .maps import DenominatorZeroError, MapCoefficients, _as_floats, check_degree, secant_newton
+from .maps import DenominatorZeroError, MapCoefficients, check_degree, secant_newton
 from .numeric import Interval, as_rational, check_int, describe, format_rational
 # Not used here; kept importable because perfbench/tracing.py wraps it at this name.
 from .numeric import pow_int  # noqa: F401
@@ -126,24 +126,32 @@ def _check_n_and_max_iter(n, max_iter):
     check_degree(n)
 
 
-def _validated(x, eps, max_iter, n):
+def rational_inputs(x, eps) -> tuple[Fraction, Fraction]:
+    """x and eps as the rational solvers read them: exact, each positive."""
     x = as_rational(x)
     eps = as_rational(eps)
     if x <= 0:
         raise ValueError(f"x must be positive, got {format_rational(x)}")
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {format_rational(eps)}")
-    _check_n_and_max_iter(n, max_iter)
     return x, eps
 
 
-def _validated_float(x, eps, max_iter, n):
-    fx, feps = _as_floats((x, eps), "x and eps")
+def float_inputs(x, eps) -> tuple[float, float]:
+    """x and eps as the float solvers read them: doubles, x positive and
+    finite, eps positive."""
+    fx = None
+    try:
+        fx = float(x)
+        feps = float(eps)
+    except OverflowError:
+        name, value = ("x", x) if fx is None else ("eps", eps)
+        raise ValueError(
+            f"{name} does not fit in a double, got {format_rational(value)}") from None
     if not 0 < fx < inf:
         raise _float_error("x", x, fx, "must be a positive finite float")
     if not feps > 0:
         raise _float_error("eps", eps, feps, "must be positive")
-    _check_n_and_max_iter(n, max_iter)
     return fx, feps
 
 
@@ -188,7 +196,8 @@ def refine_to_eps(x, n: int, eps, m: MapCoefficients | None = None,
     lo**n <= x <= hi**n; a disordered pair, or an interval that misses the
     root, raises NotContractingError.
     """
-    x, eps = _validated(x, eps, max_iter, n)
+    x, eps = rational_inputs(x, eps)
+    _check_n_and_max_iter(n, max_iter)
     m = _map_of_degree(m, n)
     en, ed = eps.numerator, eps.denominator
     k = (ed // en).bit_length() + 16
@@ -271,7 +280,8 @@ def bisect_to_eps(x, n: int, eps, max_iter: int = DEFAULT_MAX_ITER) -> RefineTra
     satisfy lo**n <= x <= hi**n by cross-multiplication, so every recorded
     interval does; a final row that fails the check raises RuntimeError.
     """
-    x, eps = _validated(x, eps, max_iter, n)
+    x, eps = rational_inputs(x, eps)
+    _check_n_and_max_iter(n, max_iter)
     xn, d = x.numerator, x.denominator
     a, b = sorted((xn, d))
     span = b - a  # the width's numerator over d*2**j, the same at every j
@@ -428,7 +438,8 @@ def refine_float(x: float, n: int, eps: float, m: MapCoefficients | None = None,
     The step reads the map's nonzero terms, MapCoefficients.float_sides,
     which each map builds once; the default map is one per degree.
     """
-    x, eps = _validated_float(x, eps, max_iter, n)
+    x, eps = float_inputs(x, eps)
+    _check_n_and_max_iter(n, max_iter)
     p, q = _map_of_degree(m, n).float_sides
     return refine_float_loop(x, n, p, q, eps, max_iter)
 
@@ -440,7 +451,8 @@ def bisect_float(x: float, n: int, eps: float,
     A midpoint whose nth power overflows a float ends the loop as
     "non-finite", keeping the last finite interval, as in refine_float.
     """
-    x, eps = _validated_float(x, eps, max_iter, n)
+    x, eps = float_inputs(x, eps)
+    _check_n_and_max_iter(n, max_iter)
     lo = min(1.0, x)
     hi = max(1.0, x)
     it = 0

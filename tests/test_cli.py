@@ -332,13 +332,58 @@ def test_bench_default_csv():
 
 
 def test_bench_unknown_map(tmp_path):
+    # any name but a method's or "counterexample" is a map-spec path
     spec = tmp_path / "bench.json"
+    missing = tmp_path / "newton-raphson"
     spec.write_text(json.dumps({
-        "maps": ["newton-raphson"], "xs": ["2"], "ns": [2],
+        "maps": [str(missing)], "xs": ["2"], "ns": [2],
         "epses": ["1/10"], "backend": "rational", "reps": 1}))
     out = run_cli("bench", str(spec))
     assert out.returncode == 2
-    assert "unknown map name" in out.stderr
+    assert out.stderr.startswith(f"error: cannot read map spec {missing}: ")
+
+
+def test_every_command_reads_a_map_file_of_any_name(tmp_path, capsys):
+    # root --map, check, compare, locus and bench read a map argument by one
+    # rule: "counterexample" is the bundled map, any other text a map-spec
+    # path, here one without the .json suffix
+    from fractions import Fraction as F
+
+    from root_enclose import analysis, cli
+    from root_enclose.maps import check_canonical, counterexample_map, load_map
+    from root_enclose.solver import refine_to_eps
+
+    path = str(tmp_path / "perturbed-3")
+    (tmp_path / "perturbed-3").write_text(json.dumps(PERTURBED_SPEC))
+    m = load_map(path)
+    cfg = analysis.SampleConfig(0, 50)
+
+    def run(*argv):
+        assert cli.main(list(argv)) == 0
+        return capsys.readouterr().out
+
+    root = json.loads(run("root", "--map", path, "--x", "2", "--n", "3", "--eps", "1/10000",
+                          "--json"))
+    assert root["map"] == path
+    assert root["final_interval"] == refine_to_eps(2, 3, F(1, 10000), m).to_json()[
+        "final_interval"]
+    check = json.loads(run("check", path, "--samples", "50", "--json"))
+    assert check["canonical"] == check_canonical(m).to_json()
+    assert check["contraction"] == analysis.check_map(m, cfg)[1].to_json()
+    compare = json.loads(run("compare", path, "--samples", "50", "--json"))
+    assert compare == json.loads(analysis.check_dominance(m, cfg).to_json_text())
+    assert run("locus", path).startswith(
+        f"f_p = {analysis.locus_text(analysis.equality_locus(m)[0])}\n")
+    spec = tmp_path / "bench.json"
+    spec.write_text(json.dumps({"maps": [path, "counterexample"], "xs": ["2"], "ns": [3],
+                                "epses": ["1/10000"], "reps": 1}))
+    rows = json.loads(run("bench", str(spec), "--format", "json"))
+    widths = [refine_to_eps(2, 3, F(1, 10000), mm).to_json()["final_width"]
+              for mm in (m, counterexample_map())]
+    assert [(r["map"], r["final_width"]) for r in rows] == list(zip([path, "counterexample"],
+                                                                    widths))
+    assert rows[0]["final_width"] == root["final_width"]
+    assert widths[0] != widths[1]
 
 
 def test_bench_json_format_and_out_file(tmp_path):
@@ -423,22 +468,36 @@ def test_options_a_subcommand_does_not_read_are_rejected(argv):
 _TOO_BIG_FOR_A_FLOAT = "1" + "0" * 400
 
 
-@pytest.mark.parametrize("argv", [
-    ("root", "--backend", "float", "--x", _TOO_BIG_FOR_A_FLOAT, "--n", "2",
-     "--eps", "1e-3"),
-    ("root", "--backend", "float", "--x", "2", "--n", "2",
-     "--eps", _TOO_BIG_FOR_A_FLOAT),
-    ("root", "--backend", "float", "--x", "2", "--n", "2", "--eps", "1e-3",
-     "--trace"),
-    ("root", "--backend", "float", "--map", "bisection", "--x", "2", "--n", "2",
-     "--eps", "1e-3"),
-    ("bench", "SPEC"),
+_TOO_SMALL_FOR_A_FLOAT = "1/1" + "0" * 400
+
+
+@pytest.mark.parametrize("argv,error", [
+    (("root", "--backend", "float", "--x", _TOO_BIG_FOR_A_FLOAT, "--n", "2",
+      "--eps", "1e-3"), f"x does not fit in a double, got {_TOO_BIG_FOR_A_FLOAT}\n"),
+    (("root", "--backend", "float", "--x", "2", "--n", "2",
+      "--eps", _TOO_BIG_FOR_A_FLOAT),
+     f"eps does not fit in a double, got {_TOO_BIG_FOR_A_FLOAT}\n"),
+    (("root", "--backend", "float", "--x", "2", "--n", "2", "--eps", "1e-3",
+      "--trace"), "the float backend keeps no interval sequence for --trace\n"),
+    (("root", "--backend", "float", "--map", "bisection", "--x", "2", "--n", "2",
+      "--eps", "1e-3"), "the float backend supports refinement maps only\n"),
+    (("bench", "SPEC"), f"x does not fit in a double, got {_TOO_BIG_FOR_A_FLOAT}\n"),
     # a map coefficient beyond the float range
-    ("root", "--backend", "float", "--map", "BIG_MAP", "--x", "2", "--n", "2",
-     "--eps", "1e-3"),
-    ("bench", "BIG_MAP_SPEC"),
-])
-def test_float_path_rejects_what_it_cannot_run(argv, tmp_path):
+    (("root", "--backend", "float", "--map", "BIG_MAP", "--x", "2", "--n", "2",
+      "--eps", "1e-3"), "map coefficients must fit in a float: "),
+    (("bench", "BIG_MAP_SPEC"),
+     "float backend: map BIG_MAP: map coefficients must fit in a float: "),
+    # a bench spec's eps is checked as root checks it, before any row runs
+    (("bench", "TINY_EPS_SPEC"),
+     f"eps rounds to 0.0 as a double, got {_TOO_SMALL_FOR_A_FLOAT}\n"),
+], ids=[f"argv{i}" for i in range(8)])
+def test_float_path_rejects_what_it_cannot_run(argv, error, tmp_path, capsys, monkeypatch):
+    from root_enclose import bench, cli
+
+    def run(*args):
+        raise AssertionError("a bench row ran")
+
+    monkeypatch.setattr(bench, "_run", run)
     big_map = tmp_path / "big-map.json"
     big_map.write_text(json.dumps({
         "n": 2, "p": ["-1", "0", "0", _TOO_BIG_FOR_A_FLOAT, "1"],
@@ -446,14 +505,16 @@ def test_float_path_rejects_what_it_cannot_run(argv, tmp_path):
     files = {"BIG_MAP": big_map}
     for name, spec in (("SPEC", {"maps": ["secant-newton"],
                                  "xs": ["2", _TOO_BIG_FOR_A_FLOAT]}),
+                       ("TINY_EPS_SPEC", {"maps": ["secant-newton"], "xs": ["2"],
+                                          "epses": ["1/10", _TOO_SMALL_FOR_A_FLOAT]}),
                        ("BIG_MAP_SPEC", {"maps": [str(big_map)], "xs": ["2"]})):
         files[name] = tmp_path / f"{name}.json"
         files[name].write_text(json.dumps({
-            **spec, "ns": [2], "epses": ["1/10"], "backend": "float", "reps": 1}))
-    out = run_cli(*(str(files[arg]) if arg in files else arg for arg in argv))
-    assert out.returncode == 2
-    assert out.stderr.startswith("error:")
-    assert "Traceback" not in out.stderr
+            "ns": [2], "epses": ["1/10"], **spec, "backend": "float", "reps": 1}))
+    assert cli.main([str(files[arg]) if arg in files else arg for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: " + error.replace("BIG_MAP", str(big_map)))
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
@@ -850,14 +911,16 @@ def test_the_eps_shorthand_is_capped_before_its_power_is_built(capsys, monkeypat
         assert capsys.readouterr().err.endswith(
             "error: argument --eps: the shorthand 1e-k takes k up to "
             f"{cli.MAX_EPS_EXPONENT}, got '1e-{k}'\n")
-    # the other type= parsers' messages reach stderr too; the last
-    # --x or --eps given is the one parsed
-    for option, value, message in (("--eps", "0", "eps must be positive, got '0'"),
-                                   ("--x", "0", "the value must be positive, got '0'"),
-                                   ("--eps", "1/0", "zero denominator: '1/0'")):
+    # a literal that does not parse is the parser's error; a value that
+    # parses but is not positive is the solver's; the last --x or --eps
+    # given is the one parsed
+    monkeypatch.undo()
+    for option, value, message in (("--eps", "0", "eps must be positive, got 0"),
+                                   ("--x", "0", "x must be positive, got 0"),
+                                   ("--eps", "1/0", "argument --eps: zero denominator: '1/0'")):
         argv = ["root", "--x", "2", "--n", "2", "--eps", "1/10", option, value]
         assert cli.main(argv) == 2
-        assert capsys.readouterr().err.endswith(f"error: argument {option}: {message}\n")
+        assert capsys.readouterr().err.endswith(f"error: {message}\n")
     monkeypatch.setattr(cli, "MAX_EPS_EXPONENT", 5)
     assert cli._parse_eps("1e-5") == F(1, 10 ** 5)
     with pytest.raises(ValueError, match="the shorthand 1e-k takes k up to 5"):

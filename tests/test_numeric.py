@@ -5,7 +5,7 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
-from root_enclose.analysis import Witness, evaluate_locus, locus_text
+from root_enclose.analysis import SampleConfig, Witness, evaluate_locus, locus_text
 from root_enclose.bench import spec_from_dict
 from root_enclose.maps import (
     MapCoefficients,
@@ -202,9 +202,18 @@ def test_writers_at_the_default_digit_limit(write):
     # positive, but 0.0 as a double: named as given, not as 0.0
     (lambda: refine_float(1 / HUGE, 2, F(1, 10)), "x rounds to 0.0 as a double, got 1/"),
     (lambda: refine_float(F(2), 2, 1 / HUGE), "eps rounds to 0.0 as a double, got 1/"),
+    # beyond the double range: named as given
+    (lambda: refine_float(HUGE, 2, F(1, 10)), "x does not fit in a double, got 1"),
+    (lambda: refine_float(F(2), 2, HUGE), "eps does not fit in a double, got 1"),
+    # an int describe cannot print is named by its type: the whole message
+    (lambda: SampleConfig(count=-HUGE.numerator),
+     "count must be >= 1, got <int too long to print>"),
+    (lambda: SampleConfig(seed=HUGE.numerator),
+     "seed must fit in 64 unsigned bits, got <int too long to print>"),
 ], ids=["refine_to_eps-x", "bisect_to_eps-eps", "initial_interval", "MapEvaluator.pair-ends",
         "MapEvaluator.pair-x", "evaluate_locus-ends", "evaluate_locus-x", "Interval",
-        "refine_float-x", "refine_float-eps"])
+        "refine_float-x", "refine_float-eps", "refine_float-x-overflow",
+        "refine_float-eps-overflow", "SampleConfig-count", "SampleConfig-seed"])
 def test_errors_at_the_default_digit_limit(call, message):
     # the message names the offending 5001-digit value instead of raising
     # the interpreter's int-to-str limit error
@@ -217,7 +226,8 @@ def test_errors_at_the_default_digit_limit(call, message):
     finally:
         sys.set_int_max_str_digits(previous)
     assert text.startswith(message)
-    assert HUGE_TEXT in text
+    # describe names an int it cannot print by its type: such a message is whole
+    assert text == message if message.endswith(" too long to print>") else HUGE_TEXT in text
 
 
 HUGE_TEXT = "1" + "0" * 5000
