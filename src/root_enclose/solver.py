@@ -15,11 +15,14 @@ The map loop also bounds its endpoints' size, rounding them outward onto a
 dyadic lattice 2**-k_j once they outgrow it, where
 k_j = min(bits(1/eps) + 16, 2*bits(1/width_j) + 32) follows the width of
 the interval the step starts from.
-The float loop allocates one pair of power tables per call and refills
-them by running products each step, with results bit for bit those of
-building them anew; both endpoints read only their side's nonzero terms
-from them.  It stops as "non-finite" at any NaN or infinite endpoint or
-width, or at an infinite top power before the terms are read.
+The float loop takes a Secant-Newton step on the default map's float
+terms, the ones secant_newton(n) keeps: it reads the secant and Newton forms from running powers
+of lo and hi, with results bit for bit those of the generic step.  The
+generic step allocates one pair of power tables per call, refills them by
+running products each step, and reads only each side's nonzero terms from
+them.  The loop stops as "non-finite" at any NaN or infinite endpoint or
+width; the generic step also stops so at an infinite top power before the
+terms are read.
 A map's evaluator and float terms are built on its first use (maps).
 """
 
@@ -375,9 +378,23 @@ def refine_float_loop(x, n, p, q, eps, max_iter) -> FloatTrace:
     """Double-precision refinement loop from [min(1,x), max(1,x)], with the
     map's sides p and q given as MapCoefficients.float_sides holds them.
 
-    The power tables lo**0..lo**n and hi**0..hi**n are allocated once per
-    call; each step refills them by running products (the same IEEE
-    products, in the same order, as lo**i = lo**(i-1) * lo), and both
+    When p and q are the default map's terms (the objects
+    secant_newton(n).float_sides holds), each step reads the secant and
+    Newton forms from running powers.  One table,
+    lo**(n-1) .. lo**1, allocated once per call, is refilled by running
+    products.  The secant form, the sum of lo**(n-1-k) * hi**k, is added
+    in k order while hi**k is carried as a running product; its last
+    factor, hi**(n-1), gives the Newton form n * hi**(n-1).  The numerators
+    are x - lo**n and x - hi**n.  These are the generic step's IEEE
+    operations on those terms, in the same order, less its products by
+    1.0 or -1.0 and its 0.0 + t for the Newton form's lone term, each exact
+    (up to the sign of a zero form, which ends the step either way), so the
+    results are the same bit for bit.  An infinite lo**n or hi**n makes its
+    endpoint's numerator infinite, and so the endpoint.
+
+    Otherwise the power tables lo**0..lo**n and hi**0..hi**n are allocated
+    once per call; each step refills them by running products (the same
+    IEEE products, in the same order, as lo**i = lo**(i-1) * lo), and both
     endpoints read only their side's nonzero terms from them, with the
     tables' roles swapped.  An infinite lo**n or hi**n ends the step as
     "non-finite" before any term is read: a dropped zero term, read as
@@ -394,8 +411,15 @@ def refine_float_loop(x, n, p, q, eps, max_iter) -> FloatTrace:
     hi = x if x > 1.0 else 1.0
     it = 0
     prev_w = inf
-    lp = [1.0] * (n + 1)
-    hp = [1.0] * (n + 1)
+    sp, sq = secant_newton(n).float_sides
+    sn_step = p is sp and q is sq
+    if sn_step:
+        lt = [1.0] * (n - 1)  # lt[k] = lo**(n-1-k)
+        down = range(n - 2, -1, -1)
+        nf = float(n)
+    else:
+        lp = [1.0] * (n + 1)
+        hp = [1.0] * (n + 1)
     while True:
         w = hi - lo
         if not isfinite(w):
@@ -406,16 +430,32 @@ def refine_float_loop(x, n, p, q, eps, max_iter) -> FloatTrace:
             return FloatTrace(it, lo, hi, MAX_ITERATIONS)
         if w >= prev_w:
             return FloatTrace(it, lo, hi, STALLED)
-        a = b = 1.0
-        for i in range(1, n + 1):
+        if sn_step:
+            a = 1.0
+            for k in down:
+                a *= lo
+                lt[k] = a
             a *= lo
-            b *= hi
-            lp[i] = a
-            hp[i] = b
-        if not (isfinite(a) and isfinite(b)):
-            return FloatTrace(it, lo, hi, NON_FINITE)
-        nlo = _float_endpoint(p, lp, hp, lo, x)
-        nhi = _float_endpoint(q, hp, lp, hi, x)
+            den = 0.0
+            b = 1.0
+            for c in lt:
+                den += c * b
+                b *= hi
+            den += b  # the k = n-1 term, b = hi**(n-1)
+            nlo = nan if den == 0.0 else lo + (x - a) / den
+            den = nf * b
+            nhi = nan if den == 0.0 else hi + (x - b * hi) / den
+        else:
+            a = b = 1.0
+            for i in range(1, n + 1):
+                a *= lo
+                b *= hi
+                lp[i] = a
+                hp[i] = b
+            if not (isfinite(a) and isfinite(b)):
+                return FloatTrace(it, lo, hi, NON_FINITE)
+            nlo = _float_endpoint(p, lp, hp, lo, x)
+            nhi = _float_endpoint(q, hp, lp, hi, x)
         if not (isfinite(nlo) and isfinite(nhi)):
             return FloatTrace(it, lo, hi, NON_FINITE)
         prev_w = w
@@ -436,7 +476,10 @@ def refine_float(x: float, n: int, eps: float, m: MapCoefficients | None = None,
     keeping the last finite interval.  A map coefficient beyond the float
     range is an input error (ValueError), as an x or eps beyond it is.
     The step reads the map's nonzero terms, MapCoefficients.float_sides,
-    which each map builds once; the default map is one per degree.
+    which each map builds once; the default map is one per degree.  On
+    the default map's terms the loop takes its Secant-Newton step, with
+    the generic step's results; every other map, a map file with
+    Secant-Newton's coefficients among them, takes the generic step.
     """
     x, eps = float_inputs(x, eps)
     _check_n_and_max_iter(n, max_iter)

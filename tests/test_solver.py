@@ -899,6 +899,60 @@ def test_a_maps_float_terms_are_built_once_and_a_failure_is_not_kept(monkeypatch
         assert len(built) == 4 + attempt  # the p side is read again each time
 
 
+# x = 0.2325... at n = 4 and eps 1e-30 is a float fixed point one ulp wide
+_SECANT_NEWTON_STALLS = (0.2325178701022339, 4)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 7, 50, 200])
+def test_the_secant_newton_step_equals_the_dense_one(n):
+    rng = random.Random(39 + n)
+    xs = (1.0, 1e-300, 1e300, 2.0) + tuple(rng.uniform(0.1, 100.0) for _ in range(6))
+    if n == _SECANT_NEWTON_STALLS[1]:
+        xs += (_SECANT_NEWTON_STALLS[0],)
+    sn = secant_newton(n)
+    # a separate object read from a spec, and a p tail coefficient that
+    # rounds to Secant-Newton's 1.0: both hold Secant-Newton's float terms
+    # as other objects, so they take the generic step on those terms
+    spec = maps.map_from_dict(sn.to_json())
+    near = MapCoefficients(n, _with(sn.p, {n + 1: 1 + F(1, 10 ** 400)}), sn.q)
+    for m in (spec, near):
+        assert m.float_sides == sn.float_sides and m.float_sides[0] is not sn.float_sides[0]
+    ends = set()
+    for x in xs:
+        for eps in (1e-12, 1e-30):
+            for max_iter in (1, 5, DEFAULT_MAX_ITER):
+                want = _dense_refine_float(x, n, eps, sn, max_iter)
+                for m in (None, spec, near):
+                    assert _float_result(x, n, eps, m, max_iter) == want, (m, x, eps, max_iter)
+                ends.add(refine_float(x, n, eps, max_iter=max_iter).terminated)
+    assert refine_float(1e300, n, 1e-12).terminated == NON_FINITE
+    assert {WIDTH_REACHED, MAX_ITERATIONS, NON_FINITE} <= ends
+    if n == _SECANT_NEWTON_STALLS[1]:
+        assert STALLED in ends
+
+
+def test_the_float_path_makes_one_loop_call_and_builds_no_evaluator(monkeypatch):
+    calls, endpoints = [], []
+    loop, endpoint = solver.refine_float_loop, solver._float_endpoint
+    monkeypatch.setattr(solver, "refine_float_loop",
+                        lambda *args: calls.append(args) or loop(*args))
+    monkeypatch.setattr(solver, "_float_endpoint",
+                        lambda *args: endpoints.append(args) or endpoint(*args))
+    dominating = MapCoefficients(3, (F(-1), 0, 0, 0, 2, 1, 1), (F(-1), 0, 0, 0, 4, 0, 0))
+    fresh = MapCoefficients(3, _SN3.p, _SN3.q)
+    secant_newton.cache_clear()
+    want = refine_float(2.0, 3, 1e-12)
+    # the default map's Secant-Newton step reads no term through the generic one
+    assert (len(calls), len(endpoints)) == (1, 0)
+    # a separate map with Secant-Newton's coefficients takes the generic step
+    assert refine_float(2.0, 3, 1e-12, fresh) == want
+    assert len(calls) == 2 and endpoints
+    refine_float(2.0, 3, 1e-12, dominating)
+    assert len(calls) == 3
+    for m in (secant_newton(3), dominating, fresh):
+        assert "float_sides" in vars(m) and "evaluator" not in vars(m)
+
+
 def test_refine_float_rejects_bad_inputs():
     with pytest.raises(ValueError):
         refine_float(0.0, 2, 1e-3)
