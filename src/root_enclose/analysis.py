@@ -155,9 +155,11 @@ class DominanceStats:
     has (sample, violated, lhs, rhs) for each violation, with the sample as
     (Ln, Ld, rn, rd, Un, Ud, xn, xd) and each side as a (num, den) pair.
     equality_points and violations are Fraction and Witness views of the
-    rows, built on first access.  to_json_text writes the rows' ints
+    rows, built on first access.  json_pieces writes the rows' ints
     straight into the text json.dumps(..., indent=2, sort_keys=True) gives,
-    and to_json parses that text.
+    in pieces of at most JSON_PIECE_ROWS rows, so a writer holds one piece
+    of text at a time, never the whole; to_json_text joins the pieces and
+    to_json parses that text.
 
     Every sample is either a violation or a subset, and a subset is either
     an equality point or a proper subset, so
@@ -192,37 +194,49 @@ class DominanceStats:
     def to_json_text(self) -> str:
         """The JSON of the statistics, in json.dumps's indent=2,
         sort_keys=True layout, without a final newline."""
+        return "".join(self.json_pieces())
+
+    def json_pieces(self):
+        """The text of to_json_text in pieces of at most JSON_PIECE_ROWS
+        rows, so that a writer never holds the whole text."""
         f = format_pair
         labels = {v: json.encoder.encode_basestring_ascii(v)
                   for v in {row[1] for row in self.violation_rows}}
-        equality = ",\n".join([
+        yield '{\n  "equality_points": '
+        yield from _json_list(
             _EQUALITY_ROW % (f(ln, ld), f(rn, rd), f(un, ud))
-            for ln, ld, rn, rd, un, ud in self.equality_rows
-        ])
-        violations = ",\n".join([
+            for ln, ld, rn, rd, un, ud in self.equality_rows)
+        yield (f',\n  "proper_subset_count": {self.proper_subset_count},\n'
+               f'  "samples": {self.samples},\n'
+               f'  "subset_count": {self.subset_count},\n'
+               '  "violations": ')
+        yield from _json_list(
             _VIOLATION_ROW % (f(ln, ld), f(un, ud), f(*lhs), f(rn, rd), f(*rhs),
                               labels[violated], f(xn, xd))
             for (ln, ld, rn, rd, un, ud, xn, xd), violated, lhs, rhs
-            in self.violation_rows
-        ])
-        return (f'{{\n  "equality_points": {_json_list(equality)},\n'
-                f'  "proper_subset_count": {self.proper_subset_count},\n'
-                f'  "samples": {self.samples},\n'
-                f'  "subset_count": {self.subset_count},\n'
-                f'  "violations": {_json_list(violations)}\n}}')
+            in self.violation_rows)
+        yield "\n}"
 
 
-# One row of each list of DominanceStats.to_json_text, keys in sorted order:
+# One row of each list of DominanceStats.json_pieces, keys in sorted order:
 # equality points as [L, r, U], violations as Witness.to_json objects.
 _EQUALITY_ROW = '    [\n      "%s",\n      "%s",\n      "%s"\n    ]'
 _VIOLATION_ROW = ('    {\n      "L": "%s",\n      "U": "%s",\n      "lhs": "%s",\n'
                   '      "r": "%s",\n      "rhs": "%s",\n      "violated": %s,\n'
                   '      "x": "%s"\n    }')
+# most rows in one piece of DominanceStats.json_pieces
+JSON_PIECE_ROWS = 256
 
 
-def _json_list(rows: str) -> str:
-    """One list of to_json_text, given its rows joined by ",\\n"."""
-    return f"[\n{rows}\n  ]" if rows else "[]"
+def _json_list(rows):
+    """One list of json_pieces from its row texts, JSON_PIECE_ROWS rows
+    a piece."""
+    rows = iter(rows)
+    head = "[\n"
+    while batch := list(islice(rows, JSON_PIECE_ROWS)):
+        yield head + ",\n".join(batch)
+        head = ",\n"
+    yield "[]" if head == "[\n" else "\n  ]"
 
 
 # Fixed corner grid, the first 75 samples of every sample set.  Each pair

@@ -4,7 +4,7 @@ Subcommands: root, check, compare, locus, bench.
 
 Exit codes: 0 success / property held, 1 property falsified (a witness is
 printed), 2 usage or input error, among them a spec file that cannot be
-read or is not JSON text and an --out file that cannot be written.  All
+read or is not JSON text and an --out or stdout that cannot be written.  All
 rationals are read and written in the exact "a/b" text form; eps
 additionally accepts the shorthand "1e-k" which expands to the exact
 rational 1/10**k, for k up to MAX_EPS_EXPONENT.  The parsers check only
@@ -83,20 +83,55 @@ def _check_out(path: str) -> None:
     raise ValueError(f"cannot write {path}: {OSError(code, os.strerror(code), path)}")
 
 
-def _write(args, text: str):
-    # the final newline is written on its own, so a multi-MB text is not
-    # copied to append it
-    end = "" if text.endswith("\n") else "\n"
+def _write(args, text):
+    """Write text, one str or an iterable of str pieces, to --out or
+    standard output, ending in a newline.  A failed write is an input
+    error like an unreadable spec (exit 2): exit 1 is kept for a falsified
+    property."""
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
-                print(text, end=end, file=fh)
+                _write_pieces(fh, text)
         except OSError as exc:
-            # an input error like an unreadable spec: exit 1 is kept for
-            # a falsified property
             raise ValueError(f"cannot write {args.out}: {exc}") from None
     else:
-        print(text, end=end)
+        try:
+            _write_pieces(sys.stdout, text)
+            sys.stdout.flush()
+        except OSError as exc:
+            _drop_stdout_buffer()
+            raise ValueError(f"cannot write standard output: {exc}") from None
+
+
+def _drop_stdout_buffer() -> None:
+    # after a failed write (a reader that left, a full disk) the text still
+    # buffered would fail again in the interpreter's flush at exit and print
+    # a second error: flush it into devnull, then give fd 1 back, so a
+    # caller that runs main in process keeps its stdout
+    try:
+        fd = sys.stdout.fileno()
+    except (OSError, ValueError):
+        return
+    saved = os.dup(fd)
+    null = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(null, fd)
+        sys.stdout.flush()
+    finally:
+        os.dup2(saved, fd)
+        os.close(null)
+        os.close(saved)
+
+
+def _write_pieces(fh, text) -> None:
+    # each piece is written as it comes and the final newline on its own,
+    # so a multi-MB text is never joined or copied to append it
+    last = ""
+    for piece in (text,) if isinstance(text, str) else text:
+        fh.write(piece)
+        last = piece or last
+    if not last.endswith("\n"):
+        fh.write("\n")
 
 
 def _emit_json(args, payload) -> None:
@@ -223,7 +258,7 @@ def cmd_compare(args) -> int:
     # equality points and the witness it prints
     failed = 1 if stats.violation_rows else 0
     if args.json:
-        _write(args, stats.to_json_text())
+        _write(args, stats.json_pieces())
         return failed
     pct = lambda k: f"{100.0 * k / stats.samples:.1f}%"
     equal = len(stats.equality_rows)

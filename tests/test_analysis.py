@@ -15,6 +15,7 @@ from root_enclose import analysis
 from root_enclose._kernels import _pure
 from root_enclose.analysis import (
     DominanceStats,
+    JSON_PIECE_ROWS,
     MAX_MAGNITUDE,
     SampleConfig,
     Triple,
@@ -696,6 +697,23 @@ def test_dominance_json_text_is_the_stdlib_layout(rows, proper):
     text = stats.to_json_text()
     assert text == json.dumps(reference, indent=2, sort_keys=True)
     assert json.loads(text) == stats.to_json() == reference
+
+
+def test_dominance_json_comes_in_pieces_of_bounded_rows():
+    # above JSON_PIECE_ROWS rows a list comes in several pieces, none with
+    # more rows than the constant, so no writer holds the whole text
+    rows = 2 * JSON_PIECE_ROWS + 1
+    equality = [(k, 1, k, 1, k, 1) for k in range(1, rows + 1)]
+    violations = [((k, 1, k, 1, k + 1, 1, k ** 3, 1), "U* <= U'", (k + 1, 1), (k, 2))
+                  for k in range(1, rows + 1)]
+    stats = DominanceStats(2 * rows, tuple(equality), tuple(violations))
+    pieces = list(stats.json_pieces())
+    # each equality row opens with "    [\n", each violation row with "    {\n"
+    counts = [piece.count("    [\n") + piece.count("    {\n") for piece in pieces]
+    assert sum(counts) == 2 * rows
+    assert max(counts) == JSON_PIECE_ROWS
+    assert "".join(pieces) == json.dumps(_reference_stats_json(stats), indent=2,
+                                         sort_keys=True)
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),

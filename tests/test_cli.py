@@ -1,7 +1,9 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -430,6 +432,95 @@ def test_an_unwritable_out_is_an_input_error(argv, target, tmp_path, write_map, 
     assert sorted(tmp_path.rglob("*")) == before
 
 
+@pytest.mark.skipif(not os.access("/dev/full", os.W_OK), reason="no /dev/full to write to")
+@pytest.mark.parametrize("argv", [
+    ["root", "--x", "2", "--n", "2", "--eps", "1/1000", "--json"],
+    ["compare", "MAP", "--samples", "2000", "--json"],
+], ids=["root", "compare"])
+def test_a_full_stdout_is_an_input_error(argv, write_map):
+    # exit 1 is kept for a falsified property: a standard output that
+    # cannot be written exits 2 with one error line, as an --out does
+    argv = [write_map(NONCANONICAL_SPEC) if a == "MAP" else a for a in argv]
+    with open("/dev/full", "w") as full:
+        done = subprocess.run([sys.executable, "-m", "root_enclose.cli", *argv],
+                              stdout=full, stderr=subprocess.PIPE, text=True)
+    assert done.returncode == 2
+    assert done.stderr.startswith("error: cannot write standard output: ")
+    assert done.stderr.count("\n") == 1
+
+
+@pytest.mark.skipif(not os.access("/dev/full", os.W_OK), reason="no /dev/full to write to")
+def test_a_failed_stdout_write_in_process_keeps_stdout(write_map):
+    # main run in process: after the failed write its host still writes to
+    # the same fd 1, no fd is left open, and the exit flush prints nothing
+    child = (
+        "import os, sys\n"
+        "from root_enclose import cli\n"
+        "fds = len(os.listdir('/proc/self/fd'))\n"
+        "rc = cli.main(['compare', sys.argv[1], '--samples', '2000', '--json'])\n"
+        "same = os.fstat(1).st_rdev == os.stat('/dev/full').st_rdev\n"
+        "sys.stderr.write(f'{rc} {same} {len(os.listdir(\"/proc/self/fd\")) - fds}\\n')\n"
+    )
+    with open("/dev/full", "w") as full:
+        done = subprocess.run([sys.executable, "-c", child, write_map(NONCANONICAL_SPEC)],
+                              stdout=full, stderr=subprocess.PIPE, text=True)
+    assert done.returncode == 0
+    assert done.stderr.splitlines() == [
+        "error: cannot write standard output: [Errno 28] No space left on device",
+        "2 True 0",
+    ]
+
+
+def test_a_failed_stdout_write_leaves_nothing_for_the_exit_flush(tmp_path, monkeypatch):
+    # a stdout that keeps its bytes after a failed flush, as some CPython
+    # versions do: the interpreter's flush at exit must find nothing to write
+    from types import SimpleNamespace
+
+    from root_enclose import cli
+
+    class KeepsBytes:
+        def __init__(self, fd):
+            self.fd, self.held, self.failed = fd, [], False
+
+        def fileno(self):
+            return self.fd
+
+        def write(self, text):
+            self.held.append(text)
+
+        def flush(self):
+            if not self.failed:
+                self.failed = True
+                raise OSError(28, "No space left on device")
+            os.write(self.fd, "".join(self.held).encode())
+            self.held.clear()
+
+    target = tmp_path / "stdout"
+    with open(target, "w") as fh:
+        fake = KeepsBytes(fh.fileno())
+        monkeypatch.setattr(sys, "stdout", fake)
+        with pytest.raises(ValueError, match="^cannot write standard output: "):
+            cli._write(SimpleNamespace(out=None), ["{", "}"])
+        fake.flush()
+        os.write(fake.fd, b"after")
+    assert target.read_bytes() == b"after"
+
+
+def test_a_reader_that_leaves_is_an_input_error(write_map):
+    # compare --json | head -c 50: the text left when the pipe closes goes
+    # nowhere, and no traceback or exit-time flush error is printed
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "root_enclose.cli", "compare", write_map(NONCANONICAL_SPEC),
+         "--samples", "2000", "--json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    assert len(proc.stdout.read(50)) == 50
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 2
+    assert err == "error: cannot write standard output: [Errno 32] Broken pipe\n"
+
+
 @pytest.mark.parametrize("content", [b"[" * 100_000, b'{"n": \xff}'],
                          ids=["nested", "not-utf-8"])
 @pytest.mark.parametrize("command,kind", [
@@ -672,6 +763,63 @@ def test_compare_text_builds_one_witness(write_map, capsys, monkeypatch):
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
     assert len(built) == 1
+
+
+@pytest.mark.parametrize("spec", ["SN3", "NONCANONICAL", "COUNTEREXAMPLE", "NO_ROWS"])
+def test_compare_json_pieces_are_the_joined_text(spec, write_map, tmp_path, capsys,
+                                                 monkeypatch):
+    # compare --json writes DominanceStats.json_pieces one by one (600
+    # samples give more than JSON_PIECE_ROWS rows): stdout and --out each
+    # hold to_json_text and a final newline, byte for byte
+    from root_enclose import analysis, cli
+    from root_enclose.maps import map_argument
+
+    if spec == "NO_ROWS":
+        # no map has both lists empty: at the corner samples with L = U
+        # every canonical map's output is Secant-Newton's
+        monkeypatch.setattr(analysis, "check_dominance",
+                            lambda m, cfg: analysis.DominanceStats(cfg.count, (), ()))
+    specs = {"SN3": SN3_SPEC, "NONCANONICAL": NONCANONICAL_SPEC,
+             "COUNTEREXAMPLE": COUNTEREXAMPLE_SPEC, "NO_ROWS": SN3_SPEC}
+    path = write_map(specs[spec])
+    stats = analysis.check_dominance(map_argument(path), analysis.SampleConfig(0, 600))
+    expected = stats.to_json_text() + "\n"
+    code = 1 if stats.violation_rows else 0
+    argv = ["compare", path, "--samples", "600", "--json"]
+    assert cli.main(argv) == code
+    assert capsys.readouterr().out == expected
+    out = tmp_path / "out.json"
+    assert cli.main([*argv, "--out", str(out)]) == code
+    assert out.read_bytes() == expected.encode()
+
+
+def test_compare_json_writes_in_memory_that_does_not_grow_with_samples(write_map, tmp_path):
+    # a non-canonical map's rows grow with --samples, but writing their text
+    # takes a fixed amount above check_dominance's own peak, a few pieces of
+    # rows; the whole text of 3000 such violations is about 1 MB
+    from root_enclose import analysis, cli
+    from root_enclose.maps import map_argument
+
+    path = write_map(NONCANONICAL_SPEC)
+    out = str(tmp_path / "out.json")
+    m = map_argument(path)
+    cli.main(["compare", path, "--samples", "100", "--json", "--out", out])
+
+    def peak(run):
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    extra = {}
+    for samples in (3000, 12_000):
+        rows = peak(lambda: analysis.check_dominance(m, analysis.SampleConfig(0, samples)))
+        written = peak(lambda: cli.main(["compare", path, "--samples", str(samples),
+                                         "--json", "--out", out]))
+        extra[samples] = written - rows
+    assert abs(extra[12_000] - extra[3000]) < 2 ** 20, extra
 
 
 def test_root_json_builds_one_interval(capsys, monkeypatch):
