@@ -1,10 +1,11 @@
 """Guaranteed rational enclosures of nth roots via interval refinement maps.
 
 The package computes enclosures of the nth root of a positive rational x by
-iterating a refinement map on [min(1,x), max(1,x)] until the width bound is
-met, represents the whole parametrized family of degree-n refinement maps,
-and checks the family's properties (contraction, canonical form, dominance
-of the Secant-Newton member, the measure-zero equality locus) with exact
+iterating a refinement map from [min(1,x), max(1,x)], held on a dyadic
+lattice [a/2**k, b/2**k], until the width bound is met, represents the
+whole parametrized family of degree-n refinement maps, and checks the
+family's properties (contraction, canonical form, dominance of the
+Secant-Newton member, the measure-zero equality locus) with exact
 rational arithmetic: sample points are chosen so the root is rational and
 every comparison is exact.
 """

@@ -294,9 +294,7 @@ class MapEvaluator:
         kernel's result (status, lo_num, lo_den, hi_num, hi_den), status 1
         or 2 for a zero lower or upper denominator, with the endpoints'
         denominators positive but not reduced (ad*xd*|F| on a canonical
-        side, as the kernels' endpoint_pair gives them).  The solver rounds
-        on these unreduced denominators, so which kernel a map takes is
-        part of the result."""
+        side, as the kernels' endpoint_pair gives them)."""
         p, q = self._p, self._q
         if self.canonical:
             dp = form_pair(p.tail, ln, ld, un, ud)

@@ -1,20 +1,20 @@
-"""The refinement loop: iterate a map from [min(1,x), max(1,x)] until the
-width bound is met.
+"""The refinement loop: iterate a map from [min(1,x), max(1,x)], rounded
+outward onto a dyadic lattice, until the width bound is met.
 
 Two rigorous solvers share the exact rational arithmetic (the chosen
 refinement map, and a bisection baseline on y**n - x), plus one explicitly
 non-rigorous double-precision fast path for speed comparisons.  Both
 rational solvers loop on integer rows (num, den, num, den) and build no
 Fraction per step.  Every interval either rational solver records
-satisfies lo**n <= x <= hi**n, checked exactly by cross-multiplication:
-bisection reads all its steps from the binary digits of one integer nth
-root and checks its final interval, which every earlier one encloses,
-building the other rows only when they are read, and the map loop checks
-each step.
-The map loop also bounds its endpoints' size, rounding them outward onto a
-dyadic lattice 2**-k_j once they outgrow it, where
-k_j = min(bits(1/eps) + 16, 2*bits(1/width_j) + 32) follows the width of
-the interval the step starts from.
+satisfies lo**n <= x <= hi**n, checked exactly on integers: bisection
+reads all its steps from the binary digits of one integer nth root and
+checks its final interval, which every earlier one encloses, building the
+other rows only when they are read, and the map loop checks each step.
+The map loop holds every interval as [a/2**k, b/2**k], one k for both
+endpoints that never decreases, raised before step j to
+min(bits(1/eps) + 16, 2*bits(1/width_j) + 32), which follows the width of
+the interval the step starts from; each step's output is rounded outward
+onto it.
 The float loop takes a Secant-Newton step on the default map's float
 terms, the ones secant_newton(n) keeps: it reads the secant and Newton forms from running powers
 of lo and hi, with results bit for bit those of the generic step.  The
@@ -184,57 +184,55 @@ def refine_to_eps(x, n: int, eps, m: MapCoefficients | None = None,
     Secant-Newton of degree n; a zero denominator mid-loop propagates as
     DenominatorZeroError with the offending iteration index attached.
 
-    The loop runs on integers: each interval is held as the unreduced row
-    (lo_num, lo_den, hi_num, hi_den) the map's kernel returns, and every
-    comparison is a cross-multiplication.  Step j, from an interval of
-    width w_j, uses the lattice k_j = min(k, 2*bits(1/w_j) + 32), with
-    k = bits(1/eps) + 16: an endpoint whose unreduced denominator has more
-    than k_j bits is rounded outward onto the 2**-k_j lattice (lo down, hi
-    up) and clamped to the previous interval.  Secant-Newton converges
-    about quadratically, so a step from width w_j cannot use much more than
-    2*bits(1/w_j) bits, and the endpoints of a wide interval stay short
-    (increasing-precision Newton, as in Brent & Zimmermann, Modern Computer
-    Arithmetic, ch. 4); smaller endpoints are the map's exact output.  Every
-    recorded interval is then checked exactly to satisfy
-    lo**n <= x <= hi**n; a disordered pair, or an interval that misses the
-    root, raises NotContractingError.
+    The loop runs on one dyadic lattice: every interval it holds and
+    records is [a/2**k, b/2**k], integers 1 <= a <= b, with one k that
+    never decreases.  The start [min(1,x), max(1,x)] is rounded outward
+    onto 2**-k_0, k_0 at least bits(1/x) so that a >= 1.  Step j, from
+    width w_j, first shifts a and b left to
+    k_j = max(k_{j-1}, min(K, 2*bits(1/w_j) + 32)), K = bits(1/eps) + 16:
+    Secant-Newton converges about quadratically, so a step from width w_j
+    cannot use much more than 2*bits(1/w_j) bits (increasing-precision
+    Newton, as in Brent & Zimmermann, Modern Computer Arithmetic, ch. 4).
+    Every map in the family is homogeneous, so the map at
+    (a, b, x*2**(n*k)) is 2**k times its output at the interval; that
+    output is floored and ceiled onto the lattice and clamped to [a, b].
+    A disordered pair, or an interval that misses the root, checked
+    exactly as a**n <= x*2**(n*k) <= b**n, raises NotContractingError.
     """
     x, eps = rational_inputs(x, eps)
     _check_n_and_max_iter(n, max_iter)
     m = _map_of_degree(m, n)
     en, ed = eps.numerator, eps.denominator
-    k = (ed // en).bit_length() + 16
+    k_max = (ed // en).bit_length() + 16  # K
     evaluate = m.evaluator.evaluate
     xn, xd = x.numerator, x.denominator
-    iv = initial_interval(x)
-    ln, ld, un, ud = iv.lo.numerator, iv.lo.denominator, iv.hi.numerator, iv.hi.denominator
-    rows = [(ln, ld, un, ud)]
+    a, b = sorted((xn, xd))  # the start [min(1,x), max(1,x)] over xd
+    k = min(k_max, 2 * (xd // (b - a)).bit_length() + _GUARD_BITS) if b > a else 0
+    k = max(k, (xd // a).bit_length())
+    a, b = (a << k) // xd, -((-b << k) // xd)
+    rows = [(a, 1 << k, b, 1 << k)]
     it = 0
     while True:
-        wn, wd = un * ld - ln * ud, ld * ud  # the width, wn/wd
-        if wn * ed <= en * wd:
+        if (b - a) * ed <= en << k:
             return RefineTrace(tuple(rows), WIDTH_REACHED)
         if it >= max_iter:
             return RefineTrace(tuple(rows), MAX_ITERATIONS)
-        status, a, b, c, d = evaluate(ln, ld, un, ud, xn, xd)
+        shift = min(k_max, 2 * ((1 << k) // (b - a)).bit_length() + _GUARD_BITS) - k
+        if shift > 0:
+            a, b, k = a << shift, b << shift, k + shift
+        xk = xn << n * k
+        status, ln, ld, un, ud = evaluate(a, 1, b, 1, xk, xd)
         if status:
             raise DenominatorZeroError("lower" if status == 1 else "upper", it)
-        if not (0 < a and a * d <= c * b):
-            raise NotContractingError(Fraction(a, b), Fraction(c, d), it)
-        kj = min(k, 2 * (wd // wn).bit_length() + _GUARD_BITS)
-        if b.bit_length() > kj:
-            a, b = (a << kj) // b, 1 << kj
-            if a * ld < ln * b:
-                a, b = ln, ld
-        if d.bit_length() > kj:
-            c, d = -((-c << kj) // d), 1 << kj
-            if c * ud > un * d:
-                c, d = un, ud
-        if not (a ** n * xd <= xn * b ** n and xn * d ** n <= c ** n * xd):
-            raise NotContractingError(Fraction(a, b), Fraction(c, d), it, misses_root=True)
-        ln, ld, un, ud = a, b, c, d
+        if not (0 < ln and ln * ud <= un * ld):
+            raise NotContractingError(Fraction(ln, ld << k), Fraction(un, ud << k), it)
+        a = max(ln // ld, a)
+        b = min(-(-un // ud), b)
+        if not (a ** n * xd <= xk <= b ** n * xd):
+            raise NotContractingError(Fraction(a, 1 << k), Fraction(b, 1 << k), it,
+                                      misses_root=True)
         it += 1
-        rows.append((a, b, c, d))
+        rows.append((a, 1 << k, b, 1 << k))
 
 
 def _iroot(v: int, n: int) -> int:

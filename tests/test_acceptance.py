@@ -26,7 +26,7 @@ from root_enclose.maps import (
     counterexample_map,
     secant_newton,
 )
-from root_enclose.numeric import Interval, pow_int
+from root_enclose.numeric import pow_int
 from root_enclose.solver import bisect_to_eps, refine_to_eps
 
 
@@ -211,10 +211,13 @@ def test_criterion_7_convergence_benchmark():
 
     elapsed, (sn_trace, bi_trace) = _best_of(3, run_both)
     assert sn_trace.iterations == 3
-    assert sn_trace.intervals[2] == Interval(F(24, 17), F(17, 12))
+    # row 2 is the exact [24/17, 17/12] rounded outward onto 2^-26
+    lo, hi = sn_trace.intervals[2].lo * 2 ** 26, sn_trace.intervals[2].hi * 2 ** 26
+    assert lo.denominator == hi.denominator == 1
+    assert lo <= F(24 * 2 ** 26, 17) < lo + 1 and hi - 1 < F(17 * 2 ** 26, 12) <= hi
     assert bi_trace.iterations == 10
     _report("7", elapsed, 0.001,
-            "secant-newton: 3 iterations via [24/17, 17/12]; bisection: 10")
+            "secant-newton: 3 iterations via [24/17, 17/12] on 2^-26; bisection: 10")
 
 
 def test_criterion_8_counterexample_contraction_diagnostic():

@@ -66,14 +66,18 @@ def test_default_spec_iteration_counts():
 
 
 def test_default_secant_newton_rows_end_on_the_exact_map_output():
-    # the kernel's unreduced denominators stay within the lattice of every
-    # step, so the third step is the map's exact [816/577, 577/408], not a
-    # rounding of it onto the 2^-26 lattice
+    # every row lies on the lattice, so the third step is the map's exact
+    # [816/577, 577/408] rounded outward onto 2^-26, one step of it wider
+    # at each end at most
     trace = refine_to_eps(F(2), 2, F(1, 1000))
-    assert (trace.iterations, trace.final) == (3, Interval(F(816, 577), F(577, 408)))
+    step = F(1, 2 ** 26)
+    assert (trace.iterations, trace.final) == (3, Interval(F(94906123, 2 ** 26),
+                                                           F(94906409, 2 ** 26)))
+    assert trace.final.lo <= F(816, 577) < trace.final.lo + step
+    assert trace.final.hi - step < F(577, 408) <= trace.final.hi
     widths = {row.final_width for row in run_bench(default_spec())
               if row.map_name == "secant-newton"}
-    assert widths == {"1/235416"}
+    assert widths == {"143/33554432"}
 
 
 def test_zero_iterations_on_degenerate_x():

@@ -66,10 +66,12 @@ def test_root_contains_cube_root():
 
 
 def test_root_exact_one_step():
+    # the exact step [4/3, 3/2] has width exactly eps = 1/6; rounded outward
+    # onto the 2^-19 lattice it is wider than eps, so a second step follows
     out = run_cli("root", "--x", "2", "--n", "2", "--eps", "1/6")
     assert out.returncode == 0
-    assert "[4/3, 3/2]" in out.stdout
-    assert "iterations: 1" in out.stdout
+    assert "[740171/524288, 371371/262144]" in out.stdout
+    assert "iterations: 2" in out.stdout
 
 
 def test_root_rejects_nonpositive_x():
@@ -83,12 +85,17 @@ def test_root_rejects_garbage_eps():
 
 
 def test_root_eps_shorthand_and_trace():
+    from fractions import Fraction as F
+
     out = run_cli("root", "--x", "2", "--n", "2", "--eps", "1e-3",
                   "--trace", "--json")
     assert out.returncode == 0
     data = json.loads(out.stdout)
     assert data["iterations"] == 3
-    assert data["intervals"][2] == ["24/17", "17/12"]
+    # the exact [24/17, 17/12] rounded outward onto the 2^-26 lattice
+    lo, hi = (F(v) * 2 ** 26 for v in data["intervals"][2])
+    assert lo.denominator == hi.denominator == 1
+    assert lo <= F(24 * 2 ** 26, 17) < lo + 1 and hi - 1 < F(17 * 2 ** 26, 12) <= hi
 
 
 def test_root_float_backend():
@@ -662,7 +669,7 @@ PINNED_OUTPUTS = [
     (("compare", "SN3", "--samples", "300", "--json"), 0,
      "f90098fda271491c339215f2d60372c1de96ad474727d04857e6ebc1bb1f64d7"),
     (("root", "--x", "2", "--n", "3", "--eps", "1e-50", "--json", "--trace"), 0,
-     "806fc4c378df75af7f89c44e461c10c898787a15892b3309aaa0b4b92af27f42"),
+     "c60ef52c15d5f0f08c208c9cfb31ad3d640088b1fb09ea4b921f57bb541f746d"),
     (("root", "--x", "2", "--n", "3", "--eps", "1e-50", "--map", "bisection",
       "--json", "--trace"), 0,
      "a2441c5c4a6326e3a5c13819e87f1b2faa8f1dc1e5320a79c39482c5f50f14d3"),
@@ -680,7 +687,7 @@ PINNED_OUTPUTS = [
     (("locus", "PERTURBED", "--json"), 0,
      "9d1351bca7275228d68489ce652d64c70a5efd61e7aa43f3bd5e67b94cc683fc"),
     (("bench", "--format", "json"), 0,
-     "fdb6b2ffd79ed1ecaf986870109f70e29d249958d66e1764162272591f6203be"),
+     "fed76c6eb2affcfe5ecdb016218a9b50588352c6ef781e1e077e0b6280fe0299"),
     (("check", "NONCANONICAL", "--samples", "300", "--json"), 1,
      "263c8e582c375d61b959adb615e028fec197bf151ca4501a532d4c99f62e4f38"),
     (("check", "NONCANONICAL", "--samples", "300"), 1,

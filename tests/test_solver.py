@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from map_generators import (perturbed_contracting_map, random_canonical_map,
                             random_noncanonical_map)
 from root_enclose import maps, solver
+from root_enclose._kernels import apply_pairs
 from root_enclose.maps import (
     DenominatorZeroError,
     MapCoefficients,
@@ -46,18 +47,50 @@ def test_initial_interval_rejects_nonpositive(bad):
         initial_interval(bad)
 
 
+def _assert_rounds_outward(lo, hi, exact_lo, exact_hi, k):
+    """[lo, hi] lies on the lattice 2**-k and is [exact_lo, exact_hi]
+    rounded outward onto it: each endpoint within 2**-k of the exact one."""
+    assert (lo * 2 ** k).denominator == (hi * 2 ** k).denominator == 1
+    assert lo <= exact_lo < lo + F(1, 2 ** k)
+    assert hi - F(1, 2 ** k) < exact_hi <= hi
+
+
+def _row_lattice(row):
+    """(lo, hi, k) of a refine_to_eps row (a, 2**k, b, 2**k)."""
+    a, d, b, _ = row
+    return F(a, d), F(b, d), d.bit_length() - 1
+
+
 def test_refine_one_step():
+    # the exact step [4/3, 3/2] has width exactly eps = 1/6; rounded outward
+    # onto the 2^-19 lattice it is wider than eps, so a second step follows
     trace = refine_to_eps(F(2), 2, F(1, 6))
-    assert trace.iterations == 1
-    assert trace.final == Interval(F(4, 3), F(3, 2))
+    assert trace.iterations == 2
+    lo, hi, k = _row_lattice(trace.interval_rows[1])
+    assert k == 19
+    _assert_rounds_outward(lo, hi, F(4, 3), F(3, 2), k)
     assert trace.terminated == WIDTH_REACHED
 
 
+def test_a_start_of_width_eps_takes_one_step():
+    # the exact start [9/10, 1] has width exactly eps = 1/10; rounded
+    # outward onto the 2^-20 lattice it is wider than eps, so one step is taken
+    trace = refine_to_eps(F(9, 10), 2, F(1, 10))
+    assert (trace.iterations, trace.terminated) == (1, WIDTH_REACHED)
+    lo, hi, k = _row_lattice(trace.interval_rows[0])
+    assert k == 20
+    _assert_rounds_outward(lo, hi, F(9, 10), F(1), k)
+
+
 def test_refine_three_steps_with_exact_intermediate():
+    # Secant-Newton is inclusion-monotone, so each outward-rounded row
+    # contains the exact iterate; here row 2 is [24/17, 17/12] rounded
     trace = refine_to_eps(F(2), 2, F(1, 1000))
     assert trace.iterations == 3
-    assert trace.intervals[2] == Interval(F(24, 17), F(17, 12))
-    assert trace.widths[2] == F(1, 204)
+    lo, hi, k = _row_lattice(trace.interval_rows[2])
+    assert k == 26
+    _assert_rounds_outward(lo, hi, F(24, 17), F(17, 12), k)
+    assert F(1, 204) <= trace.widths[2] < F(1, 204) + F(2, 2 ** k)
     assert trace.widths[-1] <= F(1, 1000)
 
 
@@ -125,7 +158,8 @@ def test_refine_flags_interval_that_misses_root():
     with pytest.raises(NotContractingError, match="misses the root") as exc:
         refine_to_eps(F(2), 2, F(1, 100), m)
     assert exc.value.iteration == 0
-    assert (exc.value.lo, exc.value.hi) == (F(5, 3), F(7, 4))
+    # the pair as rounded outward onto the 2^-23 lattice of eps = 1/100
+    _assert_rounds_outward(exc.value.lo, exc.value.hi, F(5, 3), F(7, 4), 23)
 
 
 def _assert_enclosing_and_nested(trace, x, n):
@@ -133,6 +167,29 @@ def _assert_enclosing_and_nested(trace, x, n):
         assert pow_int(iv.lo, n) <= x <= pow_int(iv.hi, n)
     for prev, cur in zip(trace.intervals, trace.intervals[1:]):
         assert prev.lo <= cur.lo and cur.hi <= prev.hi
+
+
+def _assert_on_the_lattice(trace, x, n, m):
+    """Every row of a refine_to_eps trace is (a, 2**k, b, 2**k) with
+    1 <= a <= b and k never decreasing; row 0 is [min(1,x), max(1,x)] and
+    each later row the map's exact output at the row before, each rounded
+    outward onto the row's own 2**-k and then clamped to the row before;
+    the rows nest and each encloses the root exactly."""
+    rows = trace.interval_rows
+    ks = []
+    for a, d, b, e in rows:
+        assert d == e and d & (d - 1) == 0 and 1 <= a <= b
+        ks.append(d.bit_length() - 1)
+    assert ks == sorted(ks)
+    start = initial_interval(x)
+    a, d, b, _ = rows[0]
+    assert (a, b) == (math.floor(start.lo * d), math.ceil(start.hi * d))
+    ev = MapEvaluator(m)
+    for (pa, pd, pb, _), (a, d, b, _) in zip(rows, rows[1:]):
+        lo, hi = ev.pair(F(pa, pd), F(pb, pd), x)
+        assert a == max(math.floor(lo * d), pa * d // pd)
+        assert b == min(math.ceil(hi * d), pb * d // pd)
+    _assert_enclosing_and_nested(trace, x, n)
 
 
 @settings(max_examples=200, deadline=None)
@@ -153,7 +210,9 @@ def test_returned_traces_enclose_the_root(seed, n, a, b):
 
 
 # every x = a/b in (0, 2] \ {1} with b <= 5, in increasing order, and the
-# iteration counts exact (never rounded) Secant-Newton takes on them
+# iteration counts Secant-Newton takes on them: at n = 2, 3 and 1e-50,
+# 1e-200 those of exact (never rounded) Secant-Newton, elsewhere those of
+# a loop that rounded endpoints only once they outgrew the lattice
 DEEP_XS = tuple(sorted(
     {F(a, b) for b in range(1, 6) for a in range(1, 2 * b + 1)} - {F(1)}
 ))
@@ -162,6 +221,11 @@ DEEP_ITERATIONS = {
     (2, 200): (9, 9, 9, 9, 9, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 9),
     (3, 50): (8, 8, 7, 7, 7, 7, 6, 6, 6, 6, 6, 7, 7, 7, 7, 7, 7, 7, 8),
     (3, 200): (10, 10, 9, 9, 9, 8, 8, 8, 8, 8, 8, 9, 9, 9, 9, 9, 9, 9, 10),
+    (5, 50): (8, 8, 7, 7, 7, 7, 6, 6, 6, 7, 7, 7, 8, 8, 8, 8, 9, 9, 9),
+    (5, 200): (10, 10, 9, 9, 9, 9, 8, 8, 8, 9, 9, 9, 10, 10, 10, 10, 11, 11, 11),
+    (2, 1000): (12, 12, 11, 11, 11, 11, 10, 10, 10, 10, 10, 10, 10, 10, 11, 11, 11, 11, 11),
+    (3, 1000): (12, 12, 12, 11, 11, 11, 11, 10, 10, 11, 11, 11, 11, 11, 11, 11, 12, 12, 12),
+    (5, 1000): (12, 12, 12, 12, 11, 11, 11, 11, 10, 11, 11, 12, 12, 12, 13, 13, 13, 13, 13),
 }
 
 
@@ -203,12 +267,15 @@ def _dominating_maps(draw):
 def test_no_dominating_map_takes_fewer_iterations_than_secant_newton(m, a, b, eps_exp):
     # the paper's optimality in iteration counts, through the rounded
     # solver; a run stopped at Secant-Newton's count is the prefix of the
-    # full run, so a map that reaches the width sooner shows there
+    # full run, so a map that reaches the width sooner shows there.  Row by
+    # row, Secant-Newton's interval lies inside the map's: the map's wider
+    # rows take a lattice no finer, and Secant-Newton is inclusion-monotone
     x, eps = F(a, b), F(1, 10 ** eps_exp)
-    sn = refine_to_eps(x, m.n, eps).iterations
-    trace = refine_to_eps(x, m.n, eps, m, max_iter=max(sn, 1))
-    assert trace.iterations >= sn, (trace.interval_rows,
-                                    refine_to_eps(x, m.n, eps).interval_rows)
+    sn = refine_to_eps(x, m.n, eps)
+    trace = refine_to_eps(x, m.n, eps, m, max_iter=max(sn.iterations, 1))
+    assert trace.iterations >= sn.iterations, (trace.interval_rows, sn.interval_rows)
+    for inner, outer in zip(sn.intervals, trace.intervals):
+        assert outer.lo <= inner.lo and inner.hi <= outer.hi, (inner, outer)
 
 
 def test_deep_endpoints_stay_on_the_lattice():
@@ -222,45 +289,72 @@ def test_deep_endpoints_stay_on_the_lattice():
             assert max(v.numerator.bit_length(), v.denominator.bit_length()) <= k + 2
 
 
+@pytest.mark.parametrize("x,n,eps_exp", [(F(2, 3), 3, 20), (F(2), 2, 50), (F(1, 5), 5, 200)])
+def test_rows_do_not_depend_on_the_kernel(monkeypatch, x, n, eps_exp):
+    # every row is the map's output rounded onto the lattice, a value, so a
+    # canonical map gives the same rows through the general kernel; a rule
+    # that read the kernels' unreduced denominators would not, at
+    # x = 2/3, n = 3, eps = 1e-20 among others
+    eps = F(1, 10 ** eps_exp)
+    reduced = refine_to_eps(x, n, eps).interval_rows
+
+    def general(self, ln, ld, un, ud, xn, xd):
+        p, q = self._p, self._q
+        return apply_pairs(self._n, p.whole, p.den, q.whole, q.den, ln, ld, un, ud, xn, xd)
+
+    monkeypatch.setattr(MapEvaluator, "evaluate", general)
+    assert refine_to_eps(x, n, eps).interval_rows == reduced
+
+
 @pytest.mark.parametrize("x", [F(1, 5), F(2), F(9, 5)])
 def test_degree_5_reaches_a_deep_width(x):
     trace = refine_to_eps(x, 5, F(1, 10 ** 200))
     assert trace.terminated == WIDTH_REACHED
     assert 10 <= trace.iterations <= 11
-    _assert_enclosing_and_nested(trace, x, 5)
+    _assert_on_the_lattice(trace, x, 5, secant_newton(5))
 
 
 def test_rounded_endpoint_is_clamped_to_the_previous_interval():
-    # a huge p-denominator moves L = 1/3 by 2/(3(2^40+3)), less than one
-    # step of the 2^-26 lattice of eps = 1/1000; rounded down, the new lower
-    # endpoint would fall below 1/3, so the clamp keeps 1/3
-    m = MapCoefficients(2, (F(-1), 0, 0, 2 ** 40, 1), (F(-1), 0, 0, 2, 0))
-    x = F(1, 3)
-    exact_lo, _ = MapEvaluator(m).pair(x, F(1), x)
-    assert exact_lo > x
-    assert F((exact_lo.numerator << 26) // exact_lo.denominator, 1 << 26) < x
-    trace = refine_to_eps(x, 2, F(1, 1000), m, max_iter=3)
-    assert trace.terminated == MAX_ITERATIONS
-    assert [iv.lo for iv in trace.intervals] == [x] * 4
-    _assert_enclosing_and_nested(trace, x, 2)
+    # a huge p-denominator moves L by less than one step of the 2^-26
+    # lattice of eps = 1/1000: up from the lattice point, the floor keeps
+    # it; a negative one moves it down, below the previous interval, and
+    # the clamp keeps it
+    x, k = F(1, 3), 26
+    lo_0 = F((1 << k) // 3, 1 << k)
+    for c in (2 ** 40, -(2 ** 40)):
+        m = MapCoefficients(2, (F(-1), 0, 0, c, 1), (F(-1), 0, 0, 2, 0))
+        exact_lo, _ = MapEvaluator(m).pair(lo_0, F(1), x)
+        assert 0 < abs(exact_lo - lo_0) < F(1, 1 << k)
+        trace = refine_to_eps(x, 2, F(1, 1000), m, max_iter=3)
+        assert trace.terminated == MAX_ITERATIONS
+        assert [iv.lo for iv in trace.intervals] == [lo_0] * 4
+        _assert_on_the_lattice(trace, x, 2, m)
 
 
-# exact endpoints grow about 2n-1-fold in bits per iteration until they
-# reach the 2^-k lattice of eps, so these widths stay cheap; dominated maps
-# converge slower and get a hard iteration cap here
-@pytest.mark.parametrize("n,x,eps", [
-    (2, F(2), F(1, 10 ** 8)),
-    (3, F(27, 8), F(1, 10 ** 4)),
-    (3, F(1, 3), F(1, 10 ** 4)),
-    (5, F(2), F(1, 100)),
-])
+# every endpoint lies on a lattice that follows the width, so these widths
+# stay cheap; dominated maps converge slower and get a hard iteration cap
+# here.  x = 1/10^300 needs a start lattice of 2^-997, finer than eps's, for
+# a nonzero lower endpoint.  The counts are those of a loop that rounded
+# endpoints only once they outgrew the lattice.
+ENCLOSURE_ITERATIONS = {
+    (2, F(2), F(1, 10 ** 8)): 4,
+    (3, F(27, 8), F(1, 10 ** 4)): 5,
+    (3, F(1, 3), F(1, 10 ** 4)): 4,
+    (5, F(2), F(1, 100)): 4,
+    (5, F(1, 10 ** 300), F(1, 10 ** 50)): 516,
+}
+
+
+@pytest.mark.parametrize("n,x,eps", list(ENCLOSURE_ITERATIONS))
 def test_enclosure_and_nesting(n, x, eps):
-    trace = refine_to_eps(x, n, eps, secant_newton(n))
-    assert trace.terminated == WIDTH_REACHED
-    _assert_enclosing_and_nested(trace, x, n)
+    m = secant_newton(n)
+    trace = refine_to_eps(x, n, eps, m)
+    assert (trace.iterations, trace.terminated) == (ENCLOSURE_ITERATIONS[n, x, eps],
+                                                    WIDTH_REACHED)
+    _assert_on_the_lattice(trace, x, n, m)
 
     perturbed = perturbed_contracting_map(n, 17)
-    _assert_enclosing_and_nested(refine_to_eps(x, n, eps, perturbed, max_iter=4), x, n)
+    _assert_on_the_lattice(refine_to_eps(x, n, eps, perturbed, max_iter=4), x, n, perturbed)
 
 
 def _refine_reference(x, n, eps, m, max_iter=DEFAULT_MAX_ITER):
@@ -284,16 +378,6 @@ def _refine_reference(x, n, eps, m, max_iter=DEFAULT_MAX_ITER):
         iv = Interval(lo, hi)
         it += 1
     return it, WIDTH_REACHED
-
-
-def _is_rounded_from(value, exact, previous, k, outward):
-    """value is exact, the clamp's previous endpoint, or exact rounded one
-    step of a lattice 2**-j, j <= k, outward (outward = -1 down, +1 up)."""
-    if value in (exact, previous):
-        return True
-    den = value.denominator
-    return (den & (den - 1) == 0 and den <= 1 << k
-            and 0 < outward * (value - exact) < F(1, den))
 
 
 def _bisect_reference(x, n, eps, max_iter=DEFAULT_MAX_ITER):
@@ -359,15 +443,9 @@ def test_width_following_lattice_keeps_the_fixed_lattice_iterations(n, p_bumps, 
     k = (10 ** eps_exp).bit_length() + 16
     trace = refine_to_eps(x, n, eps, m, max_iter)
     assert (trace.iterations, trace.terminated) == _refine_reference(x, n, eps, m, max_iter)
-    _assert_enclosing_and_nested(trace, x, n)
-    ev = MapEvaluator(m)
-    for prev, cur in zip(trace.intervals, trace.intervals[1:]):
-        lo, hi = ev.pair(prev.lo, prev.hi, x)
-        assert _is_rounded_from(cur.lo, lo, prev.lo, k, -1)
-        assert _is_rounded_from(cur.hi, hi, prev.hi, k, 1)
-    # a kept kernel denominator has at most k_j <= k bits, a rounded one is
-    # 2**k_j, and a clamped one is the previous row's
-    assert all(0 < den <= 1 << k for row in trace.interval_rows[1:] for den in row[1::2])
+    _assert_on_the_lattice(trace, x, n, m)
+    # k_j never passes k = bits(1/eps) + 16 while 1/x has fewer bits
+    assert all(den <= 1 << k for row in trace.interval_rows for den in row[1::2])
 
 
 @pytest.mark.parametrize("x,n,eps", [
@@ -390,7 +468,7 @@ def test_bisection_stops_at_the_step_count_it_computes(x, n, eps):
 
 
 # n = 5 runs the integer root's Newton path on 700-bit roots
-@pytest.mark.parametrize("n,eps_exp", sorted(DEEP_ITERATIONS) + [(5, 200)])
+@pytest.mark.parametrize("n,eps_exp", [(2, 50), (2, 200), (3, 50), (3, 200), (5, 200)])
 def test_integer_bisection_matches_the_fraction_loop_on_deep_cases(n, eps_exp):
     eps = F(1, 10 ** eps_exp)
     for x in DEEP_XS:
@@ -547,17 +625,20 @@ def test_both_solvers_contain_exact_root_of_perfect_power():
 
 
 def test_trace_json():
+    # two steps: the first, [4/3, 3/2] rounded onto 2^-19, is wider than
+    # eps = 1/6 (see test_refine_one_step)
     trace = refine_to_eps(F(2), 2, F(1, 6))
     data = trace.to_json()
     assert data == {
-        "iterations": 1,
+        "iterations": 2,
         "terminated": "width-reached",
-        "final_interval": ["4/3", "3/2"],
-        "final_width": "1/6",
+        "final_interval": ["740171/524288", "371371/262144"],
+        "final_width": "2571/524288",
     }
     full = trace.to_json(include_intervals=True)
-    assert full["intervals"] == [["1", "2"], ["4/3", "3/2"]]
-    assert full["widths"] == ["1", "1/6"]
+    assert full["intervals"] == [["1", "2"], ["349525/262144", "3/2"],
+                                 ["740171/524288", "371371/262144"]]
+    assert full["widths"] == ["1", "43691/262144", "2571/524288"]
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
